@@ -1,17 +1,19 @@
 """Run one flexidrop benchmark workload and print its metrics as JSON.
 
-    python3 bench/run.py --workload node2000_flexidrop --seed 0 --seconds 38 --trace 0
+    python3 bench/run.py --workload node2000_flexidrop --seed 0 --seconds 40 --trace 0
 
 Run it from the root of a checkout: it imports the package from ``src``.
 A run is a closed loop in one process: jobs (complete training runs) go
 back to back on inputs made from ``--seed``, every job's outputs are
 checked, and all jobs of a run must produce identical outputs.
 
-``--trace 0`` prints the end-to-end metrics. ``--trace 1`` runs untraced
-jobs for half the time and traced jobs for the rest, and prints the
-per-layer metrics: per-job medians of busy and self time per layer, call
-and work counts, and the tracing overhead. The last line of standard
-output is the result; the line before it records the environment.
+``--trace 0`` prints the end-to-end metrics, with times scaled to a
+nominal CPU speed measured between epochs (``hostspeed.py``).
+``--trace 1`` runs untraced jobs for half the time and traced jobs for
+the rest, and prints the per-layer metrics: per-job medians of busy and
+self time per layer, call and work counts, and the tracing overhead. The
+last line of standard output is the result; the line before it records
+the environment.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from hostspeed import HostClock, nominal_seconds
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
@@ -52,10 +56,34 @@ class Job:
     problems: list[str]
     fingerprint: str | None
     layer: dict[str, float] = field(default_factory=dict)
+    clock: HostClock | None = None    # the job's phases and reference times, untraced runs
+
+
+@contextlib.contextmanager
+def epoch_ticks(clock: HostClock):
+    """Tick ``clock`` at the top of every training epoch.
+
+    ``training.train`` calls ``bind_layers`` once per epoch and nowhere
+    else; this wraps that binding for the duration of the block.
+    """
+    from flexidrop import training
+
+    original = training.bind_layers
+
+    def ticked(*args, **kwargs):
+        clock.tick()
+        return original(*args, **kwargs)
+
+    training.bind_layers = ticked
+    try:
+        yield
+    finally:
+        training.bind_layers = original
 
 
 def run_jobs(workload, inputs, seed: int, workdir: Path, deadline: float, min_jobs: int,
-             reference: str | None = None, tracer=None) -> list[Job]:
+             reference: str | None = None, tracer=None, clock: HostClock | None = None
+             ) -> list[Job]:
     """Jobs back to back until the next would end past ``deadline``, at least ``min_jobs``.
 
     A job whose outputs differ from ``reference`` (or from this call's
@@ -67,6 +95,9 @@ def run_jobs(workload, inputs, seed: int, workdir: Path, deadline: float, min_jo
         gc.collect()    # every job starts from the same collector state
         if tracer is not None:
             tracer.reset()
+        if clock is not None:
+            clock.reset()
+            clock.mark()
         start = time.perf_counter()
         try:
             outcome = workload.job(inputs, seed, workdir)
@@ -82,6 +113,9 @@ def run_jobs(workload, inputs, seed: int, workdir: Path, deadline: float, min_jo
         if fingerprint is not None and fingerprint != reference:
             problems.append("outputs differ from the run's first job with the same seed")
         job = Job(wall, problems, fingerprint)
+        if clock is not None:
+            clock.mark()
+            job.clock = clock.copy()
         if tracer is not None:
             job.layer = tracer.job_metrics(wall)
             job.layer["cli.out_bytes"] = outcome.out_bytes if fingerprint is not None else 0
@@ -91,33 +125,39 @@ def run_jobs(workload, inputs, seed: int, workdir: Path, deadline: float, min_jo
     return jobs
 
 
-def setup_seconds(name: str, seed: int, workdir: Path) -> list[float]:
-    """Set-up times of fresh interpreters, each importing the package and making inputs."""
+def setup_samples(name: str, seed: int, workdir: Path) -> list[tuple[float, float]]:
+    """(set-up seconds, reference-work seconds) of fresh interpreters.
+
+    Each imports the package and makes the inputs; ``setup_time.py`` times
+    the reference work after that.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     samples = []
     for i in range(SETUP_SAMPLES):
         out = subprocess.run([sys.executable, str(BENCH_DIR / "setup_time.py"), name, str(seed),
                               str(workdir / f"setup{i}")],
                              env=env, capture_output=True, text=True, timeout=120, check=True)
-        samples.append(float(out.stdout.strip().splitlines()[-1]))
+        seconds, reference_s = out.stdout.strip().splitlines()[-1].split()
+        samples.append((float(seconds), float(reference_s)))
     return samples
 
 
 def end_to_end(workload, seed: int, seconds: float, workdir: Path) -> tuple[dict, list[Job]]:
-    setup = setup_seconds(workload.name, seed, workdir)
+    setup = setup_samples(workload.name, seed, workdir)
     inputs = workload.setup(seed, workdir / "main")
+    clock = HostClock()
     start = time.perf_counter()
-    jobs = run_jobs(workload, inputs, seed, workdir, start + seconds, 1 + MIN_TIMED_JOBS)
-    # The fastest timed job (jobs[0] warms up). On a shared host the CPUs
-    # switch between a fast state and one about 40% slower, for seconds at a
-    # time, as other tenants' load changes; that only ever slows a job, so
-    # the fastest job varies least from run to run (README.md has figures).
-    job_s = min(j.wall_s for j in jobs[1:])
+    with epoch_ticks(clock):
+        jobs = run_jobs(workload, inputs, seed, workdir, start + seconds, 1 + MIN_TIMED_JOBS,
+                        clock=clock)
+    # Times on the nominal CPU (hostspeed.py says why); jobs[0] warms up.
+    timed = [j for j in jobs[1:] if not j.problems] or jobs[1:]
+    job_s = statistics.median(j.clock.nominal_seconds() for j in timed)
     ok = sum(not j.problems for j in jobs)
     metrics = {
         "job_s": (job_s, "s"),
         "epochs_per_s": (workload.epochs / job_s, "1/s"),
-        "setup_s": (statistics.median(setup), "s"),
+        "setup_s": (statistics.median(nominal_seconds(s, ref) for s, ref in setup), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         "ok_share": (ok / len(jobs), "share"),
     }
@@ -237,7 +277,12 @@ def main(argv=None) -> int:
 
     failed = sum(bool(j.problems) for j in jobs)
     print(json.dumps({"environment": environment(), "workload": workload.name,
-                      "seed": args.seed, "job_s_samples": [j.wall_s for j in jobs]}))
+                      "seed": args.seed, "job_wall_s": [j.wall_s for j in jobs],
+                      "job_raw_s": [j.clock.raw_seconds() for j in jobs if j.clock],
+                      "job_nominal_s": [j.clock.nominal_seconds() for j in jobs if j.clock],
+                      "reference_s_median": statistics.median(
+                          r for j in jobs if j.clock for r in j.clock.references
+                      ) if jobs[0].clock else None}))
     print(json.dumps({"correct": failed == 0, "attempted": len(jobs), "failed": failed,
                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}))
     return 0

@@ -1,14 +1,23 @@
-"""Time one benchmark set-up in a fresh interpreter and print the seconds.
+"""Time one benchmark set-up in a fresh interpreter.
 
 Set-up is the flexidrop package import plus the workload's input
-generation. ``run.py`` starts this script a few times per run, with
-``src`` on PYTHONPATH, and reports the median as ``setup_s``.
+generation. Prints the set-up seconds and the median time of the
+reference work (``hostspeed.py``) done right after it; not before it,
+because the reference work imports numpy, which set-up must pay for.
+``run.py`` starts this script a few times per run, with ``src`` on
+PYTHONPATH, scales each set-up time to the nominal CPU and reports the
+median as ``setup_s``.
 
     python3 bench/setup_time.py <workload> <seed> <workdir>
 """
+import statistics
 import sys
 import time
 from pathlib import Path
+
+from hostspeed import reference_time
+
+REFERENCES = 50
 
 
 def main() -> None:
@@ -16,7 +25,9 @@ def main() -> None:
     start = time.perf_counter()
     from workloads import WORKLOADS
     WORKLOADS[name].setup(seed, workdir)
-    print(repr(time.perf_counter() - start))
+    seconds = time.perf_counter() - start
+    reference_s = statistics.median(reference_time() for _ in range(REFERENCES))
+    print(repr(seconds), repr(reference_s))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
+import hostspeed
 import run
+from hostspeed import HostClock
 from spans import Tracer, self_times, union_length
 from workloads import WORKLOADS
 
@@ -56,6 +58,34 @@ def test_module_self_times_and_remainder_add_up_to_the_job():
     assert modules + m["untraced_remainder_s"] == pytest.approx(1.0, abs=1e-12)
     assert m["model.forward.self_s"] == pytest.approx(
         m["model.forward.train.s"] - m["autodiff.matmul.s"], abs=1e-12)
+
+
+def test_host_clock_scales_each_phase_by_the_references_around_it(monkeypatch):
+    clock = HostClock()
+    clock.phases = [1.0, 2.0]
+    nominal = hostspeed.NOMINAL_REFERENCE_S
+    clock.references = [nominal, nominal, 3 * nominal]   # the host slows by half during phase 2
+    assert clock.raw_seconds() == 3.0
+    assert clock.nominal_seconds() == pytest.approx(1.0 + 2.0 / 2.0)
+
+    monkeypatch.setattr(hostspeed, "reference_time", lambda: nominal)
+    clock.reset()
+    clock.mark()
+    clock.tick()     # skipped: the phase is shorter than MIN_PHASE_S
+    clock.mark()
+    assert len(clock.references) == 2 and len(clock.phases) == 1
+
+
+def test_epoch_ticks_split_a_job_into_phases(tmp_path):
+    workload = dataclasses.replace(small("node2000_flexidrop"), epochs=3)
+    clock = HostClock()
+    inputs = workload.setup(0, tmp_path)
+    with run.epoch_ticks(clock):
+        jobs = run.run_jobs(workload, inputs, 0, tmp_path, deadline=0.0, min_jobs=1, clock=clock)
+    job = jobs[0].clock
+    assert len(job.references) == len(job.phases) + 1 >= 2
+    assert 0.0 < job.raw_seconds() <= jobs[0].wall_s
+    assert job.nominal_seconds() > 0.0
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
