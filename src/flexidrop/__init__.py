@@ -10,13 +10,13 @@ from .bounds import (BoundContext, bound_report, complexity_prefactor,
 from .graphs import (Graph, ParseError, PropagationOperator, SplitSpec, ValidationError,
                      build_propagation, feature_inf_norm_max, generate_sbm,
                      inject_random_edges, load_graph, sample_absent_pairs)
-from .metrics import (accuracy, auc_score, dirichlet_energy, link_accuracy,
-                      oversmoothing_profile, robustness_sweep)
+from .metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
 from .model import (LayerParams, ModelConfig, NumericsError, forward, init_params,
                     link_loss, link_scores, load_checkpoint, retention_probabilities,
                     sample_negative_edges, save_checkpoint)
 from .training import (AdamState, RunRecord, TrainConfig, TrainingAborted, TrainResult,
-                       adam_step, grid_search, train)
+                       adam_step, grid_search, oversmoothing_profile, robustness_sweep,
+                       run_cell, train)
 
 __all__ = [
     "Tape", "Value", "grad_check", "GradCheckReport",
@@ -30,7 +30,7 @@ __all__ = [
     "complexity_regularizer", "generalization_bound", "empirical_rademacher_mc",
     "empirical_rademacher_exact", "bound_report",
     "TrainConfig", "TrainResult", "TrainingAborted", "AdamState", "RunRecord",
-    "adam_step", "train", "grid_search",
+    "adam_step", "train", "run_cell", "grid_search", "oversmoothing_profile",
+    "robustness_sweep",
     "accuracy", "dirichlet_energy", "link_accuracy", "auc_score",
-    "oversmoothing_profile", "robustness_sweep",
 ]

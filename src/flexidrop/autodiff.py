@@ -18,6 +18,17 @@ import scipy.sparse as sp
 EXP_CLAMP = 50.0
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)), evaluated without overflow for any sign."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class Value:
     """Node in a computation: data, gradient slot, and provenance tag."""
 
@@ -182,12 +193,7 @@ class Tape:
 
     def sigmoid(self, x: Value) -> Value:
         x = self._own(x, "x", "sigmoid")
-        d = x.data
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ez = np.exp(d[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        out = sigmoid(x.data)
 
         def backward(g, adj):
             self._acc(adj, x, g * out * (1.0 - out))

@@ -6,9 +6,8 @@ The central quantity is the layerwise complexity bound
 
 with prefactor M = 2^L * C * sqrt(2 * ln(2 d) / N) * max_u ||x_u||_inf,
 where L is the depth, C the number of classes, d the feature dimension
-and N the number of nodes. All logarithms here are natural; that choice
-is a fixed constant of the module, not a knob. The bound's derivation
-assumes a row-stochastic propagation operator.
+and N the number of nodes. All logarithms here are natural. The bound's
+derivation assumes a row-stochastic propagation operator.
 """
 from __future__ import annotations
 
@@ -21,8 +20,6 @@ import numpy as np
 from .autodiff import Tape, Value
 from .graphs import Graph, feature_inf_norm_max
 from .model import BoundLayer, LayerParams, bind_layers, retention_probabilities
-
-LOG_BASE = "natural"
 
 # cross-entropy values are unbounded; confidence-interval reporting caps the
 # loss at this value, and the cap is reporting-only (never used in training)
@@ -38,21 +35,18 @@ class BoundContext:
     feature_dim: int
     num_nodes: int
     feature_inf_max: float
-    reg_lambda: float = 0.5
 
     def __post_init__(self):
         if self.num_layers < 1 or self.num_classes < 1 or self.feature_dim < 1 or self.num_nodes < 1:
             raise ValueError("bound context dimensions must be positive")
         if self.feature_inf_max < 0:
             raise ValueError("feature_inf_max must be >= 0")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
 
     @classmethod
-    def from_graph(cls, graph: Graph, num_layers: int, reg_lambda: float = 0.5) -> "BoundContext":
+    def from_graph(cls, graph: Graph, num_layers: int) -> "BoundContext":
         return cls(num_layers=num_layers, num_classes=graph.num_classes,
                    feature_dim=graph.feature_dim, num_nodes=graph.num_nodes,
-                   feature_inf_max=feature_inf_norm_max(graph), reg_lambda=reg_lambda)
+                   feature_inf_max=feature_inf_norm_max(graph))
 
 
 def complexity_prefactor(ctx: BoundContext) -> float:
@@ -188,9 +182,7 @@ def empirical_rademacher_exact(outputs: np.ndarray) -> float:
 
 
 def bound_report(ctx: BoundContext, params: list[LayerParams],
-                 propagation_mode: str = "row_stochastic",
-                 mc_estimate: float | None = None,
-                 mc_stderr: float | None = None) -> dict:
+                 propagation_mode: str = "row_stochastic") -> dict:
     """JSON-ready summary of the bound and its per-layer factors."""
     if propagation_mode == "symmetric":
         warnings.warn("the layerwise bound assumes a row-stochastic propagation "
@@ -202,8 +194,6 @@ def bound_report(ctx: BoundContext, params: list[LayerParams],
         "layer_weight_col_norm_max": col_norms,
         "layer_retention_norm": p_norms,
         "complexity_bound": multilayer_bound(ctx, params),
-        "mc_estimate": mc_estimate,
-        "mc_stderr": mc_stderr,
         "num_layers": ctx.num_layers,
         "num_classes": ctx.num_classes,
         "feature_dim": ctx.feature_dim,

@@ -10,20 +10,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff import Tape, grad_check
+from .autodiff import grad_check
 from .bounds import BoundContext, bound_report, complexity_prefactor, complexity_regularizer
 from .graphs import (Graph, ParseError, SplitSpec, ValidationError, build_propagation,
                      generate_sbm, load_graph)
-from .metrics import oversmoothing_profile, robustness_sweep
-from .model import ModelConfig, bind_layers, forward, init_params, save_checkpoint
+from .model import (STRATEGIES, BoundLayer, ModelConfig, forward, init_params, load_checkpoint,
+                    save_checkpoint)
 from .training import (GRID_COLUMNS, RunRecord, TrainConfig, TrainingAborted, grid_search,
-                       train, write_grid_csv)
+                       oversmoothing_profile, robustness_sweep, train)
 
 OUTPUT_ROOT_ENV = "FLEXIDROP_OUTPUT_ROOT"
 
@@ -43,15 +42,6 @@ def _output_dir(args, command: str) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config not found: {path}")
-    return json.loads(p.read_text())
 
 
 def load_dataset(spec: dict) -> Graph:
@@ -81,35 +71,36 @@ def load_dataset(spec: dict) -> Graph:
     raise ValidationError(f"unknown dataset kind {kind!r}")
 
 
-def _resolve_model(config: dict, graph: Graph, args) -> ModelConfig:
+def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConfig, Path]:
+    """Config file plus flags -> dataset, model, train config and output dir.
+
+    Writes the manifest (resolved config plus any ``sweep`` axes) before
+    anything trains, so a failed run still names its inputs.
+    """
+    config = json.loads(Path(args.config).read_text()) if args.config else {}
+    dataset = config.get("dataset", DEFAULT_DATASET)
+    graph = load_dataset(dataset)
     model = dict(config.get("model", {}))
-    for key, val in (("strategy", args.strategy), ("rate", args.rate),
-                     ("propagation_mode", getattr(args, "propagation", None)),
-                     ("task", getattr(args, "task", None))):
-        if val is not None:
-            model[key] = val
+    for key in ("strategy", "rate", "propagation_mode", "task"):   # train has all four flags
+        if getattr(args, key, None) is not None:
+            model[key] = getattr(args, key)
+    hidden = model.pop("hidden_dims", [256])
+    out_dim = model.pop("output_dim", 32)   # only link prediction chooses its output width
     if "layer_dims" not in model:
-        hidden = model.pop("hidden_dims", [256])
-        if model.get("task", "node_classification") == "link_prediction":
-            out_dim = int(model.pop("output_dim", 32))
-        else:
+        if model.get("task") != "link_prediction":
             out_dim = graph.num_classes
-            model.pop("output_dim", None)
-        model["layer_dims"] = [graph.feature_dim] + list(hidden) + [out_dim]
-    model.pop("hidden_dims", None)
-    model.pop("output_dim", None)
-    return ModelConfig.from_dict(model)
-
-
-def _resolve_train(config: dict, args) -> TrainConfig:
+        model["layer_dims"] = [graph.feature_dim] + list(hidden) + [int(out_dim)]
+    model_config = ModelConfig.from_dict(model)
     tc = dict(config.get("train", {}))
-    for key, val in (("epochs", args.epochs), ("seed", args.seed),
-                     ("reg_lambda", getattr(args, "reg_lambda", None)),
-                     ("eval_every", getattr(args, "eval_every", None)),
-                     ("learning_rate", getattr(args, "learning_rate", None))):
-        if val is not None:
-            tc[key] = val
-    return TrainConfig.from_dict(tc)
+    for key in ("epochs", "seed", "reg_lambda", "eval_every", "learning_rate"):
+        if getattr(args, key) is not None:
+            tc[key] = getattr(args, key)
+    train_config = TrainConfig.from_dict(tc)
+    out = _output_dir(args, command)
+    resolved = {"dataset": dataset, "model": model_config.to_dict(),
+                "train": train_config.to_dict(), **sweep}
+    _write_json(out / "manifest.json", _manifest(command, resolved))
+    return graph, model_config, train_config, out
 
 
 def _manifest(command: str, config: dict) -> dict:
@@ -117,31 +108,16 @@ def _manifest(command: str, config: dict) -> dict:
     return {"command": command, "version": __version__, "config": clean}
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x != ""]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
-
-
-def _strategies(text: str) -> list[str]:
-    return [s.strip() for s in text.split(",") if s.strip()]
+def _csv(text: str, kind=str) -> list:
+    """A comma-separated flag value as a list of ``kind``; empty items are skipped."""
+    return [kind(x.strip()) for x in text.split(",") if x.strip()]
 
 
 # ---- subcommands ----------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    dataset = config.get("dataset", DEFAULT_DATASET)
-    graph = load_dataset(dataset)
-    model_config = _resolve_model(config, graph, args)
-    train_config = _resolve_train(config, args)
-    out = _output_dir(args, "train")
-    resolved = {"dataset": dataset, "model": model_config.to_dict(),
-                "train": train_config.to_dict()}
-    _write_json(out / "manifest.json", _manifest("train", resolved))
+    graph, model_config, train_config, out = _resolve(args, "train")
     try:
         result = train(graph, model_config, train_config)
     except TrainingAborted as exc:
@@ -155,7 +131,7 @@ def cmd_train(args) -> int:
     result.record.write_csv(out / "run.csv")
     result.record.write_summary(out / "summary.json")
     save_checkpoint(out / "model", result.params, model_config)
-    ctx = BoundContext.from_graph(graph, model_config.num_layers, train_config.reg_lambda)
+    ctx = BoundContext.from_graph(graph, model_config.num_layers)
     report = bound_report(ctx, result.params, model_config.propagation_mode)
     _write_json(out / "bound_report.json", report)
     print(f"final test accuracy {result.record.summary['final_test_accuracy']}")
@@ -164,70 +140,39 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    config = _load_config(args.config)
-    dataset = config.get("dataset", DEFAULT_DATASET)
-    graph = load_dataset(dataset)
-    model_config = _resolve_model(config, graph, args)
-    train_config = _resolve_train(config, args)
-    strategies = _strategies(args.strategies)
-    rates = _floats(args.rates)
-    seeds = _ints(args.seeds)
-    out = _output_dir(args, "grid")
-    resolved = {"dataset": dataset, "model": model_config.to_dict(),
-                "train": train_config.to_dict(), "strategies": strategies,
-                "rates": rates, "seeds": seeds}
-    _write_json(out / "manifest.json", _manifest("grid", resolved))
+    strategies, rates, seeds = (_csv(args.strategies), _csv(args.rates, float),
+                                _csv(args.seeds, int))
+    graph, model_config, train_config, out = _resolve(
+        args, "grid", strategies=strategies, rates=rates, seeds=seeds)
     rows = grid_search(graph, model_config, strategies, rates, seeds, train_config)
-    write_grid_csv(rows, out / "grid.csv")
+    RunRecord(GRID_COLUMNS, rows).write_csv(out / "grid.csv")
     print(f"grid written to {out / 'grid.csv'}")
     return 0
 
 
 def cmd_oversmooth(args) -> int:
-    config = _load_config(args.config)
-    dataset = config.get("dataset", DEFAULT_DATASET)
-    graph = load_dataset(dataset)
-    train_config = _resolve_train(config, args)
-    depths = _ints(args.depths)
-    strategies = _strategies(args.strategies)
-    rates = {}
-    if args.rate is not None:
-        rates = {s: args.rate for s in strategies if s in ("fixed_dropout", "dropnode", "dropedge")}
-    out = _output_dir(args, "oversmooth")
-    resolved = {"dataset": dataset, "train": train_config.to_dict(), "depths": depths,
-                "strategies": strategies, "hidden_dim": args.hidden_dim, "rates": rates}
-    _write_json(out / "manifest.json", _manifest("oversmooth", resolved))
-    rows = oversmoothing_profile(graph, depths, strategies, train_config,
-                                 hidden_dim=args.hidden_dim, rates=rates)
-    record = RunRecord(columns=["depth", "strategy", "test_accuracy", "final_energy"],
-                       rows=rows)
-    record.write_csv(out / "oversmoothing.csv")
+    depths, strategies = _csv(args.depths, int), _csv(args.strategies)
+    graph, model_config, train_config, out = _resolve(
+        args, "oversmooth", depths=depths, strategies=strategies,
+        hidden_dim=args.hidden_dim, rate=args.fixed_rate)
+    rows = oversmoothing_profile(graph, model_config, depths, strategies, train_config,
+                                 hidden_dim=args.hidden_dim, rate=args.fixed_rate)
+    RunRecord(["depth", "strategy", "test_accuracy", "final_energy", "status"],
+              rows).write_csv(out / "oversmoothing.csv")
     print(f"profile written to {out / 'oversmoothing.csv'}")
     return 0
 
 
 def cmd_attack(args) -> int:
-    config = _load_config(args.config)
-    dataset = config.get("dataset", DEFAULT_DATASET)
-    graph = load_dataset(dataset)
-    model_config = _resolve_model(config, graph, args)
-    train_config = _resolve_train(config, args)
-    fractions = _floats(args.fractions)
-    strategies = _strategies(args.strategies)
-    seeds = _ints(args.seeds)
-    rates = {}
-    if args.rate is not None:
-        rates = {s: args.rate for s in strategies if s in ("fixed_dropout", "dropnode", "dropedge")}
-    out = _output_dir(args, "attack")
-    resolved = {"dataset": dataset, "model": model_config.to_dict(),
-                "train": train_config.to_dict(), "fractions": fractions,
-                "strategies": strategies, "seeds": seeds, "rates": rates}
-    _write_json(out / "manifest.json", _manifest("attack", resolved))
-    rows = robustness_sweep(graph, fractions, strategies, seeds, train_config,
-                            model_dims=model_config.layer_dims, rates=rates,
-                            propagation_mode=model_config.propagation_mode)
-    record = RunRecord(columns=["fraction", "strategy", "seed", "test_accuracy"], rows=rows)
-    record.write_csv(out / "robustness.csv")
+    fractions, strategies, seeds = (_csv(args.fractions, float), _csv(args.strategies),
+                                    _csv(args.seeds, int))
+    graph, model_config, train_config, out = _resolve(
+        args, "attack", fractions=fractions, strategies=strategies, seeds=seeds,
+        rate=args.fixed_rate)
+    rows = robustness_sweep(graph, model_config, fractions, strategies, seeds, train_config,
+                            rate=args.fixed_rate)
+    RunRecord(["fraction", "strategy", "seed", "test_accuracy", "status"],
+              rows).write_csv(out / "robustness.csv")
     print(f"sweep written to {out / 'robustness.csv'}")
     return 0
 
@@ -239,7 +184,6 @@ def cmd_bound(args) -> int:
     value = complexity_prefactor(ctx)
     print(f"complexity_prefactor {value!r}")
     if args.checkpoint:
-        from .model import load_checkpoint
         params, model_config, _ = load_checkpoint(args.checkpoint)
         report = bound_report(ctx, params, model_config.propagation_mode)
         print(f"complexity_bound {report['complexity_bound']!r}")
@@ -274,11 +218,10 @@ def _gradcheck_instance(seed: int) -> bool:
     prop = build_propagation(graph, "row_stochastic")
     config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop")
     params = init_params(config.layer_dims, seed)
-    ctx = BoundContext.from_graph(graph, 2, 0.5)
+    ctx = BoundContext.from_graph(graph, 2)
     shapes = [p.weight for p in params] + [p.retention_logits for p in params]
 
     def model_loss(tape, leaves):
-        from .model import BoundLayer
         k = len(params)
         layers = [BoundLayer(leaves[i], leaves[k + i], tape.sigmoid(leaves[k + i]))
                   for i in range(k)]
@@ -341,14 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="reg_lambda", type=float,
                        help="regularization weight for the trainable-retention strategy")
         if with_model:
-            p.add_argument("--strategy", choices=["none", "flexidrop", "fixed_dropout",
-                                                  "dropnode", "dropedge"])
-            p.add_argument("--rate", type=float)
-            p.add_argument("--propagation", choices=["symmetric", "row_stochastic"])
+            p.add_argument("--propagation", dest="propagation_mode",
+                           choices=["symmetric", "row_stochastic"])
             p.add_argument("--task", choices=["node_classification", "link_prediction"])
+
+    def sweep_rate(p):
+        p.add_argument("--rate", dest="fixed_rate", type=float, default=0.0,
+                       help="dropout rate of the fixed strategies listed in --strategies")
 
     p = sub.add_parser("train", help="train one model and write its run record")
     common(p)
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--rate", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid", help="sweep strategies x rates x seeds")
@@ -362,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_model=False)
     p.add_argument("--depths", default="2,4,8,16,32")
     p.add_argument("--strategies", default="none,flexidrop")
-    p.add_argument("--rate", type=float, help="rate for any fixed strategies in the sweep")
+    sweep_rate(p)
     p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=32)
     p.set_defaults(func=cmd_oversmooth)
 
@@ -371,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="0,0.5")
     p.add_argument("--strategies", default="none,flexidrop")
     p.add_argument("--seeds", default="0,1,2")
+    sweep_rate(p)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bound", help="print the complexity prefactor and optional report")

@@ -1,9 +1,9 @@
-"""Evaluation metrics and the two experiment sweeps built on them."""
+"""Evaluation metrics: node and link accuracy, ranking AUC, Dirichlet energy."""
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, ValidationError, inject_random_edges
+from .graphs import Graph, ValidationError
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -48,83 +48,20 @@ def link_accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC (average ranks on ties); needs both classes present."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs ranked right, ties half.
+
+    Needs both classes present. The pair count is a half-integer sum,
+    exact in float64, so the result equals the average-rank formula's.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel() > 0.5
     npos = int(labels.sum())
     nneg = labels.size - npos
     if npos == 0 or nneg == 0:
         raise ValidationError("auc_score: need at least one positive and one negative")
-    from scipy.stats import rankdata
-    ranks = rankdata(scores)
-    return float((ranks[labels].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+    neg = np.sort(scores[~labels])
+    pos = scores[labels]
+    # negatives strictly below each positive count 1, tied ones 1/2
+    wins = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum() / 2.0
+    return float(wins / (npos * nneg))
 
-
-def oversmoothing_profile(graph: Graph, depths, strategies, train_config,
-                          hidden_dim: int = 32, rates: dict | None = None,
-                          propagation_mode: str = "row_stochastic") -> list[dict]:
-    """Train one model per (depth, strategy) and report accuracy and energy.
-
-    The energy is the Dirichlet energy of the final layer's pre-activation
-    embeddings in eval mode, so the randomized strategies are inactive and
-    retention scaling is applied. Returns one row per (depth, strategy).
-    """
-    from .autodiff import Tape
-    from .model import ModelConfig, forward
-    from .training import train
-    from .graphs import build_propagation
-
-    rates = rates or {}
-    rows = []
-    for depth in depths:
-        if depth < 1:
-            raise ValidationError("depths must be >= 1")
-        dims = [graph.feature_dim] + [hidden_dim] * (depth - 1) + [graph.num_classes]
-        for strategy in strategies:
-            config = ModelConfig(layer_dims=tuple(dims), strategy=strategy,
-                                 rate=rates.get(strategy, 0.0),
-                                 propagation_mode=propagation_mode)
-            result = train(graph, config, train_config)
-            prop = build_propagation(graph, propagation_mode)
-            out = forward(Tape(), graph, prop, result.params, config, mode="eval")
-            energy = dirichlet_energy(out.logits.data, graph)
-            test_acc = accuracy(out.logits.data, graph.labels, graph.test_mask)
-            rows.append({"depth": depth, "strategy": strategy,
-                         "test_accuracy": test_acc, "final_energy": energy})
-    return rows
-
-
-def robustness_sweep(graph: Graph, fractions, strategies, seeds, train_config,
-                     model_dims, rates: dict | None = None,
-                     propagation_mode: str = "row_stochastic") -> list[dict]:
-    """Retrain on edge-injected copies of the graph; evaluate on the clean test mask.
-
-    Fraction 0 rows give each strategy's clean baseline. The test mask is
-    never touched by the perturbation (only edges change), so accuracies
-    are comparable across fractions. Returns one row per
-    (fraction, strategy, seed).
-    """
-    from dataclasses import replace
-    from .autodiff import Tape
-    from .model import ModelConfig, forward
-    from .training import train
-    from .graphs import build_propagation
-
-    rates = rates or {}
-    rows = []
-    for fraction in fractions:
-        for strategy in strategies:
-            config = ModelConfig(layer_dims=tuple(model_dims), strategy=strategy,
-                                 rate=rates.get(strategy, 0.0),
-                                 propagation_mode=propagation_mode)
-            for seed in seeds:
-                inject_seed = int(np.random.SeedSequence([int(seed), int(round(fraction * 1000))])
-                                  .generate_state(1)[0])
-                perturbed = inject_random_edges(graph, fraction, inject_seed)
-                result = train(perturbed, config, replace(train_config, seed=int(seed)))
-                prop = build_propagation(perturbed, propagation_mode)
-                out = forward(Tape(), perturbed, prop, result.params, config, mode="eval")
-                rows.append({"fraction": fraction, "strategy": strategy, "seed": int(seed),
-                             "test_accuracy": accuracy(out.logits.data, perturbed.labels,
-                                                       perturbed.test_mask)})
-    return rows

@@ -10,31 +10,22 @@ is deterministic and the logits z receive gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import Tape, Value
+from .autodiff import Tape, Value, sigmoid
 from .graphs import Graph, PropagationOperator, build_propagation, sample_absent_pairs
 
 STRATEGIES = ("none", "flexidrop", "fixed_dropout", "dropnode", "dropedge")
+FIXED_STRATEGIES = ("fixed_dropout", "dropnode", "dropedge")   # the ones with a dropout rate
 TASKS = ("node_classification", "link_prediction")
 
 
 class NumericsError(ArithmeticError):
     """A forward pass produced NaN; the message names the layer."""
-
-
-def logistic(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 @dataclass
@@ -74,7 +65,7 @@ class ModelConfig:
         object.__setattr__(self, "layer_dims", dims)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy in ("none", "flexidrop"):
+        if self.strategy not in FIXED_STRATEGIES:
             if self.rate != 0.0:
                 raise ValueError(f"strategy {self.strategy!r} takes no rate")
         elif not 0.0 <= self.rate < 1.0:
@@ -122,7 +113,7 @@ def init_params(layer_dims, seed: int) -> list[LayerParams]:
 
 def retention_probabilities(params: list[LayerParams]) -> list[np.ndarray]:
     """Per-layer retention probabilities logistic(z), each strictly inside (0, 1)."""
-    return [logistic(p.retention_logits) for p in params]
+    return [sigmoid(p.retention_logits) for p in params]
 
 
 @dataclass
@@ -151,9 +142,6 @@ class ForwardResult:
     logits: Value
     layers: list[BoundLayer]
     operator: sp.csr_matrix       # the propagation matrix actually applied
-
-    def embeddings(self) -> list[np.ndarray]:
-        return [v.data for v in self.preactivations]
 
 
 def _check_params(params: list[LayerParams], config: ModelConfig) -> None:
@@ -208,7 +196,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         k_in = a.shape[1]
         if config.strategy == "flexidrop":
             if mode == "sample":
-                probs = logistic(layer.retention_logits.data.ravel())
+                probs = sigmoid(layer.retention_logits.data.ravel())
                 draw = (rng.random(k_in) < probs).astype(np.float64)
                 a = tape.row_broadcast_mul(a, tape.leaf(draw.reshape(-1, 1)))
             else:

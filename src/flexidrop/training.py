@@ -1,4 +1,4 @@
-"""Full-batch training with Adam, run records, and the grid sweep."""
+"""Full-batch training with Adam, run records, and the sweeps built on run_cell."""
 from __future__ import annotations
 
 import csv
@@ -11,10 +11,10 @@ import numpy as np
 
 from .autodiff import Tape
 from .bounds import BoundContext, complexity_regularizer, multilayer_bound
-from .graphs import Graph, build_propagation
-from .metrics import accuracy, auc_score, link_accuracy
-from .model import (LayerParams, ModelConfig, NumericsError, bind_layers, forward,
-                    init_params, link_loss, link_scores, retention_probabilities,
+from .graphs import Graph, ValidationError, build_propagation, inject_random_edges
+from .metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
+from .model import (FIXED_STRATEGIES, LayerParams, ModelConfig, NumericsError, bind_layers,
+                    forward, init_params, link_loss, link_scores, retention_probabilities,
                     sample_negative_edges)
 
 
@@ -120,6 +120,8 @@ def _fmt(value):
 class TrainResult:
     params: list[LayerParams]
     record: RunRecord
+    final_logits: np.ndarray   # eval-mode logits of the returned parameters
+    final_scores: dict         # their train/val/test accuracy, plus the test "auc" for links
 
 
 def _epoch_seed(base_seed: int, epoch: int, stream: int) -> int:
@@ -160,7 +162,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     flexi = model_config.strategy == "flexidrop"
     link_task = model_config.task == "link_prediction"
     params = init_params(model_config.layer_dims, cfg.seed)
-    ctx = BoundContext.from_graph(graph, model_config.num_layers, cfg.reg_lambda)
+    ctx = BoundContext.from_graph(graph, model_config.num_layers)
 
     if link_task:
         train_pos, val_pos, test_pos = _split_edges(graph, _epoch_seed(cfg.seed, 0, 3))
@@ -183,21 +185,26 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     record = RunRecord(columns=_record_columns(model_config.num_layers))
     start = time.perf_counter()
 
-    def evaluate(current: list[LayerParams]) -> dict:
+    def evaluate(current: list[LayerParams], with_auc: bool = False) -> tuple[np.ndarray, dict]:
+        """Eval-mode logits and per-split accuracy; ``with_auc`` adds the test AUC."""
         tape = Tape()
-        out = forward(tape, message_graph, prop, current, model_config, mode="eval")
-        if link_task:
-            accs = {}
-            for name in ("train", "val", "test"):
-                probs, labels = link_scores(tape, out.logits, eval_pos[name], eval_negs[name])
-                accs[name] = link_accuracy(probs.data, labels)
-            return accs
-        return {name: accuracy(out.logits.data, graph.labels, mask)
-                for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
-                                   ("test", graph.test_mask))}
+        logits = forward(tape, message_graph, prop, current, model_config, mode="eval").logits
+        if not link_task:
+            return logits.data, {name: accuracy(logits.data, graph.labels, mask)
+                                 for name, mask in (("train", graph.train_mask),
+                                                    ("val", graph.val_mask),
+                                                    ("test", graph.test_mask))}
+        scored = {name: link_scores(tape, logits, eval_pos[name], eval_negs[name])
+                  for name in ("train", "val", "test")}
+        accs = {name: link_accuracy(probs.data, labels)
+                for name, (probs, labels) in scored.items()}
+        if with_auc:
+            probs, labels = scored["test"]
+            accs["auc"] = auc_score(probs.data, labels)
+        return logits.data, accs
 
     def log_row(epoch: int, loss_val: float, obj_val: float) -> None:
-        accs = evaluate(params)
+        _, accs = evaluate(params)
         row = {"epoch": epoch, "train_loss": loss_val, "objective": obj_val,
                "regularizer": multilayer_bound(ctx, params),
                "train_accuracy": accs["train"], "val_accuracy": accs["val"],
@@ -265,7 +272,8 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 best_epoch = epoch
                 best_test_at_val = row["test_accuracy"]
 
-    final = evaluate(params) if cfg.epochs > 0 else None
+    final_logits, final = evaluate(params, with_auc=link_task)
+    trained = cfg.epochs > 0
     record.summary = {
         "model_config": model_config.to_dict(),
         "train_config": cfg.to_dict(),
@@ -273,20 +281,44 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "final_train_loss": last_loss,
         "final_objective": last_obj,
         "final_regularizer": multilayer_bound(ctx, params),
-        "final_train_accuracy": final["train"] if final else None,
-        "final_val_accuracy": final["val"] if final else None,
-        "final_test_accuracy": final["test"] if final else None,
+        "final_train_accuracy": final["train"] if trained else None,
+        "final_val_accuracy": final["val"] if trained else None,
+        "final_test_accuracy": final["test"] if trained else None,
         "best_val_epoch": best_epoch or None,
         "best_val_accuracy": best_val if best_epoch else None,
         "test_accuracy_at_best_val": best_test_at_val,
         "retention_mean": [float(p.mean()) for p in retention_probabilities(params)],
     }
-    if link_task and cfg.epochs > 0:
-        tape = Tape()
-        out = forward(tape, message_graph, prop, params, model_config, mode="eval")
-        probs, labels = link_scores(tape, out.logits, eval_pos["test"], eval_negs["test"])
-        record.summary["final_test_auc"] = auc_score(probs.data, labels)
-    return TrainResult(params=params, record=record)
+    if link_task and trained:
+        record.summary["final_test_auc"] = final["auc"]
+    return TrainResult(params, record, final_logits, final)
+
+
+def _cell_model(base_model: ModelConfig, strategy: str, rate: float,
+                **changes) -> ModelConfig:
+    """``base_model`` running ``strategy``; only the fixed strategies take ``rate``."""
+    return replace(base_model, strategy=strategy,
+                   rate=float(rate) if strategy in FIXED_STRATEGIES else 0.0, **changes)
+
+
+def run_cell(graph: Graph, model_config: ModelConfig, train_config: TrainConfig,
+             **labels) -> dict:
+    """Train one sweep cell and return its row, ``labels`` first.
+
+    The accuracies and the final-layer Dirichlet energy come from
+    train()'s final eval-mode evaluation (of the initial parameters when
+    no epoch runs). A run that aborts or rejects its configuration
+    becomes a row with status "failed: <reason>" and empty results, so
+    the sweep around it goes on.
+    """
+    try:
+        result = train(graph, model_config, train_config)
+    except (TrainingAborted, ValueError, ArithmeticError) as exc:
+        return dict(labels, test_accuracy=None, val_accuracy=None, final_energy=None,
+                    status=f"failed: {exc}")
+    return dict(labels, test_accuracy=result.final_scores["test"],
+                val_accuracy=result.final_scores["val"],
+                final_energy=dirichlet_energy(result.final_logits, graph), status="ok")
 
 
 def grid_search(graph: Graph, base_model: ModelConfig, strategies, rates, seeds,
@@ -301,41 +333,21 @@ def grid_search(graph: Graph, base_model: ModelConfig, strategies, rates, seeds,
     """
     rows = []
     for strategy in strategies:
-        if strategy == "none":
-            sweep = [0.0]
-        else:
-            sweep = list(rates)
-        for value in sweep:
-            per_seed = []
-            for seed in seeds:
-                if strategy == "flexidrop":
-                    mc = replace(base_model, strategy=strategy, rate=0.0)
-                    tc = replace(train_config, seed=int(seed), reg_lambda=float(value))
-                else:
-                    mc = replace(base_model, strategy=strategy, rate=float(value))
-                    tc = replace(train_config, seed=int(seed))
-                try:
-                    result = train(graph, mc, tc)
-                except (TrainingAborted, ValueError, ArithmeticError) as exc:
-                    rows.append({"strategy": strategy, "param": value, "seed": int(seed),
-                                 "test_accuracy": None, "val_accuracy": None,
-                                 "status": f"failed: {exc}"})
-                    continue
-                s = result.record.summary
-                rows.append({"strategy": strategy, "param": value, "seed": int(seed),
-                             "test_accuracy": s["final_test_accuracy"],
-                             "val_accuracy": s["final_val_accuracy"], "status": "ok"})
-                per_seed.append(s["final_test_accuracy"])
+        for value in [0.0] if strategy == "none" else list(rates):
+            tc = (replace(train_config, reg_lambda=float(value)) if strategy == "flexidrop"
+                  else train_config)
+            cells = [run_cell(graph, _cell_model(base_model, strategy, value),
+                              replace(tc, seed=int(seed)),
+                              strategy=strategy, param=value, seed=int(seed))
+                     for seed in seeds]
+            ok = [c["test_accuracy"] for c in cells if c["status"] == "ok"]
             agg = {"strategy": strategy, "param": value, "seed": "aggregate",
-                   "status": f"{len(per_seed)}/{len(seeds)} ok"}
-            if per_seed:
-                arr = np.asarray(per_seed)
-                agg["test_accuracy"] = float(arr.mean())
-                agg["test_std"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            else:
-                agg["test_accuracy"] = None
-                agg["test_std"] = None
-            rows.append(agg)
+                   "test_accuracy": None, "test_std": None,
+                   "status": f"{len(ok)}/{len(seeds)} ok"}
+            if ok:
+                agg["test_accuracy"] = float(np.mean(ok))
+                agg["test_std"] = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
+            rows += cells + [agg]
     return rows
 
 
@@ -343,9 +355,47 @@ GRID_COLUMNS = ["strategy", "param", "seed", "test_accuracy", "val_accuracy",
                 "test_std", "status"]
 
 
-def write_grid_csv(rows: list[dict], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=GRID_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in GRID_COLUMNS})
+def oversmoothing_profile(graph: Graph, base_model: ModelConfig, depths, strategies,
+                          train_config: TrainConfig, hidden_dim: int = 32,
+                          rate: float = 0.0) -> list[dict]:
+    """Train one model per (depth, strategy) and report accuracy and energy.
+
+    Each cell is ``base_model`` with depth-many layers of width
+    ``hidden_dim``. The energy is the Dirichlet energy of the final
+    layer's eval-mode embeddings, so the randomized strategies are
+    inactive and retention scaling is applied. ``rate`` is the dropout
+    rate of the fixed strategies. Returns one row per (depth, strategy).
+    """
+    rows = []
+    for depth in depths:
+        if depth < 1:
+            raise ValidationError("depths must be >= 1")
+        dims = (graph.feature_dim,) + (hidden_dim,) * (depth - 1) + (graph.num_classes,)
+        for strategy in strategies:
+            config = _cell_model(base_model, strategy, rate, layer_dims=dims)
+            rows.append(run_cell(graph, config, train_config, depth=depth, strategy=strategy))
+    return rows
+
+
+def robustness_sweep(graph: Graph, base_model: ModelConfig, fractions, strategies, seeds,
+                     train_config: TrainConfig, rate: float = 0.0) -> list[dict]:
+    """Retrain on edge-injected copies of the graph; evaluate on the clean test mask.
+
+    Fraction 0 rows give each strategy's clean baseline. The test mask is
+    never touched by the perturbation (only edges change), so accuracies
+    are comparable across fractions. The injected edges are seeded from
+    (seed, fraction), so rows do not depend on execution order. ``rate``
+    is the dropout rate of the fixed strategies. Returns one row per
+    (fraction, strategy, seed).
+    """
+    rows = []
+    for fraction in fractions:
+        for strategy in strategies:
+            config = _cell_model(base_model, strategy, rate)
+            for seed in seeds:
+                inject_seed = int(np.random.SeedSequence([int(seed), int(round(fraction * 1000))])
+                                  .generate_state(1)[0])
+                perturbed = inject_random_edges(graph, fraction, inject_seed)
+                rows.append(run_cell(perturbed, config, replace(train_config, seed=int(seed)),
+                                     fraction=fraction, strategy=strategy, seed=int(seed)))
+    return rows

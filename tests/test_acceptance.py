@@ -16,16 +16,15 @@ import pytest
 
 import mpmath as mp
 
-from flexidrop.autodiff import Tape, grad_check
+from flexidrop.autodiff import Tape, grad_check, sigmoid
 from flexidrop.bounds import (BoundContext, complexity_prefactor, complexity_regularizer,
                               empirical_rademacher_exact, empirical_rademacher_mc,
                               generalization_bound, multilayer_bound, single_layer_bound)
 from flexidrop.cli import run as cli_run
 from flexidrop.graphs import SplitSpec, build_propagation, generate_sbm, load_graph
-from flexidrop.metrics import oversmoothing_profile, robustness_sweep
-from flexidrop.model import (BoundLayer, LayerParams, ModelConfig, forward, init_params,
-                             logistic)
-from flexidrop.training import TrainConfig, train
+from flexidrop.model import BoundLayer, LayerParams, ModelConfig, forward, init_params
+from flexidrop.training import (TrainConfig, oversmoothing_profile, robustness_sweep,
+                                train)
 
 mp.mp.dps = 50
 
@@ -72,7 +71,7 @@ def _model_check(seed: int) -> grad_check:
     prop = build_propagation(graph, "row_stochastic")
     config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop")
     params = init_params(config.layer_dims, seed)
-    ctx = BoundContext.from_graph(graph, 2, 0.5)
+    ctx = BoundContext.from_graph(graph, 2)
     leaves = [p.weight for p in params] + [p.retention_logits for p in params]
 
     def build(tape, ls):
@@ -216,7 +215,7 @@ def test_acceptance_3_bound_dominance():
         # exhaustive epsilon over every (hypothesis, class) output row
         caps = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         zs = [rng.uniform(-1.0, 2.5, 4), rng.uniform(-1.0, 2.5, 3)]
-        probs = [logistic(z) for z in zs]
+        probs = [sigmoid(z) for z in zs]
         rows = []
         hyp_params = None
         for _ in range(8):
@@ -253,7 +252,7 @@ def test_acceptance_4_mean_field_exactness():
         cfg = ModelConfig(layer_dims=(8, 3), strategy="flexidrop")
         params = init_params(cfg.layer_dims, seed=seed)
         params[0].retention_logits[:] = np.random.default_rng(seed).uniform(-2, 2, 8)
-        probs = logistic(params[0].retention_logits)
+        probs = sigmoid(params[0].retention_logits)
 
         pmat = prop.matrix.toarray()
         expected = np.zeros((10, 3))
@@ -286,7 +285,7 @@ def test_acceptance_5_training_sanity():
         res = train(graph, cfg, tc)
         slowest = max(slowest, time.perf_counter() - t0)
         reached.append(max(r["test_accuracy"] for r in res.record.rows) >= 0.90)
-        probs = np.concatenate([logistic(p.retention_logits) for p in res.params])
+        probs = np.concatenate([sigmoid(p.retention_logits) for p in res.params])
         deviations.append(np.abs(probs - RETENTION_INIT_P).mean())
     ok = all(reached) and min(deviations) >= 0.01 and slowest < 120.0
     verdict(5, ok, f"block-model sanity run: {sum(reached)}/5 seeds reach 0.90 within "
@@ -351,8 +350,9 @@ def test_acceptance_7_oversmoothing_direction():
     for seed in range(5):
         tc = TrainConfig(epochs=256, learning_rate=0.01, reg_lambda=0.0, seed=seed,
                          eval_every=32)
-        rows = oversmoothing_profile(graph, depths=(8,), strategies=("none", "flexidrop"),
-                                     train_config=tc, hidden_dim=32)
+        rows = oversmoothing_profile(graph, ModelConfig(layer_dims=(16, 2)), depths=(8,),
+                                     strategies=("none", "flexidrop"), train_config=tc,
+                                     hidden_dim=32)
         by = {r["strategy"]: r for r in rows}
         win = (by["flexidrop"]["final_energy"] > by["none"]["final_energy"]
                and by["flexidrop"]["test_accuracy"] >= by["none"]["test_accuracy"])
@@ -369,8 +369,9 @@ def test_acceptance_7_oversmoothing_direction():
 def test_acceptance_8_robustness_direction():
     graph = generate_sbm(200, 2, 0.06, 0.02, 8, 1.2, seed=42)
     tc = TrainConfig(epochs=256, learning_rate=0.01, reg_lambda=0.0, eval_every=64)
-    rows = robustness_sweep(graph, fractions=(0.0, 0.5), strategies=("none", "flexidrop"),
-                            seeds=(0, 1, 2, 3, 4), train_config=tc, model_dims=(8, 64, 2))
+    rows = robustness_sweep(graph, ModelConfig(layer_dims=(8, 64, 2)), fractions=(0.0, 0.5),
+                            strategies=("none", "flexidrop"), seeds=(0, 1, 2, 3, 4),
+                            train_config=tc)
 
     def mean_acc(strategy, fraction):
         return float(np.mean([r["test_accuracy"] for r in rows

@@ -327,7 +327,9 @@ def test_bound_report_contents_and_warning():
     assert report["complexity_bound"] == multilayer_bound(ctx, params)
     assert report["prefactor"] == complexity_prefactor(ctx)
     assert len(report["layer_weight_col_norm_max"]) == 2
-    assert report["mc_estimate"] is None
+    assert set(report) == {"prefactor", "layer_weight_col_norm_max", "layer_retention_norm",
+                           "complexity_bound", "num_layers", "num_classes", "feature_dim",
+                           "num_nodes", "feature_inf_max"}
 
     with pytest.warns(UserWarning, match="row-stochastic"):
         bound_report(ctx, params, propagation_mode="symmetric")

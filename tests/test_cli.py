@@ -1,12 +1,17 @@
 """Command line entry points, exercised in-process through run()."""
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flexidrop import training
 from flexidrop.bounds import BoundContext, complexity_prefactor
 from flexidrop.cli import run
 from flexidrop.graphs import SplitSpec, generate_sbm, load_graph
+from flexidrop.model import ModelConfig
+from flexidrop.training import train
 
 
 def read_csv_without_wall_clock(path):
@@ -32,6 +37,18 @@ def small_config(tmp_path, **overrides):
     for section, vals in overrides.items():
         body.setdefault(section, {}).update(vals)
     return write_config(tmp_path, body)
+
+
+def record_trained_configs(monkeypatch) -> list:
+    """Replace training.train with a wrapper that records each cell's model config."""
+    trained = []
+
+    def recording(graph, model_config, train_config):
+        trained.append(model_config)
+        return train(graph, model_config, train_config)
+
+    monkeypatch.setattr(training, "train", recording)
+    return trained
 
 
 # ---- exit codes ---------------------------------------------------------------------
@@ -173,8 +190,61 @@ def test_oversmooth_command(tmp_path):
     assert run(["oversmooth", "--config", cfg, "--out", str(out),
                 "--depths", "1,2", "--strategies", "none", "--epochs", "2"]) == 0
     lines = (out / "oversmoothing.csv").read_text().strip().splitlines()
-    assert lines[0] == "depth,strategy,test_accuracy,final_energy"
+    assert lines[0] == "depth,strategy,test_accuracy,final_energy,status"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", ("grid", "oversmooth", "attack"))
+def test_sweeps_take_no_base_strategy(tmp_path, command):
+    # the swept strategies come from --strategies, never from a flag that
+    # would also rewrite the base model
+    cfg = small_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--strategy", "none", "--config", cfg, "--out", str(tmp_path / "o"),
+             "--epochs", "1"])
+    assert exc.value.code == 2
+
+
+def test_attack_rate_applies_to_the_listed_fixed_strategies(tmp_path, monkeypatch):
+    trained = record_trained_configs(monkeypatch)
+    cfg = small_config(tmp_path)
+    out = tmp_path / "o"
+    assert run(["attack", "--config", cfg, "--out", str(out), "--strategies", "none,dropedge",
+                "--rate", "0.3", "--fractions", "0", "--seeds", "0", "--epochs", "2"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["rate"] == 0.3
+    assert [(c.strategy, c.rate) for c in trained] == [("none", 0.0), ("dropedge", 0.3)]
+    lines = (out / "robustness.csv").read_text().strip().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["ok", "ok"]
+
+
+def test_attack_trains_the_configured_task(tmp_path, monkeypatch):
+    trained = record_trained_configs(monkeypatch)
+    cfg = small_config(tmp_path)
+    out = tmp_path / "o"
+    assert run(["attack", "--config", cfg, "--out", str(out), "--task", "link_prediction",
+                "--propagation", "symmetric", "--strategies", "none,flexidrop",
+                "--fractions", "0,0.5", "--seeds", "0", "--epochs", "2"]) == 0
+    base = ModelConfig.from_dict(json.loads((out / "manifest.json").read_text())
+                                 ["config"]["model"])
+    assert base.task == "link_prediction" and base.layer_dims == (4, 8, 32)
+    assert trained == [replace(base, strategy=s) for s in ("none", "flexidrop") * 2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command, axis, csv_name", (
+    ("oversmooth", ["--depths", "2"], "oversmoothing.csv"),
+    ("attack", ["--fractions", "0", "--seeds", "0"], "robustness.csv")))
+def test_sweep_records_a_failed_cell_and_goes_on(tmp_path, command, axis, csv_name):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out), "--strategies", "flexidrop,none",
+                "--lambda", "1e308", "--epochs", "2"] + axis) == 0
+    with open(out / csv_name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["strategy"], r["status"]) for r in rows] == [
+        ("flexidrop", "failed: training aborted at epoch 1: non-finite loss"), ("none", "ok")]
+    assert rows[0]["test_accuracy"] == "" and 0.0 <= float(rows[1]["test_accuracy"]) <= 1.0
 
 
 def test_attack_command(tmp_path):
@@ -183,7 +253,7 @@ def test_attack_command(tmp_path):
     assert run(["attack", "--config", cfg, "--out", str(out), "--fractions", "0,0.5",
                 "--strategies", "none", "--seeds", "0", "--epochs", "2"]) == 0
     lines = (out / "robustness.csv").read_text().strip().splitlines()
-    assert lines[0] == "fraction,strategy,seed,test_accuracy"
+    assert lines[0] == "fraction,strategy,seed,test_accuracy,status"
     assert len(lines) == 3   # header + 2 fractions x 1 strategy x 1 seed
 
 

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexidrop.graphs import Graph, ValidationError, generate_sbm
-from flexidrop.metrics import (accuracy, auc_score, dirichlet_energy, link_accuracy,
-                               oversmoothing_profile, robustness_sweep)
-from flexidrop.training import TrainConfig
+from flexidrop.metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
+from flexidrop.model import ModelConfig
+from flexidrop.training import TrainConfig, oversmoothing_profile, robustness_sweep
 
 
 def graph_with(edges, features, labels=None, classes=2):
@@ -134,11 +134,14 @@ def sweep_train_config():
 
 def test_oversmoothing_profile_shape():
     g = generate_sbm(40, 2, 0.4, 0.1, 4, 0.2, seed=47)
-    rows = oversmoothing_profile(g, depths=(1, 2), strategies=("none", "flexidrop"),
+    rows = oversmoothing_profile(g, ModelConfig(layer_dims=(4, 2)), depths=(1, 2),
+                                 strategies=("none", "flexidrop"),
                                  train_config=sweep_train_config(), hidden_dim=8)
     assert len(rows) == 4
     for row in rows:
-        assert set(row) == {"depth", "strategy", "test_accuracy", "final_energy"}
+        assert set(row) == {"depth", "strategy", "test_accuracy", "val_accuracy",
+                            "final_energy", "status"}
+        assert row["status"] == "ok"
         assert row["final_energy"] >= 0.0
         assert 0.0 <= row["test_accuracy"] <= 1.0
     assert sorted({r["depth"] for r in rows}) == [1, 2]
@@ -146,18 +149,37 @@ def test_oversmoothing_profile_shape():
 
 def test_robustness_sweep_shape_and_clean_baseline():
     g = generate_sbm(40, 2, 0.4, 0.1, 4, 0.2, seed=48)
-    rows = robustness_sweep(g, fractions=(0.0, 0.5), strategies=("none",),
-                            seeds=(0, 1), train_config=sweep_train_config(),
-                            model_dims=(4, 8, 2))
+    rows = robustness_sweep(g, ModelConfig(layer_dims=(4, 8, 2)), fractions=(0.0, 0.5),
+                            strategies=("none",), seeds=(0, 1),
+                            train_config=sweep_train_config())
     assert len(rows) == 4
     frac0 = [r for r in rows if r["fraction"] == 0.0]
     assert len(frac0) == 2
     for row in rows:
-        assert set(row) == {"fraction", "strategy", "seed", "test_accuracy"}
+        assert set(row) == {"fraction", "strategy", "seed", "test_accuracy", "val_accuracy",
+                            "final_energy", "status"}
+        assert row["status"] == "ok"
 
 
 def test_robustness_sweep_deterministic():
     g = generate_sbm(40, 2, 0.4, 0.1, 4, 0.2, seed=49)
-    kw = dict(fractions=(0.5,), strategies=("none",), seeds=(3,),
-              train_config=sweep_train_config(), model_dims=(4, 8, 2))
+    kw = dict(base_model=ModelConfig(layer_dims=(4, 8, 2)), fractions=(0.5,),
+              strategies=("none",), seeds=(3,), train_config=sweep_train_config())
     assert robustness_sweep(g, **kw) == robustness_sweep(g, **kw)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=2, max_size=40))
+def test_auc_equals_the_scipy_rank_formula_exactly(data):
+    # heavy ties: scores take at most six values; the reference is the
+    # scipy.stats.rankdata formula auc_score used before ranking in numpy
+    from scipy.stats import rankdata
+    scores = np.array([s / 5.0 for s, _ in data])
+    labels = np.array([float(y) for _, y in data])
+    npos = int(labels.sum())
+    nneg = labels.size - npos
+    if npos == 0 or nneg == 0:
+        return
+    ranks = rankdata(scores)
+    want = float((ranks[labels > 0.5].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+    assert auc_score(scores, labels) == want

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexidrop.autodiff import Tape
+from flexidrop.autodiff import Tape, sigmoid
 from flexidrop.graphs import Graph, build_propagation, generate_sbm
 from flexidrop.model import (CHECKPOINT_FORMAT, LayerParams, ModelConfig, NumericsError,
                              RETENTION_LOGIT_INIT, forward, init_params, link_loss,
-                             link_scores, load_checkpoint, logistic,
-                             retention_probabilities, sample_negative_edges,
-                             save_checkpoint)
+                             link_scores, load_checkpoint, retention_probabilities,
+                             sample_negative_edges, save_checkpoint)
 
 
 def sbm(seed=0, n=20, d=3):
@@ -84,13 +83,13 @@ def test_initial_retention_probability_frozen():
 @settings(max_examples=50, deadline=None)
 @given(z=st.floats(-30, 30), dz=st.floats(0.01, 5.0))
 def test_logistic_monotone_and_open_interval(z, dz):
-    assert 0.0 < logistic(np.array(z)) < 1.0
-    assert logistic(np.array(z + dz)) > logistic(np.array(z))
+    assert 0.0 < sigmoid(np.array(z)) < 1.0
+    assert sigmoid(np.array(z + dz)) > sigmoid(np.array(z))
 
 
 def test_logistic_extreme_inputs_saturate_without_overflow():
-    assert logistic(np.array(1000.0)) == 1.0
-    assert logistic(np.array(-1000.0)) == 0.0   # underflow to exactly 0 is fine here
+    assert sigmoid(np.array(1000.0)) == 1.0
+    assert sigmoid(np.array(-1000.0)) == 0.0   # underflow to exactly 0 is fine here
 
 
 # ---- plain forward -----------------------------------------------------------------
@@ -172,7 +171,7 @@ def test_flexidrop_forward_equals_exhaustive_expectation():
     params[0].retention_logits[:] = np.array([0.3, -1.2, 2.0])
     prop = build_propagation(g, cfg.propagation_mode)
     expected = exhaustive_dropout_mean(g, prop, params[0].weight,
-                                       logistic(params[0].retention_logits))
+                                       sigmoid(params[0].retention_logits))
     res = run_forward(g, params, cfg)
     assert np.abs(res.logits.data - expected).max() <= 1e-12
 

@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
+from flexidrop.autodiff import Tape
 from flexidrop.bounds import BoundContext, multilayer_bound
-from flexidrop.graphs import Graph, generate_sbm
-from flexidrop.model import ModelConfig, init_params, retention_probabilities
+from flexidrop.graphs import Graph, build_propagation, generate_sbm, inject_random_edges
+from flexidrop.metrics import accuracy, auc_score, dirichlet_energy
+from flexidrop.model import (ModelConfig, forward, init_params, link_scores,
+                             retention_probabilities, sample_negative_edges)
 from flexidrop.training import (AdamState, GRID_COLUMNS, RunRecord, TrainConfig,
-                                TrainingAborted, adam_step, grid_search, train,
-                                write_grid_csv)
+                                TrainingAborted, _epoch_seed, _split_edges, adam_step,
+                                grid_search, run_cell, train)
 
 
 def sanity_graph(seed=0, n=60):
@@ -106,7 +109,7 @@ def test_logged_regularizer_matches_bound_recomputation():
     g = sanity_graph(seed=3)
     cfg = ModelConfig(layer_dims=(4, 6, 2), strategy="flexidrop")
     res = train(g, cfg, quick(7, reg_lambda=0.5))
-    ctx = BoundContext.from_graph(g, cfg.num_layers, 0.5)
+    ctx = BoundContext.from_graph(g, cfg.num_layers)
     # final logged value must equal the bound recomputed from the final params
     assert res.record.rows[-1]["regularizer"] == multilayer_bound(ctx, res.params)
 
@@ -295,12 +298,76 @@ def test_grid_search_records_failures_and_continues():
     assert agg[0]["test_accuracy"] is None
 
 
+def test_grid_search_at_zero_epochs_aggregates_the_initial_models():
+    g = sanity_graph(seed=17, n=40)
+    rows = grid_search(g, ModelConfig(layer_dims=(4, 2)), strategies=("none",), rates=(),
+                       seeds=(0, 1), train_config=quick(0))
+    assert [r["status"] for r in rows] == ["ok", "ok", "2/2 ok"]
+    assert rows[2]["test_accuracy"] == float(np.mean([r["test_accuracy"] for r in rows[:2]]))
+
+
 def test_write_grid_csv(tmp_path):
     g = sanity_graph(seed=17, n=40)
     base = ModelConfig(layer_dims=(4, 2), strategy="none")
     rows = grid_search(g, base, strategies=("none",), rates=(0.0,), seeds=(0,),
                        train_config=quick(2))
     path = tmp_path / "grid.csv"
-    write_grid_csv(rows, path)
-    header = path.read_text().splitlines()[0]
-    assert header.split(",") == GRID_COLUMNS
+    RunRecord(GRID_COLUMNS, rows).write_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0].split(",") == GRID_COLUMNS
+    assert [line.split(",")[2] for line in lines[1:]] == ["0", "aggregate"]
+
+
+# ---- sweep cells against a fresh eval forward ----------------------------------------
+
+
+@pytest.mark.parametrize("epochs", (0, 5))
+@pytest.mark.parametrize("fraction", (0.0, 0.5))
+@pytest.mark.parametrize("propagation", ("symmetric", "row_stochastic"))
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0),
+                                            ("dropedge", 0.3), ("fixed_dropout", 0.3)))
+def test_run_cell_matches_a_fresh_eval_forward(strategy, rate, propagation, fraction, epochs):
+    # the sweeps used to re-run an eval forward on the trained parameters and
+    # score that; run_cell reads train()'s own final evaluation instead
+    graph = inject_random_edges(sanity_graph(seed=18, n=40), fraction, seed=3)
+    cfg = ModelConfig(layer_dims=(4, 6, 2), strategy=strategy, rate=rate,
+                      propagation_mode=propagation)
+    tc = quick(epochs, reg_lambda=0.1, eval_every=2)
+    row = run_cell(graph, cfg, tc, strategy=strategy, seed=0)
+    res = train(graph, cfg, tc)
+    logits = forward(Tape(), graph, build_propagation(graph, propagation), res.params, cfg,
+                     mode="eval").logits.data
+    assert row == {"strategy": strategy, "seed": 0,
+                   "test_accuracy": accuracy(logits, graph.labels, graph.test_mask),
+                   "val_accuracy": accuracy(logits, graph.labels, graph.val_mask),
+                   "final_energy": dirichlet_energy(logits, graph), "status": "ok"}
+    assert np.array_equal(res.final_logits, logits)
+
+
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0),
+                                            ("dropedge", 0.3)))
+def test_link_final_test_auc_matches_a_fresh_eval_forward(strategy, rate):
+    g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=13)
+    cfg = ModelConfig(layer_dims=(4, 8, 6), strategy=strategy, rate=rate,
+                      propagation_mode="symmetric", task="link_prediction")
+    res = train(g, cfg, quick(6, reg_lambda=0.01, seed=2))
+    # rebuild train()'s edge split and test negatives, then score a second forward
+    train_pos, _, test_pos = _split_edges(g, _epoch_seed(2, 0, 3))
+    test_negs = sample_negative_edges(g, len(test_pos), _epoch_seed(2, 0, 6))
+    message_graph = g.with_edges(train_pos)
+    tape = Tape()
+    logits = forward(tape, message_graph, build_propagation(message_graph, "symmetric"),
+                     res.params, cfg, mode="eval").logits
+    probs, labels = link_scores(tape, logits, test_pos, test_negs)
+    assert res.record.summary["final_test_auc"] == auc_score(probs.data, labels)
+    assert np.array_equal(res.final_logits, logits.data)
+
+
+def test_run_cell_records_a_failed_run():
+    g = sanity_graph(seed=16, n=40)
+    cfg = ModelConfig(layer_dims=(4, 6, 2), strategy="flexidrop")
+    with np.errstate(over="ignore"):
+        row = run_cell(g, cfg, quick(3, reg_lambda=1e308), strategy="flexidrop")
+    assert row == {"strategy": "flexidrop", "test_accuracy": None, "val_accuracy": None,
+                   "final_energy": None,
+                   "status": "failed: training aborted at epoch 1: non-finite loss"}
