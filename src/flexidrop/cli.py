@@ -269,10 +269,15 @@ def cmd_sbm(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="flexidrop",
+    # allow_abbrev=False everywhere: a prefix such as --rate must not silently
+    # stand for --rates, nor --epoch for --epochs
+    parser = argparse.ArgumentParser(prog="flexidrop", allow_abbrev=False,
                                      description="GNN training with trainable dropout retention")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def common(p, with_model=True):
         p.add_argument("--config", help="JSON config file")
@@ -292,20 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rate", dest="fixed_rate", type=float, default=0.0,
                        help="dropout rate of the fixed strategies listed in --strategies")
 
-    p = sub.add_parser("train", help="train one model and write its run record")
+    p = command("train", "train one model and write its run record")
     common(p)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--rate", type=float)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("grid", help="sweep strategies x rates x seeds")
+    p = command("grid", "sweep strategies x rates x seeds")
     common(p)
     p.add_argument("--strategies", default="none,flexidrop,fixed_dropout")
     p.add_argument("--rates", default="0.1,0.3,0.5")
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("oversmooth", help="depth sweep with final-layer energy")
+    p = command("oversmooth", "depth sweep with final-layer energy")
     common(p, with_model=False)
     p.add_argument("--depths", default="2,4,8,16,32")
     p.add_argument("--strategies", default="none,flexidrop")
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=32)
     p.set_defaults(func=cmd_oversmooth)
 
-    p = sub.add_parser("attack", help="random edge injection robustness sweep")
+    p = command("attack", "random edge injection robustness sweep")
     common(p)
     p.add_argument("--fractions", default="0,0.5")
     p.add_argument("--strategies", default="none,flexidrop")
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_rate(p)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("bound", help="print the complexity prefactor and optional report")
+    p = command("bound", "print the complexity prefactor and optional report")
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--feature-dim", dest="feature_dim", type=int, required=True)
@@ -331,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the whole op set")
+    p = command("gradcheck", "finite-difference check of the whole op set")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=5)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("sbm", help="generate a block-model dataset as loadable files")
+    p = command("sbm", "generate a block-model dataset as loadable files")
     p.add_argument("--num-nodes", dest="num_nodes", type=int, default=200)
     p.add_argument("--num-blocks", dest="num_blocks", type=int, default=2)
     p.add_argument("--p-in", dest="p_in", type=float, default=0.1)

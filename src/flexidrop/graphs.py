@@ -93,13 +93,7 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Binary symmetric adjacency without self-loops."""
-        n = self.num_nodes
-        e = self.edges
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-        a.sort_indices()
-        return a
+        return _adjacency(self.num_nodes, self.edges)
 
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """Copy of this graph with a different edge set."""
@@ -143,6 +137,14 @@ class PropagationOperator:
         return float(np.abs(self.matrix).sum(axis=1).max())
 
 
+def _adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    a.sort_indices()
+    return a
+
+
 def build_propagation(graph: Graph, mode: str = "row_stochastic") -> PropagationOperator:
     """Build the normalized propagation operator for ``graph``.
 
@@ -152,10 +154,19 @@ def build_propagation(graph: Graph, mode: str = "row_stochastic") -> Propagation
     mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
     mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
     """
+    return propagation_from_edges(graph.num_nodes, graph.edges, mode)
+
+
+def propagation_from_edges(num_nodes: int, edges: np.ndarray,
+                           mode: str = "row_stochastic") -> PropagationOperator:
+    """``build_propagation`` for ``num_nodes`` nodes and an edge array.
+
+    ``edges`` must already be canonical, as ``Graph.edges`` and any row
+    subset of it are; it is not validated again.
+    """
     if mode not in ("symmetric", "row_stochastic"):
         raise ValidationError(f"unknown propagation mode {mode!r}")
-    n = graph.num_nodes
-    a = graph.adjacency() + sp.identity(n, format="csr")
+    a = _adjacency(num_nodes, edges) + sp.identity(num_nodes, format="csr")
     a.sum_duplicates()
     a.sort_indices()
     deg = np.asarray(a.sum(axis=1)).ravel()
@@ -347,6 +358,12 @@ def sample_absent_pairs(graph: Graph, count: int, rng: np.random.Generator) -> n
     Pairs are canonical (u < v), never self-loops, drawn uniformly without
     replacement. Raises ValidationError when fewer than ``count`` absent
     pairs exist.
+
+    A sparse request (at most half the absent pairs) returns exactly the
+    pairs of drawing ``u = rng.integers(n)``, ``v = rng.integers(n)`` one
+    pair at a time and skipping self-loops, edges and repeats; the draws
+    are made in batches, so the state ``rng`` is left in is unspecified.
+    Pass a generator that is not used afterwards.
     """
     n = graph.num_nodes
     if count == 0:
@@ -356,28 +373,38 @@ def sample_absent_pairs(graph: Graph, count: int, rng: np.random.Generator) -> n
     if count > pool:
         raise ValidationError(
             f"cannot sample {count} absent pairs: only {pool} available")
-    existing = set(int(u) * n + int(v) for u, v in graph.edges)
+    existing = graph.edges[:, 0] * n + graph.edges[:, 1]   # sorted: edges are canonical
     if count > pool // 2:
         # dense request: enumerate the complement and sample without replacement
         iu, iv = np.triu_indices(n, k=1)
         codes = iu.astype(np.int64) * n + iv
-        absent = codes[~np.isin(codes, np.fromiter(existing, dtype=np.int64, count=len(existing)))]
-        chosen = rng.choice(absent, size=count, replace=False)
+        chosen = rng.choice(codes[~np.isin(codes, existing)], size=count, replace=False)
         return np.column_stack([chosen // n, chosen % n]).astype(np.int64)
-    picked: list[tuple[int, int]] = []
-    seen = set(existing)
-    while len(picked) < count:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        lo, hi = (u, v) if u < v else (v, u)
-        code = lo * n + hi
-        if code in seen:
-            continue
-        seen.add(code)
-        picked.append((lo, hi))
-    return np.asarray(picked, dtype=np.int64)
+    seen = existing   # sorted codes a new pair must avoid
+    picked = np.zeros(0, dtype=np.int64)   # accepted codes in draw order
+    while True:
+        # an ordered draw hits a free absent pair with probability 2 * free / n^2
+        free = pool - picked.size
+        batch = int((count - picked.size) * n * n / (2 * free) * 1.1) + 16
+        u, v = rng.integers(n, size=(batch, 2)).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = (lo * n + hi)[lo != hi]
+        codes = codes[~_in_sorted(seen, codes)]
+        _, first = np.unique(codes, return_index=True)
+        codes = codes[np.sort(first)]
+        picked = np.concatenate([picked, codes])
+        if picked.size >= count:
+            picked = picked[:count]
+            return np.column_stack([picked // n, picked % n])
+        seen = np.sort(np.concatenate([seen, codes]))   # disjoint, so still distinct
+
+
+def _in_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Membership of each of ``codes`` in the sorted array ``sorted_codes``."""
+    if sorted_codes.size == 0:
+        return np.zeros(codes.shape, dtype=bool)
+    idx = np.minimum(np.searchsorted(sorted_codes, codes), sorted_codes.size - 1)
+    return sorted_codes[idx] == codes
 
 
 def inject_random_edges(graph: Graph, fraction: float, seed: int) -> Graph:

@@ -10,14 +10,16 @@ is deterministic and the logits z receive gradients.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import Tape, Value, sigmoid
-from .graphs import Graph, PropagationOperator, build_propagation, sample_absent_pairs
+from .graphs import (Graph, PropagationOperator, ValidationError, propagation_from_edges,
+                     sample_absent_pairs)
+from .graphs import build_propagation  # noqa: F401  (bench/spans.py traces calls at this binding)
 
 STRATEGIES = ("none", "flexidrop", "fixed_dropout", "dropnode", "dropedge")
 FIXED_STRATEGIES = ("fixed_dropout", "dropnode", "dropedge")   # the ones with a dropout rate
@@ -88,11 +90,46 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(layer_dims=tuple(d["layer_dims"]), strategy=d.get("strategy", "none"),
-                   rate=float(d.get("rate", 0.0)),
-                   propagation_mode=d.get("propagation_mode", "row_stochastic"),
-                   task=d.get("task", "node_classification"),
-                   activation=d.get("activation", "relu"))
+        d = checked_fields(cls, d)
+        return cls(**{**d, "rate": float(d.get("rate", 0.0))})
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# config field annotation -> (what the value must be, check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+
+def checked_fields(cls, d: dict) -> dict:
+    """``d`` after checking it against the fields of config dataclass ``cls``.
+
+    Raises ValidationError naming the key for an unknown key, a missing
+    required key, or a value of the wrong JSON type (strings are not
+    parsed, and true/false are not integers).
+    """
+    name = cls.__name__
+    if not isinstance(d, dict):
+        raise ValidationError(f"{name} config must be a mapping, got {type(d).__name__}")
+    declared = {f.name: f for f in fields(cls)}
+    for key, value in d.items():
+        if key not in declared:
+            raise ValidationError(f"{name}: unknown key {key!r}; known keys: "
+                                  f"{', '.join(declared)}")
+        what, ok = _FIELD_TYPES[declared[key].type]
+        if not ok(value):
+            raise ValidationError(f"{name}: key {key!r} must be {what}, got {value!r}")
+    for key, f in declared.items():
+        if f.default is MISSING and key not in d:
+            raise ValidationError(f"{name}: missing key {key!r}")
+    return d
 
 
 RETENTION_LOGIT_INIT = 2.0   # logistic(2) ~ 0.88, a gentle initial dropout
@@ -186,8 +223,8 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         # resample the operator once per forward pass: drop graph edges,
         # keep self-loops, renormalize in the configured mode
         keep = rng.random(graph.num_edges) >= config.rate
-        thinned = graph.with_edges(graph.edges[keep])
-        p_matrix = build_propagation(thinned, config.propagation_mode).matrix
+        p_matrix = propagation_from_edges(graph.num_nodes, graph.edges[keep],
+                                          config.propagation_mode).matrix
 
     h = tape.leaf(graph.features)
     preacts: list[Value] = []

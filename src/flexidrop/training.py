@@ -14,8 +14,8 @@ from .bounds import BoundContext, complexity_regularizer, multilayer_bound
 from .graphs import Graph, ValidationError, build_propagation, inject_random_edges
 from .metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
 from .model import (FIXED_STRATEGIES, LayerParams, ModelConfig, NumericsError, bind_layers,
-                    forward, init_params, link_loss, link_scores, retention_probabilities,
-                    sample_negative_edges)
+                    checked_fields, forward, init_params, link_loss, link_scores,
+                    retention_probabilities, sample_negative_edges)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {k: d[k] for k in ("epochs", "learning_rate", "reg_lambda", "beta1",
-                                   "beta2", "eps", "seed", "eval_every") if k in d}
-        return cls(**known)
+        return cls(**checked_fields(cls, d))
 
 
 @dataclass

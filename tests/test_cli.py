@@ -55,9 +55,11 @@ def record_trained_configs(monkeypatch) -> list:
 
 
 def test_unknown_flag_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        run(["train", "--no-such-flag"])
-    assert exc.value.code == 2
+    # a unique prefix of a flag (--epoch for --epochs) is unknown too
+    for argv in (["train", "--no-such-flag"], ["train", "--epoch", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_command_exits_two():
@@ -80,6 +82,22 @@ def test_invalid_model_setting_reports_error_json(tmp_path, capsys):
     assert code == 1
     err = json.loads((out / "error.json").read_text())
     assert "rate" in err["error"]
+
+
+@pytest.mark.parametrize("section, entries, key", (
+    ("train", {"epochs": "4"}, "epochs"),
+    ("train", {"reg_lamda": 0.1}, "reg_lamda"),
+    ("train", {"eval_every": True}, "eval_every"),
+    ("model", {"rate": "0.3", "strategy": "dropedge"}, "rate"),
+    ("model", {"propagaton_mode": "symmetric"}, "propagaton_mode"),
+))
+def test_bad_config_entry_reports_error_json(tmp_path, capsys, section, entries, key):
+    cfg = small_config(tmp_path, **{section: entries})
+    out = tmp_path / "o"
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValidationError" and repr(key) in err["error"]
+    assert not (out / "run.csv").exists()
 
 
 def test_files_dataset_missing_keys_is_clean_error(tmp_path, capsys):
@@ -203,6 +221,13 @@ def test_sweeps_take_no_base_strategy(tmp_path, command):
         run([command, "--strategy", "none", "--config", cfg, "--out", str(tmp_path / "o"),
              "--epochs", "1"])
     assert exc.value.code == 2
+    if command == "grid":
+        # grid has no --rate; it must not pass for a prefix of the --rates sweep axis
+        with pytest.raises(SystemExit) as exc:
+            run(["grid", "--rate", "0.3", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--epochs", "1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o" / "grid.csv").exists()
 
 
 def test_attack_rate_applies_to_the_listed_fixed_strategies(tmp_path, monkeypatch):

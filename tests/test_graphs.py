@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexidrop.graphs import (Graph, ParseError, PropagationOperator, SplitSpec,
                               ValidationError, build_propagation, feature_inf_norm_max,
@@ -316,6 +318,70 @@ def test_sample_absent_pairs_never_collides():
     assert len(set(map(tuple, pairs.tolist()))) == 10
     assert not existing & set(map(tuple, pairs.tolist()))
     assert (pairs[:, 0] < pairs[:, 1]).all()
+
+
+def reference_sample_absent_pairs(graph, count, rng):
+    """The sampler as one Python rejection loop over a set, one pair per draw."""
+    n = graph.num_nodes
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    total_pairs = n * (n - 1) // 2
+    pool = total_pairs - graph.num_edges
+    if count > pool:
+        raise ValidationError(
+            f"cannot sample {count} absent pairs: only {pool} available")
+    existing = set(int(u) * n + int(v) for u, v in graph.edges)
+    if count > pool // 2:
+        iu, iv = np.triu_indices(n, k=1)
+        codes = iu.astype(np.int64) * n + iv
+        absent = codes[~np.isin(codes, np.fromiter(existing, dtype=np.int64, count=len(existing)))]
+        chosen = rng.choice(absent, size=count, replace=False)
+        return np.column_stack([chosen // n, chosen % n]).astype(np.int64)
+    picked = []
+    seen = set(existing)
+    while len(picked) < count:
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u == v:
+            continue
+        lo, hi = (u, v) if u < v else (v, u)
+        code = lo * n + hi
+        if code in seen:
+            continue
+        seen.add(code)
+        picked.append((lo, hi))
+    return np.asarray(picked, dtype=np.int64)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 60), density=st.floats(0.0, 1.0), graph_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
+def test_sample_absent_pairs_equals_the_one_pair_at_a_time_draw(n, density, graph_seed, seed,
+                                                                share):
+    iu, iv = np.triu_indices(n, k=1)
+    keep = np.random.default_rng(graph_seed).random(iu.size) < density
+    g = tiny_graph(np.column_stack([iu[keep], iv[keep]]), n=n)
+    pool = iu.size - g.num_edges
+    for count in sorted({0, 1, pool // 2, pool // 2 + 1, pool, int(share * pool)}):
+        if count > pool:
+            continue
+        got = sample_absent_pairs(g, count, np.random.default_rng(seed))
+        assert_same_array(got, reference_sample_absent_pairs(g, count, np.random.default_rng(seed)))
+    with pytest.raises(ValidationError, match="absent pairs"):
+        sample_absent_pairs(g, pool + 1, np.random.default_rng(seed))
+
+
+def test_sample_absent_pairs_equals_the_one_pair_at_a_time_draw_at_n2000():
+    # the link-prediction benchmark's size: ~6.5k edges, one negative per edge
+    g = generate_sbm(2000, 4, 0.01, 0.001, 8, 0.1, seed=101)
+    for count in (1, g.num_edges):
+        assert_same_array(sample_absent_pairs(g, count, np.random.default_rng(count)),
+                          reference_sample_absent_pairs(g, count, np.random.default_rng(count)))
 
 
 # ---- feature norm -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model forward passes, dropout strategies, and checkpointing."""
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexidrop.autodiff import Tape, sigmoid
-from flexidrop.graphs import Graph, build_propagation, generate_sbm
+from flexidrop.graphs import Graph, ValidationError, build_propagation, generate_sbm
 from flexidrop.model import (CHECKPOINT_FORMAT, LayerParams, ModelConfig, NumericsError,
                              RETENTION_LOGIT_INIT, forward, init_params, link_loss,
                              link_scores, load_checkpoint, retention_probabilities,
@@ -55,6 +56,20 @@ def test_config_roundtrips_through_dict():
     cfg = ModelConfig(layer_dims=(3, 8, 2), strategy="dropedge", rate=0.3,
                       propagation_mode="symmetric", task="link_prediction")
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("entries, key", (
+    ({"layer_dims": [3, 2], "stratgy": "none"}, "stratgy"),        # unknown key
+    ({"strategy": "none"}, "layer_dims"),                           # missing key
+    ({"layer_dims": [3, "2"]}, "layer_dims"),                       # string, not an int
+    ({"layer_dims": [3, True]}, "layer_dims"),                      # bool, not an int
+    ({"layer_dims": 3}, "layer_dims"),                              # not a list
+    ({"layer_dims": [3, 2], "strategy": "dropedge", "rate": "0.3"}, "rate"),
+    ({"layer_dims": [3, 2], "task": 1}, "task"),
+))
+def test_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, key):
+    with pytest.raises(ValidationError, match=f"ModelConfig: .*'{key}'"):
+        ModelConfig.from_dict(entries)
 
 
 # ---- initialization ----------------------------------------------------------------
@@ -280,6 +295,18 @@ def test_dropedge_eval_mode_is_identity_and_train_removes_edges():
     sums = np.asarray(t1.operator.sum(axis=1)).ravel()
     assert np.abs(sums - 1.0).max() <= 1e-9
     assert t1.operator.nnz < build_propagation(g, "row_stochastic").matrix.nnz
+
+    # the operator is exactly the one built from a graph holding the kept edges;
+    # the forward draws its keep mask first from its seed
+    for mode in ("row_stochastic", "symmetric"):
+        mcfg = replace(cfg, propagation_mode=mode)
+        for seed in (0, 8, 9, 31):
+            got = run_forward(g, params, mcfg, mode="train", seed=seed).operator
+            keep = np.random.default_rng(seed).random(g.num_edges) >= cfg.rate
+            want = build_propagation(g.with_edges(g.edges[keep]), mode).matrix
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 # ---- link prediction helpers -------------------------------------------------------

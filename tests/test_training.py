@@ -4,7 +4,8 @@ import pytest
 
 from flexidrop.autodiff import Tape
 from flexidrop.bounds import BoundContext, multilayer_bound
-from flexidrop.graphs import Graph, build_propagation, generate_sbm, inject_random_edges
+from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
+                              inject_random_edges)
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy
 from flexidrop.model import (ModelConfig, forward, init_params, link_scores,
                              retention_probabilities, sample_negative_edges)
@@ -21,6 +22,28 @@ def quick(epochs, **kw):
     kw.setdefault("learning_rate", 0.05)
     kw.setdefault("eval_every", 1)
     return TrainConfig(epochs=epochs, **kw)
+
+
+# ---- config -------------------------------------------------------------------------
+
+
+def test_train_config_roundtrips_through_dict():
+    tc = TrainConfig(epochs=3, learning_rate=0.05, reg_lambda=0.0, seed=7, eval_every=2)
+    assert TrainConfig.from_dict(tc.to_dict()) == tc
+    assert TrainConfig.from_dict({}) == TrainConfig()
+
+
+@pytest.mark.parametrize("entries, key", (
+    ({"reg_lamda": 0.1}, "reg_lamda"),          # unknown key: a typo must not train on a default
+    ({"epochs": "4"}, "epochs"),                # string, not an int
+    ({"epochs": True}, "epochs"),               # bool, not an int
+    ({"seed": 1.5}, "seed"),                    # float, not an int
+    ({"learning_rate": "0.1"}, "learning_rate"),
+    ({"reg_lambda": None}, "reg_lambda"),
+))
+def test_train_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, key):
+    with pytest.raises(ValidationError, match=f"TrainConfig: .*'{key}'"):
+        TrainConfig.from_dict(entries)
 
 
 # ---- Adam --------------------------------------------------------------------------
