@@ -106,11 +106,10 @@ class Tape:
 
     @staticmethod
     def _acc(adj: list, v: Value, g: np.ndarray) -> None:
-        if not v.requires_grad:
-            return
-        if adj[v._idx] is None:
-            adj[v._idx] = np.zeros_like(v.data)
-        adj[v._idx] += g
+        # out of place: ``g`` may also have been handed to another parent
+        if v.requires_grad:
+            prev = adj[v._idx]
+            adj[v._idx] = g if prev is None else prev + g
 
     # ---- op set ---------------------------------------------------------------
 
@@ -121,21 +120,27 @@ class Tape:
             raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
 
         def backward(g, adj):
-            self._acc(adj, a, g @ b.data.T)
-            self._acc(adj, b, a.data.T @ g)
+            if a.requires_grad:
+                self._acc(adj, a, g @ b.data.T)
+            if b.requires_grad:
+                self._acc(adj, b, a.data.T @ g)
         return self._record(a.data @ b.data, "matmul", (a, b), backward)
 
     def spmm(self, p, x: Value) -> Value:
-        """Sparse @ dense. The sparse operand is a raw matrix and never takes gradients."""
+        """Sparse @ dense. The sparse operand is a raw matrix and never takes gradients.
+
+        Backward multiplies by ``p.T``, which for a CSR ``p`` is a CSC view
+        of the same arrays: no transposed copy is built, and an eval-mode
+        product never pays for one.
+        """
         if not sp.issparse(p):
             raise TypeError("spmm: first operand must be a scipy sparse matrix")
         x = self._own(x, "x", "spmm")
         if p.shape[1] != x.shape[0]:
             raise ValueError(f"spmm: inner dimensions differ, {p.shape} @ {x.shape}")
-        pt = p.T.tocsr()
 
         def backward(g, adj):
-            self._acc(adj, x, np.asarray(pt @ g))
+            self._acc(adj, x, np.asarray(p.T @ g))
         return self._record(np.asarray(p @ x.data), "spmm", (x,), backward)
 
     def _same_shape_binary(self, a: Value, b: Value, op: str):
@@ -179,8 +184,10 @@ class Tape:
         row = v.data.ravel()
 
         def backward(g, adj):
-            self._acc(adj, x, g * row[None, :])
-            self._acc(adj, v, (g * x.data).sum(axis=0, keepdims=True).T)
+            if x.requires_grad:
+                self._acc(adj, x, g * row[None, :])
+            if v.requires_grad:
+                self._acc(adj, v, (g * x.data).sum(axis=0, keepdims=True).T)
         return self._record(x.data * row[None, :], "row_broadcast_mul", (x, v), backward)
 
     def relu(self, x: Value) -> Value:
@@ -189,7 +196,7 @@ class Tape:
 
         def backward(g, adj):
             self._acc(adj, x, g * mask)
-        return self._record(np.where(mask, x.data, 0.0), "relu", (x,), backward)
+        return self._record(np.maximum(x.data, 0.0), "relu", (x,), backward)
 
     def sigmoid(self, x: Value) -> Value:
         x = self._own(x, "x", "sigmoid")
@@ -335,6 +342,9 @@ class Tape:
 
         Calling backward twice without clearing grads adds the gradients
         again; callers that want fresh gradients build a fresh tape.
+        Gradients are never added in place, so one array may be stored as
+        the grad of several Values (``add`` hands its upstream gradient to
+        both operands); stored grads are read-only for that reason.
         """
         root = self._own(root, "root", "backward")
         if root.shape != (1, 1):
@@ -348,6 +358,7 @@ class Tape:
         for v in self._values:
             if v.requires_grad and adj[v._idx] is not None:
                 v.grad = adj[v._idx] if v.grad is None else v.grad + adj[v._idx]
+                v.grad.setflags(write=False)
 
 
 @dataclass

@@ -19,8 +19,8 @@ from .autodiff import grad_check
 from .bounds import BoundContext, bound_report, complexity_prefactor, complexity_regularizer
 from .graphs import (Graph, ParseError, SplitSpec, ValidationError, build_propagation,
                      generate_sbm, load_graph)
-from .model import (STRATEGIES, BoundLayer, ModelConfig, forward, init_params, load_checkpoint,
-                    save_checkpoint)
+from .model import (STRATEGIES, BoundLayer, ModelConfig, checked_keys, forward, init_params,
+                    load_checkpoint, save_checkpoint)
 from .training import (GRID_COLUMNS, RunRecord, TrainConfig, TrainingAborted, grid_search,
                        oversmoothing_profile, robustness_sweep, train)
 
@@ -44,31 +44,41 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# dataset spec key -> JSON type (see model.checked_keys), per dataset kind
+DATASET_KEYS = {
+    "sbm": {"kind": "str", "num_nodes": "int", "num_blocks": "int", "p_in": "float",
+            "p_out": "float", "feature_dim": "int", "noise_scale": "float", "seed": "int",
+            "split_fractions": "tuple[float, float, float]"},
+    "files": {"kind": "str", "edges": "str", "features": "str", "labels": "str",
+              "split": "dict"},
+}
+SPLIT_KEYS = {"index_files": "tuple[str, str, str]", "fractions": "tuple[float, float, float]",
+              "seed": "int"}
+
+
 def load_dataset(spec: dict) -> Graph:
-    kind = spec.get("kind", "sbm")
+    """The graph a config's dataset spec describes.
+
+    An unknown key, a missing path or a value of the wrong JSON type
+    raises ValidationError naming the key; values are never coerced.
+    """
+    kind = spec.get("kind", "sbm") if isinstance(spec, dict) else "sbm"
+    if kind not in ("sbm", "files"):
+        raise ValidationError(f"unknown dataset kind {kind!r}")
+    spec = checked_keys("dataset", spec, DATASET_KEYS[kind],
+                        ("edges", "features", "labels") if kind == "files" else ())
     if kind == "sbm":
-        return generate_sbm(
-            num_nodes=int(spec.get("num_nodes", 200)),
-            num_blocks=int(spec.get("num_blocks", 2)),
-            p_in=float(spec.get("p_in", 0.1)),
-            p_out=float(spec.get("p_out", 0.01)),
-            feature_dim=int(spec.get("feature_dim", 16)),
-            noise_scale=float(spec.get("noise_scale", 0.1)),
-            seed=int(spec.get("seed", 42)),
-            split_fractions=tuple(spec.get("split_fractions", (0.6, 0.2, 0.2))))
-    if kind == "files":
-        missing = [k for k in ("edges", "features", "labels") if k not in spec]
-        if missing:
-            raise ValidationError(
-                f"dataset kind 'files' needs keys {missing} (paths to the edge list and CSVs)")
-        split_spec = spec.get("split", {})
-        if "index_files" in split_spec:
-            split = SplitSpec.from_index_files(*split_spec["index_files"])
-        else:
-            fr = split_spec.get("fractions", (0.6, 0.2, 0.2))
-            split = SplitSpec.from_fractions(*fr, seed=int(split_spec.get("seed", 0)))
-        return load_graph(spec["edges"], spec["features"], spec["labels"], split)
-    raise ValidationError(f"unknown dataset kind {kind!r}")
+        return generate_sbm(**{k: v for k, v in {**DEFAULT_DATASET, **spec}.items()
+                               if k != "kind"})
+    split_spec = checked_keys("dataset split", spec.get("split", {}), SPLIT_KEYS)
+    if "index_files" in split_spec:
+        if len(split_spec) > 1:
+            raise ValidationError("dataset split: 'index_files' takes no 'fractions' or 'seed'")
+        split = SplitSpec.from_index_files(*split_spec["index_files"])
+    else:
+        split = SplitSpec.from_fractions(*split_spec.get("fractions", (0.6, 0.2, 0.2)),
+                                         seed=split_spec.get("seed", 0))
+    return load_graph(spec["edges"], spec["features"], spec["labels"], split)
 
 
 def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConfig, Path]:
@@ -78,18 +88,21 @@ def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConf
     anything trains, so a failed run still names its inputs.
     """
     config = json.loads(Path(args.config).read_text()) if args.config else {}
+    checked_keys("config", config, {"dataset": "dict", "model": "dict", "train": "dict"})
     dataset = config.get("dataset", DEFAULT_DATASET)
     graph = load_dataset(dataset)
     model = dict(config.get("model", {}))
     for key in ("strategy", "rate", "propagation_mode", "task"):   # train has all four flags
         if getattr(args, key, None) is not None:
             model[key] = getattr(args, key)
-    hidden = model.pop("hidden_dims", [256])
-    out_dim = model.pop("output_dim", 32)   # only link prediction chooses its output width
+    widths = checked_keys("model", {"hidden_dims": model.pop("hidden_dims", [256]),
+                                    "output_dim": model.pop("output_dim", 32)},
+                          {"hidden_dims": "tuple[int, ...]", "output_dim": "int"})
     if "layer_dims" not in model:
-        if model.get("task") != "link_prediction":
-            out_dim = graph.num_classes
-        model["layer_dims"] = [graph.feature_dim] + list(hidden) + [int(out_dim)]
+        # only link prediction chooses its output width
+        out_dim = (widths["output_dim"] if model.get("task") == "link_prediction"
+                   else graph.num_classes)
+        model["layer_dims"] = [graph.feature_dim] + list(widths["hidden_dims"]) + [out_dim]
     model_config = ModelConfig.from_dict(model)
     tc = dict(config.get("train", {}))
     for key in ("epochs", "seed", "reg_lambda", "eval_every", "learning_rate"):

@@ -47,6 +47,11 @@ class Graph:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         if feats.ndim != 2:
             raise ValidationError(f"features must be 2-D, got shape {feats.shape}")
+        bad = np.argwhere(~np.isfinite(feats))
+        if bad.size:
+            row, col = bad[0]
+            raise ValidationError(
+                f"feature row {row}, column {col} is {feats[row, col]}; features must be finite")
         n = feats.shape[0]
         labels = np.asarray(self.labels, dtype=np.int64).ravel()
         if labels.shape[0] != n:

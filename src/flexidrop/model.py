@@ -1,11 +1,18 @@
 """Graph convolutional model with trainable dropout retention.
 
-Layer l computes P @ (m ∘ sigma(H_{l-1})) @ W_l where m is the dropout
-mask for the chosen strategy and sigma is skipped for the raw input
-layer. The trainable-retention strategy replaces the random mask by its
-expectation: every column is scaled by its retention probability
-p = logistic(z), identically in train and eval mode, so the forward pass
-is deterministic and the logits z receive gradients.
+Layer l computes H_l = P @ A_l @ W_l with A_l = m ∘ sigma(H_{l-1}), where
+m is the dropout mask for the chosen strategy and sigma is skipped for
+the raw input layer. The trainable-retention strategy replaces the random
+mask by its expectation: every column is scaled by its retention
+probability p = logistic(z), identically in train and eval mode, so the
+forward pass is deterministic and the logits z receive gradients.
+
+The mask is applied to A_l first. The two products are then ordered by
+width: a layer that narrows (k_out < k_in) computes P @ (A_l @ W_l), so
+its sparse products, forward and backward, are k_out wide; any other
+layer computes (P @ A_l) @ W_l. The sparse products then cost
+O(|E| min(k_in, k_out)), the argument of Kipf & Welling
+(arXiv:1609.02907). Both orders give the same H_l up to float rounding.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ TASKS = ("node_classification", "link_prediction")
 
 
 class NumericsError(ArithmeticError):
-    """A forward pass produced NaN; the message names the layer."""
+    """A forward pass produced a non-finite value (NaN or inf); the message names the layer."""
 
 
 @dataclass
@@ -98,13 +105,25 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# config field annotation -> (what the value must be, check)
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_list_of(check, length=None):
+    return lambda v: (isinstance(v, (list, tuple)) and length in (None, len(v))
+                      and all(map(check, v)))
+
+
+# JSON type, named as in a config field annotation -> (what the value must be, check)
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a number", _is_number),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+    "dict": ("a mapping", lambda v: isinstance(v, dict)),
+    "tuple[int, ...]": ("a list of integers", _is_list_of(_is_int)),
+    "tuple[float, float, float]": ("a list of three numbers", _is_list_of(_is_number, 3)),
+    "tuple[str, str, str]": ("a list of three strings",
+                             _is_list_of(lambda v: isinstance(v, str), 3)),
 }
 
 
@@ -115,19 +134,27 @@ def checked_fields(cls, d: dict) -> dict:
     required key, or a value of the wrong JSON type (strings are not
     parsed, and true/false are not integers).
     """
-    name = cls.__name__
+    return checked_keys(cls.__name__, d, {f.name: f.type for f in fields(cls)},
+                        [f.name for f in fields(cls) if f.default is MISSING])
+
+
+def checked_keys(name: str, d: dict, types: dict[str, str], required=()) -> dict:
+    """``d`` after checking it against ``types``, a map from key to JSON type name.
+
+    The type names are those of ``_FIELD_TYPES``. Raises ValidationError
+    as ``checked_fields`` does, with ``name`` in place of the class name.
+    """
     if not isinstance(d, dict):
-        raise ValidationError(f"{name} config must be a mapping, got {type(d).__name__}")
-    declared = {f.name: f for f in fields(cls)}
+        raise ValidationError(f"{name}: expected a mapping, got {type(d).__name__}")
     for key, value in d.items():
-        if key not in declared:
+        if key not in types:
             raise ValidationError(f"{name}: unknown key {key!r}; known keys: "
-                                  f"{', '.join(declared)}")
-        what, ok = _FIELD_TYPES[declared[key].type]
+                                  f"{', '.join(types)}")
+        what, ok = _FIELD_TYPES[types[key]]
         if not ok(value):
             raise ValidationError(f"{name}: key {key!r} must be {what}, got {value!r}")
-    for key, f in declared.items():
-        if f.default is MISSING and key not in d:
+    for key in required:
+        if key not in d:
             raise ValidationError(f"{name}: missing key {key!r}")
     return d
 
@@ -244,9 +271,12 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         elif mode == "train" and config.strategy == "dropnode" and config.rate > 0.0:
             rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), k_in, axis=1)))
-        h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
-        if np.isnan(h.data).any():
-            raise NumericsError(f"forward produced NaN at layer {li + 1}")
+        if layer.weight.shape[1] < k_in:
+            h = tape.spmm(p_matrix, tape.matmul(a, layer.weight))
+        else:
+            h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
+        if not np.isfinite(h.data).all():
+            raise NumericsError(f"forward produced a non-finite value at layer {li + 1}")
         preacts.append(h)
     return ForwardResult(preacts, preacts[-1], layers, p_matrix)
 

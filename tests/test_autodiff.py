@@ -282,6 +282,61 @@ def test_repeated_backward_accumulates_into_grad():
     assert v.grad[0, 0] == 2.0      # documented: grads add across calls
 
 
+def reference_acc(adj, v, g):
+    """Gradient accumulation into a fresh zeros array per Value, added in place."""
+    if not v.requires_grad:
+        return
+    if adj[v._idx] is None:
+        adj[v._idx] = np.zeros_like(v.data)
+    adj[v._idx] += g
+
+
+# a, b take gradients and c does not; in each graph ``add`` hands one upstream
+# gradient array to two parents, and one of them then gets a second contribution
+SHARED_GRADIENT_GRAPHS = {
+    "add_then_reuse_a": lambda t, a, b, c: t.sum(t.add(t.add(a, b), a)),
+    "add_feeds_mul_by_b": lambda t, a, b, c: t.sum(t.elementwise_mul(t.add(a, b), b)),
+    "sub_and_nested_adds": lambda t, a, b, c: t.mean(t.add(t.sub(a, b), t.add(b, t.add(a, a)))),
+    "through_matmul_and_scale": lambda t, a, b, c: t.sum(t.add(
+        t.matmul(t.add(a, b), c), t.row_broadcast_mul(t.add(b, b), t.column_l2_norms(c)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_GRADIENT_GRAPHS))
+def test_shared_gradient_arrays_equal_fresh_accumulation(monkeypatch, name):
+    def grads():
+        tape = Tape()
+        rng = np.random.default_rng(3)
+        a, b = (leaf(tape, rng.normal(size=(3, 3))) for _ in range(2))
+        c = leaf(tape, rng.normal(size=(3, 3)), requires_grad=False)
+        root = SHARED_GRADIENT_GRAPHS[name](tape, a, b, c)
+        tape.backward(root)
+        tape.backward(root)   # the second pass adds onto the stored grads
+        assert c.grad is None
+        return [v.grad for v in tape._values]
+
+    got = grads()
+    with monkeypatch.context() as m:
+        m.setattr(Tape, "_acc", staticmethod(reference_acc))
+        want = grads()
+    assert [g is None for g in got] == [g is None for g in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            assert np.array_equal(g, w)
+            assert not g.flags.writeable
+
+
+def test_stored_grads_share_storage_and_are_read_only():
+    tape = Tape()
+    a = leaf(tape, [[1.0]])
+    b = leaf(tape, [[2.0]])
+    tape.backward(tape.add(a, b))
+    assert a.grad is b.grad          # add hands one array to both operands
+    with pytest.raises(ValueError, match="read-only"):
+        a.grad += 1.0
+    assert b.grad[0, 0] == 1.0
+
+
 def test_values_are_confined_to_one_tape():
     t1, t2 = Tape(), Tape()
     v = leaf(t1, [[1.0]])

@@ -100,6 +100,62 @@ def test_bad_config_entry_reports_error_json(tmp_path, capsys, section, entries,
     assert not (out / "run.csv").exists()
 
 
+@pytest.mark.parametrize("section, entries, key", (
+    ("dataset", {"num_node": 60}, "num_node"),
+    ("dataset", {"num_nodes": "40"}, "num_nodes"),
+    ("dataset", {"seed": True}, "seed"),
+    ("dataset", {"p_in": "0.4"}, "p_in"),
+    ("dataset", {"split_fractions": [0.6, 0.2]}, "split_fractions"),
+    ("model", {"hidden_dims": 8}, "hidden_dims"),
+    ("model", {"hidden_dims": ["8"]}, "hidden_dims"),
+    ("model", {"output_dim": "32"}, "output_dim"),
+    ("model", {"output_dim": 3.0}, "output_dim"),
+))
+def test_bad_dataset_or_width_entry_reports_error_json(tmp_path, section, entries, key):
+    cfg = small_config(tmp_path, **{section: entries})
+    out = tmp_path / "o"
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValidationError" and repr(key) in err["error"]
+    assert not (out / "run.csv").exists()
+
+
+def sbm_files_config(tmp_path, split):
+    data = tmp_path / "data"
+    assert run(["sbm", "--num-nodes", "30", "--feature-dim", "4", "--out", str(data)]) == 0
+    dataset = {"kind": "files", "edges": str(data / "edges.txt"),
+               "features": str(data / "features.csv"), "labels": str(data / "labels.csv"),
+               "split": split(data)}
+    return write_config(tmp_path, {"dataset": dataset, "model": {"hidden_dims": [8]}})
+
+
+def test_files_dataset_with_index_files_trains(tmp_path):
+    cfg = sbm_files_config(tmp_path, lambda data: {
+        "index_files": [str(data / f"{s}_idx.txt") for s in ("train", "val", "test")]})
+    assert run(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--epochs", "1"]) == 0
+
+
+@pytest.mark.parametrize("split, key", (
+    ({"fractions": [0.6, 0.2, 0.2], "sede": 1}, "sede"),
+    ({"fractions": [0.6, 0.2, 0.2], "seed": "1"}, "seed"),
+    ({"index_files": "train_idx.txt"}, "index_files"),
+    ({"index_files": ["a", "b", "c"], "seed": 1}, "index_files"),
+))
+def test_bad_split_entry_reports_error_json(tmp_path, split, key):
+    cfg = sbm_files_config(tmp_path, lambda data: split)
+    out = tmp_path / "o"
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValidationError" and repr(key) in err["error"]
+
+
+def test_unknown_config_section_reports_error_json(tmp_path):
+    cfg = small_config(tmp_path, datset={"num_nodes": 60})
+    out = tmp_path / "o"
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "'datset'" in json.loads((out / "error.json").read_text())["error"]
+
+
 def test_files_dataset_missing_keys_is_clean_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"kind": "files", "edge_file": "x"},

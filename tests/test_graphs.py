@@ -53,6 +53,16 @@ def test_graph_rejects_label_out_of_class_range():
               *(np.zeros(2, dtype=bool) for _ in range(3)))
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_graph_rejects_non_finite_features_naming_the_first(bad):
+    feats = np.zeros((4, 3))
+    feats[1, 2] = bad
+    feats[3, 0] = np.inf
+    with pytest.raises(ValidationError, match=r"row 1, column 2 is -?(nan|inf)"):
+        Graph(feats, np.zeros(4, dtype=int), np.zeros((0, 2), dtype=int), 1,
+              *(np.zeros(4, dtype=bool) for _ in range(3)))
+
+
 def test_graph_arrays_are_read_only():
     g = tiny_graph([(0, 1)])
     with pytest.raises(ValueError):

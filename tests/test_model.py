@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexidrop.autodiff import Tape, sigmoid
-from flexidrop.graphs import Graph, ValidationError, build_propagation, generate_sbm
-from flexidrop.model import (CHECKPOINT_FORMAT, LayerParams, ModelConfig, NumericsError,
-                             RETENTION_LOGIT_INIT, forward, init_params, link_loss,
-                             link_scores, load_checkpoint, retention_probabilities,
-                             sample_negative_edges, save_checkpoint)
+from flexidrop.autodiff import Tape, grad_check, sigmoid
+from flexidrop.bounds import BoundContext, complexity_regularizer
+from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
+                              propagation_from_edges)
+from flexidrop.model import (CHECKPOINT_FORMAT, FIXED_STRATEGIES, STRATEGIES, BoundLayer,
+                             LayerParams, ModelConfig, NumericsError, RETENTION_LOGIT_INIT,
+                             bind_layers, forward, init_params, link_loss, link_scores,
+                             load_checkpoint, retention_probabilities, sample_negative_edges,
+                             save_checkpoint)
 
 
 def sbm(seed=0, n=20, d=3):
@@ -151,6 +154,16 @@ def test_forward_nan_raises_numerics_error():
     params = init_params(cfg.layer_dims, seed=0)
     params[0].weight[0, 0] = np.nan
     with pytest.raises(NumericsError, match="layer 1"):
+        run_forward(g, params, cfg)
+
+
+def test_forward_inf_weight_raises_numerics_error():
+    # an inf weight without a NaN next to it used to pass the forward unnoticed
+    g = sbm(seed=0, d=3)
+    cfg = ModelConfig(layer_dims=(3, 4, 2), strategy="none")
+    params = init_params(cfg.layer_dims, seed=0)
+    params[1].weight[0, 0] = np.inf
+    with pytest.raises(NumericsError, match="non-finite value at layer 2"):
         run_forward(g, params, cfg)
 
 
@@ -307,6 +320,100 @@ def test_dropedge_eval_mode_is_identity_and_train_removes_edges():
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+# ---- multiply order ----------------------------------------------------------------
+
+
+def reference_forward(tape, graph, prop, layers, config, mode, seed):
+    """The forward before the multiply order was chosen by width: every layer
+    computes (P @ A) @ W. Same random draws, in the same order, as ``forward``."""
+    rng = np.random.default_rng(seed)
+    p_matrix = prop.matrix
+    if config.strategy == "dropedge" and mode == "train":
+        keep = rng.random(graph.num_edges) >= config.rate
+        p_matrix = propagation_from_edges(graph.num_nodes, graph.edges[keep],
+                                          config.propagation_mode).matrix
+    h = tape.leaf(graph.features)
+    for li, layer in enumerate(layers):
+        a = h if li == 0 else tape.relu(h)
+        if config.strategy == "flexidrop":
+            a = tape.row_broadcast_mul(a, layer.retention)
+        elif mode == "train" and config.strategy == "fixed_dropout" and config.rate > 0.0:
+            mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
+            a = tape.elementwise_mul(a, tape.leaf(mask))
+        elif mode == "train" and config.strategy == "dropnode" and config.rate > 0.0:
+            rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
+            a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), a.shape[1],
+                                                            axis=1)))
+        h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
+    return h
+
+
+def logits_and_grads(run, graph, params, config):
+    """Logits, then the weight and retention-logit gradients of the train-set loss."""
+    tape = Tape()
+    layers = bind_layers(tape, params, train_weights=True, train_retention=True,
+                         with_retention=config.strategy == "flexidrop")
+    logits = run(tape, layers)
+    tape.backward(tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask))
+    grads = [g for layer in layers for g in (layer.weight.grad, layer.retention_logits.grad)]
+    return [logits.data] + [np.zeros(1) if g is None else g for g in grads]
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       n=st.integers(2, 12), density=st.floats(0.0, 1.0),
+       strategy=st.sampled_from(STRATEGIES), rate=st.floats(0.0, 0.9),
+       mode=st.sampled_from(("train", "eval")),
+       propagation=st.sampled_from(("row_stochastic", "symmetric")),
+       seed=st.integers(0, 2**32 - 1))
+def test_forward_matches_the_propagate_first_reference(dims, n, density, strategy, rate, mode,
+                                                       propagation, seed):
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < density
+    masks = np.zeros((3, n), dtype=bool)
+    masks[0, : (n + 1) // 2] = True
+    g = Graph(rng.normal(size=(n, dims[0])), rng.integers(0, dims[-1], n),
+              np.column_stack([iu[keep], iv[keep]]), dims[-1], *masks)
+    config = ModelConfig(layer_dims=tuple(dims), strategy=strategy,
+                         rate=rate if strategy in FIXED_STRATEGIES else 0.0,
+                         propagation_mode=propagation)
+    params = init_params(config.layer_dims, seed=seed % 1000)
+    for p in params:
+        p.retention_logits[:] = rng.normal(size=p.retention_logits.shape)
+    prop = build_propagation(g, propagation)
+
+    got = logits_and_grads(
+        lambda t, layers: forward(t, g, prop, layers, config, mode, seed).logits, g, params, config)
+    want = logits_and_grads(
+        lambda t, layers: reference_forward(t, g, prop, layers, config, mode, seed),
+        g, params, config)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
+    # layer 2 narrows 6 -> 2 and so multiplies by W before propagating
+    g = sbm(seed=11, n=10, d=3)
+    config = ModelConfig(layer_dims=(3, 6, 2), strategy="flexidrop")
+    params = init_params(config.layer_dims, seed=4)
+    prop = build_propagation(g, config.propagation_mode)
+    ctx = BoundContext.from_graph(g, config.num_layers)
+    k = config.num_layers
+
+    def objective(tape, leaves):
+        layers = [BoundLayer(leaves[i], leaves[k + i], tape.sigmoid(leaves[k + i]))
+                  for i in range(k)]
+        out = forward(tape, g, prop, layers, config, mode="train")
+        loss = tape.softmax_cross_entropy(out.logits, g.labels, g.train_mask)
+        return tape.add(loss, tape.scalar_mul(0.5, complexity_regularizer(tape, ctx, layers)))
+
+    report = grad_check(objective, [p.weight for p in params] +
+                        [p.retention_logits.reshape(-1, 1) for p in params])
+    assert report.passed, str(report)
+    assert report.entries_checked == 3 * 6 + 6 * 2 + 3 + 6
 
 
 # ---- link prediction helpers -------------------------------------------------------
