@@ -81,15 +81,13 @@ def complexity_regularizer(tape: Tape, ctx: BoundContext,
     """The layerwise bound as a differentiable Value on ``tape``.
 
     Gradients flow into both the weights (through the max column norm)
-    and the retention logits (through ||p||_2). Layers must have been
-    bound with their retention probabilities materialized.
+    and the retention logits (through ||p||_2) of layers bound trainable;
+    ``bind_layers`` gives every layer its retention probabilities.
     """
     if len(layers) != ctx.num_layers:
         raise ValueError(f"{len(layers)} layers for a depth-{ctx.num_layers} context")
     total: Value | None = None
     for layer in layers:
-        if layer.retention is None:
-            raise ValueError("complexity_regularizer needs layers bound with retention")
         col_max = tape.max_reduce(tape.column_l2_norms(layer.weight))
         p_norm = tape.column_l2_norms(layer.retention)   # (k,1) column -> its single norm
         factor = tape.elementwise_mul(col_max, p_norm)
@@ -104,9 +102,7 @@ def multilayer_bound(ctx: BoundContext, params: list[LayerParams]) -> float:
     tape), so the two are equal to the last bit.
     """
     tape = Tape()
-    layers = bind_layers(tape, params, train_weights=False, train_retention=False,
-                         with_retention=True)
-    return complexity_regularizer(tape, ctx, layers).item()
+    return complexity_regularizer(tape, ctx, bind_layers(tape, params, trainable=False)).item()
 
 
 def generalization_bound(empirical_risk: float, rademacher: float,

@@ -228,41 +228,41 @@ class SplitSpec:
         return tuple(masks)
 
 
-def _read_index_file(path: str, num_nodes: int) -> np.ndarray:
-    out = []
+def _data_lines(path: str):
+    """Yield (1-based line number, stripped line) for each non-blank, non-``#`` line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                idx = int(line)
-            except ValueError:
-                raise ParseError(f"{path}, line {lineno}: expected a node index, got {line!r}") from None
-            if not 0 <= idx < num_nodes:
-                raise ValidationError(f"{path}, line {lineno}: node index {idx} out of range [0, {num_nodes})")
-            out.append(idx)
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def _read_index_file(path: str, num_nodes: int) -> np.ndarray:
+    out = []
+    for lineno, line in _data_lines(path):
+        try:
+            idx = int(line)
+        except ValueError:
+            raise ParseError(f"{path}, line {lineno}: expected a node index, got {line!r}") from None
+        if not 0 <= idx < num_nodes:
+            raise ValidationError(f"{path}, line {lineno}: node index {idx} out of range [0, {num_nodes})")
+        out.append(idx)
     return np.asarray(sorted(set(out)), dtype=np.int64)
 
 
 def _read_numeric_csv(path: str) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"{path}, line {lineno}: non-numeric field") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"{path}, line {lineno}: expected {width} fields, got {len(row)}")
-            rows.append(row)
+    for lineno, line in _data_lines(path):
+        try:
+            row = [float(p) for p in line.split(",")]
+        except ValueError:
+            raise ParseError(f"{path}, line {lineno}: non-numeric field") from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}, line {lineno}: expected {width} fields, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -292,25 +292,21 @@ def load_graph(edge_file: str, feature_file: str, label_file: str,
     labels = labels_f.astype(np.int64)
 
     pairs = []
-    with open(edge_file, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{edge_file}, line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{edge_file}, line {lineno}: endpoints must be integers") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(
-                    f"{edge_file}, line {lineno}: edge ({u}, {v}) references a node id >= {n}")
-            if u == v:
-                warnings.warn(f"{edge_file}, line {lineno}: dropping self-loop on node {u}")
-                continue
-            pairs.append((u, v))
+    for lineno, line in _data_lines(edge_file):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{edge_file}, line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{edge_file}, line {lineno}: endpoints must be integers") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(
+                f"{edge_file}, line {lineno}: edge ({u}, {v}) references a node id >= {n}")
+        if u == v:
+            warnings.warn(f"{edge_file}, line {lineno}: dropping self-loop on node {u}")
+            continue
+        pairs.append((u, v))
     edges = _canonical_edges(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
     num_classes = int(labels.max()) + 1 if labels.size else 1

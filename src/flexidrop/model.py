@@ -17,7 +17,8 @@ O(|E| min(k_in, k_out)), the argument of Kipf & Welling
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+import operator
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ class ModelConfig:
     activation: str = "relu"
 
     def __post_init__(self):
-        dims = tuple(int(k) for k in self.layer_dims)
+        dims = tuple(_layer_dim(i, k) for i, k in enumerate(self.layer_dims))
         if len(dims) < 2 or any(k < 1 for k in dims):
             raise ValueError(f"layer_dims needs >= 2 positive entries, got {dims}")
         object.__setattr__(self, "layer_dims", dims)
@@ -91,14 +92,22 @@ class ModelConfig:
         return len(self.layer_dims) - 1
 
     def to_dict(self) -> dict:
-        return {"layer_dims": list(self.layer_dims), "strategy": self.strategy,
-                "rate": self.rate, "propagation_mode": self.propagation_mode,
-                "task": self.task, "activation": self.activation}
+        return {**asdict(self), "layer_dims": list(self.layer_dims)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = checked_fields(cls, d)
         return cls(**{**d, "rate": float(d.get("rate", 0.0))})
+
+
+def _layer_dim(i: int, k) -> int:
+    """Entry ``i`` of ``layer_dims`` as an int; floats and bools are rejected, not coerced."""
+    if not isinstance(k, bool):
+        try:
+            return operator.index(k)
+        except TypeError:
+            pass
+    raise ValueError(f"layer_dims[{i}] must be an integer, got {k!r}")
 
 
 def _is_int(v) -> bool:
@@ -186,17 +195,21 @@ class BoundLayer:
 
     weight: Value
     retention_logits: Value
-    retention: Value | None = None
+    retention: Value
 
 
-def bind_layers(tape: Tape, params: list[LayerParams], *, train_weights: bool,
-                train_retention: bool, with_retention: bool) -> list[BoundLayer]:
+def bind_layers(tape: Tape, params: list[LayerParams], *, trainable: bool) -> list[BoundLayer]:
+    """Put each layer's weight and retention logits on ``tape`` as leaves.
+
+    Every layer also gets its retention probabilities p = logistic(z) as
+    a tape Value. ``trainable`` makes both leaves require gradients; the
+    strategies that do not scale by p simply leave z off the loss path.
+    """
     layers = []
     for p in params:
-        w = tape.leaf(p.weight, requires_grad=train_weights)
-        z = tape.leaf(p.retention_logits.reshape(-1, 1), requires_grad=train_retention)
-        r = tape.sigmoid(z) if with_retention else None
-        layers.append(BoundLayer(w, z, r))
+        w = tape.leaf(p.weight, requires_grad=trainable)
+        z = tape.leaf(p.retention_logits.reshape(-1, 1), requires_grad=trainable)
+        layers.append(BoundLayer(w, z, tape.sigmoid(z)))
     return layers
 
 
@@ -204,7 +217,6 @@ def bind_layers(tape: Tape, params: list[LayerParams], *, train_weights: bool,
 class ForwardResult:
     preactivations: list[Value]   # one per layer, final entry is the logits
     logits: Value
-    layers: list[BoundLayer]
     operator: sp.csr_matrix       # the propagation matrix actually applied
 
 
@@ -236,13 +248,16 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     if graph.feature_dim != config.layer_dims[0]:
         raise ValueError(
             f"graph feature dim {graph.feature_dim} != layer_dims[0] {config.layer_dims[0]}")
+    if prop.mode != config.propagation_mode:
+        raise ValueError(f"operator mode {prop.mode!r} != model propagation_mode "
+                         f"{config.propagation_mode!r}")
+    if prop.num_nodes != graph.num_nodes:
+        raise ValueError(f"operator has {prop.num_nodes} nodes, graph has {graph.num_nodes}")
     if isinstance(params[0], BoundLayer):
         layers = params
     else:
         _check_params(params, config)
-        layers = bind_layers(tape, params, train_weights=(mode == "train"),
-                             train_retention=(mode == "train" and config.strategy == "flexidrop"),
-                             with_retention=(config.strategy == "flexidrop" and mode != "sample"))
+        layers = bind_layers(tape, params, trainable=(mode == "train"))
 
     rng = np.random.default_rng(seed)
     p_matrix = prop.matrix
@@ -260,8 +275,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         k_in = a.shape[1]
         if config.strategy == "flexidrop":
             if mode == "sample":
-                probs = sigmoid(layer.retention_logits.data.ravel())
-                draw = (rng.random(k_in) < probs).astype(np.float64)
+                draw = (rng.random(k_in) < layer.retention.data.ravel()).astype(np.float64)
                 a = tape.row_broadcast_mul(a, tape.leaf(draw.reshape(-1, 1)))
             else:
                 a = tape.row_broadcast_mul(a, layer.retention)
@@ -276,9 +290,9 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         else:
             h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
         if not np.isfinite(h.data).all():
-            raise NumericsError(f"forward produced a non-finite value at layer {li + 1}")
+            raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)
-    return ForwardResult(preacts, preacts[-1], layers, p_matrix)
+    return ForwardResult(preacts, preacts[-1], p_matrix)
 
 
 def link_scores(tape: Tape, embeddings: Value, pos_edges: np.ndarray,

@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,7 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
 
     def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "learning_rate": self.learning_rate,
-                "reg_lambda": self.reg_lambda, "beta1": self.beta1, "beta2": self.beta2,
-                "eps": self.eps, "seed": self.seed, "eval_every": self.eval_every}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -80,10 +78,16 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a loss or layer output turns NaN; carries the last finite state."""
+    """Raised when a layer output or the objective turns non-finite (NaN or inf).
 
-    def __init__(self, epoch: int, params: list[LayerParams], record: "RunRecord"):
-        super().__init__(f"training aborted at epoch {epoch}: non-finite loss")
+    Carries the last finite parameters and the rows logged so far; the
+    message gives the epoch and ``reason``, the NumericsError's message,
+    which names the layer when the forward pass failed.
+    """
+
+    def __init__(self, epoch: int, params: list[LayerParams], record: "RunRecord", *,
+                 reason: str):
+        super().__init__(f"training aborted at epoch {epoch}: {reason}")
         self.epoch = epoch
         self.params = params
         self.record = record
@@ -153,8 +157,10 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
     The trainable-retention strategy optimizes the weights and the
     retention logits against loss + reg_lambda * regularizer; every other
-    strategy optimizes the weights alone against the plain loss. A NaN
-    loss aborts with TrainingAborted carrying the last finite parameters.
+    strategy optimizes the weights alone against the plain loss. A
+    non-finite layer output or objective aborts with TrainingAborted,
+    which carries the last finite parameters; when a layer output failed,
+    the message names the layer.
     """
     cfg = train_config
     flexi = model_config.strategy == "flexidrop"
@@ -183,10 +189,10 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     record = RunRecord(columns=_record_columns(model_config.num_layers))
     start = time.perf_counter()
 
-    def evaluate(current: list[LayerParams], with_auc: bool = False) -> tuple[np.ndarray, dict]:
-        """Eval-mode logits and per-split accuracy; ``with_auc`` adds the test AUC."""
+    def evaluate() -> tuple[np.ndarray, dict]:
+        """Eval-mode logits of ``params`` and per-split accuracy, plus the test "auc" for links."""
         tape = Tape()
-        logits = forward(tape, message_graph, prop, current, model_config, mode="eval").logits
+        logits = forward(tape, message_graph, prop, params, model_config, mode="eval").logits
         if not link_task:
             return logits.data, {name: accuracy(logits.data, graph.labels, mask)
                                  for name, mask in (("train", graph.train_mask),
@@ -196,100 +202,79 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                   for name in ("train", "val", "test")}
         accs = {name: link_accuracy(probs.data, labels)
                 for name, (probs, labels) in scored.items()}
-        if with_auc:
-            probs, labels = scored["test"]
-            accs["auc"] = auc_score(probs.data, labels)
+        probs, labels = scored["test"]
+        accs["auc"] = auc_score(probs.data, labels)
         return logits.data, accs
-
-    def log_row(epoch: int, loss_val: float, obj_val: float) -> None:
-        _, accs = evaluate(params)
-        row = {"epoch": epoch, "train_loss": loss_val, "objective": obj_val,
-               "regularizer": multilayer_bound(ctx, params),
-               "train_accuracy": accs["train"], "val_accuracy": accs["val"],
-               "test_accuracy": accs["test"]}
-        for i, p in enumerate(retention_probabilities(params), start=1):
-            row[f"retention_min_l{i}"] = float(p.min())
-            row[f"retention_mean_l{i}"] = float(p.mean())
-            row[f"retention_max_l{i}"] = float(p.max())
-        row["wall_clock_s"] = time.perf_counter() - start
-        record.rows.append(row)
-
-    best_val = -1.0
-    best_epoch = 0
-    best_test_at_val = None
-    last_loss = None
-    last_obj = None
 
     for epoch in range(1, cfg.epochs + 1):
         tape = Tape()
-        layers = bind_layers(tape, params, train_weights=True, train_retention=flexi,
-                             with_retention=flexi)
+        layers = bind_layers(tape, params, trainable=True)
         try:
             out = forward(tape, message_graph, prop, layers, model_config, mode="train",
                           seed=_epoch_seed(cfg.seed, epoch, 1))
-        except NumericsError:
-            raise TrainingAborted(epoch, [p.copy() for p in params], record) from None
-
-        if link_task:
-            negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
-            probs, labels = link_scores(tape, out.logits, train_pos, negs)
-            loss = link_loss(tape, probs, labels)
-        else:
-            loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
-
-        objective = loss
-        if flexi and cfg.reg_lambda > 0.0:
-            reg = complexity_regularizer(tape, ctx, layers)
-            objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
-
-        loss_val = loss.item()
-        obj_val = objective.item()
-        if not np.isfinite(obj_val):
-            raise TrainingAborted(epoch, [p.copy() for p in params], record)
+            if link_task:
+                negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
+                probs, labels = link_scores(tape, out.logits, train_pos, negs)
+                loss = link_loss(tape, probs, labels)
+            else:
+                loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
+            objective = loss
+            if flexi and cfg.reg_lambda > 0.0:
+                reg = complexity_regularizer(tape, ctx, layers)
+                objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
+            if not np.isfinite(objective.item()):
+                raise NumericsError("non-finite loss")
+        except NumericsError as exc:
+            raise TrainingAborted(epoch, [p.copy() for p in params], record,
+                                  reason=str(exc)) from exc
 
         tape.backward(objective)
         for i, layer in enumerate(layers):
-            g = layer.weight.grad
-            if g is None:
-                g = np.zeros_like(params[i].weight)
             params[i].weight, states[i] = adam_step(
-                params[i].weight, g, states[i], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+                params[i].weight, layer.weight.grad, states[i],
+                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
             if flexi:
-                gz = layer.retention_logits.grad
-                gz = np.zeros_like(params[i].retention_logits) if gz is None else gz.ravel()
                 params[i].retention_logits, z_states[i] = adam_step(
-                    params[i].retention_logits, gz, z_states[i],
+                    params[i].retention_logits, layer.retention_logits.grad.ravel(), z_states[i],
                     cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
 
-        last_loss, last_obj = loss_val, obj_val
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            log_row(epoch, loss_val, obj_val)
-            row = record.rows[-1]
-            if row["val_accuracy"] >= best_val:
-                best_val = row["val_accuracy"]
-                best_epoch = epoch
-                best_test_at_val = row["test_accuracy"]
+            logits, scores = evaluate()
+            row = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item(),
+                   "regularizer": multilayer_bound(ctx, params),
+                   "train_accuracy": scores["train"], "val_accuracy": scores["val"],
+                   "test_accuracy": scores["test"]}
+            for i, p in enumerate(retention_probabilities(params), start=1):
+                row[f"retention_min_l{i}"] = float(p.min())
+                row[f"retention_mean_l{i}"] = float(p.mean())
+                row[f"retention_max_l{i}"] = float(p.max())
+            row["wall_clock_s"] = time.perf_counter() - start
+            record.rows.append(row)
 
-    final_logits, final = evaluate(params, with_auc=link_task)
     trained = cfg.epochs > 0
+    if not trained:
+        logits, scores = evaluate()
+    last = record.rows[-1] if trained else {}
+    # reversed: a tie in validation accuracy goes to the later epoch
+    best = max(reversed(record.rows), key=lambda row: row["val_accuracy"], default={})
     record.summary = {
         "model_config": model_config.to_dict(),
         "train_config": cfg.to_dict(),
         "epochs_run": cfg.epochs,
-        "final_train_loss": last_loss,
-        "final_objective": last_obj,
+        "final_train_loss": last.get("train_loss"),
+        "final_objective": last.get("objective"),
         "final_regularizer": multilayer_bound(ctx, params),
-        "final_train_accuracy": final["train"] if trained else None,
-        "final_val_accuracy": final["val"] if trained else None,
-        "final_test_accuracy": final["test"] if trained else None,
-        "best_val_epoch": best_epoch or None,
-        "best_val_accuracy": best_val if best_epoch else None,
-        "test_accuracy_at_best_val": best_test_at_val,
+        "final_train_accuracy": last.get("train_accuracy"),
+        "final_val_accuracy": last.get("val_accuracy"),
+        "final_test_accuracy": last.get("test_accuracy"),
+        "best_val_epoch": best.get("epoch"),
+        "best_val_accuracy": best.get("val_accuracy"),
+        "test_accuracy_at_best_val": best.get("test_accuracy"),
         "retention_mean": [float(p.mean()) for p in retention_probabilities(params)],
     }
     if link_task and trained:
-        record.summary["final_test_auc"] = final["auc"]
-    return TrainResult(params, record, final_logits, final)
+        record.summary["final_test_auc"] = scores["auc"]
+    return TrainResult(params, record, logits, scores)
 
 
 def _cell_model(base_model: ModelConfig, strategy: str, rate: float,

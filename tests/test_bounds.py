@@ -221,8 +221,7 @@ def test_regularizer_forward_equals_multilayer_bound_exactly():
     ctx = BoundContext(num_layers=2, num_classes=2, feature_dim=3, num_nodes=64,
                        feature_inf_max=1.0)
     tape = Tape()
-    layers = bind_layers(tape, params, train_weights=True, train_retention=True,
-                         with_retention=True)
+    layers = bind_layers(tape, params, trainable=True)
     reg = complexity_regularizer(tape, ctx, layers)
     assert reg.item() == multilayer_bound(ctx, params)   # same code path, bit-exact
 

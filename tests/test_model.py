@@ -55,6 +55,24 @@ def test_config_requires_two_dims():
         ModelConfig(layer_dims=(3,), strategy="none")
 
 
+@pytest.mark.parametrize("dims, entry", (
+    ((2.9, 2), 0),                  # a float used to be truncated to 2
+    ((True, 2), 0),                 # a bool used to become 1
+    ((3, np.float64(2.0)), 1),
+    ((3, np.True_), 1),
+    ((3, "2"), 1),
+))
+def test_config_rejects_non_integer_layer_dims(dims, entry):
+    with pytest.raises(ValueError, match=rf"layer_dims\[{entry}\] must be an integer"):
+        ModelConfig(layer_dims=dims)
+
+
+def test_config_takes_numpy_integer_layer_dims_as_ints():
+    cfg = ModelConfig(layer_dims=(np.int64(3), np.int32(2)))
+    assert cfg.layer_dims == (3, 2)
+    assert all(type(k) is int for k in cfg.layer_dims)
+
+
 def test_config_roundtrips_through_dict():
     cfg = ModelConfig(layer_dims=(3, 8, 2), strategy="dropedge", rate=0.3,
                       propagation_mode="symmetric", task="link_prediction")
@@ -146,6 +164,20 @@ def test_forward_rejects_wrong_feature_dim():
     cfg = ModelConfig(layer_dims=(5, 2), strategy="none")
     with pytest.raises(ValueError, match="feature"):
         run_forward(g, init_params(cfg.layer_dims, seed=0), cfg)
+
+
+@pytest.mark.parametrize("n, mode, message", (
+    # a symmetric eval operator, while train-mode DropEdge would rebuild a row-stochastic one
+    (20, "symmetric", "operator mode 'symmetric' != model propagation_mode 'row_stochastic'"),
+    (22, "row_stochastic", "operator has 22 nodes, graph has 20"),
+))
+def test_forward_rejects_an_operator_that_does_not_match(n, mode, message):
+    g = sbm(seed=0, d=3)
+    prop = build_propagation(sbm(seed=0, n=n, d=3), mode)
+    cfg = ModelConfig(layer_dims=(3, 2), strategy="dropedge", rate=0.3)
+    for run_mode in ("train", "eval"):
+        with pytest.raises(ValueError, match=message):
+            forward(Tape(), g, prop, init_params(cfg.layer_dims, seed=0), cfg, mode=run_mode)
 
 
 def test_forward_nan_raises_numerics_error():
@@ -353,8 +385,7 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
 def logits_and_grads(run, graph, params, config):
     """Logits, then the weight and retention-logit gradients of the train-set loss."""
     tape = Tape()
-    layers = bind_layers(tape, params, train_weights=True, train_retention=True,
-                         with_retention=config.strategy == "flexidrop")
+    layers = bind_layers(tape, params, trainable=True)
     logits = run(tape, layers)
     tape.backward(tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask))
     grads = [g for layer in layers for g in (layer.weight.grad, layer.retention_logits.grad)]

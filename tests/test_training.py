@@ -1,13 +1,16 @@
 """Adam optimizer, the training loop, and grid sweeps."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from flexidrop import training
 from flexidrop.autodiff import Tape
 from flexidrop.bounds import BoundContext, multilayer_bound
 from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
                               inject_random_edges)
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy
-from flexidrop.model import (ModelConfig, forward, init_params, link_scores,
+from flexidrop.model import (ModelConfig, NumericsError, forward, init_params, link_scores,
                              retention_probabilities, sample_negative_edges)
 from flexidrop.training import (AdamState, GRID_COLUMNS, RunRecord, TrainConfig,
                                 TrainingAborted, _epoch_seed, _split_edges, adam_step,
@@ -31,6 +34,12 @@ def test_train_config_roundtrips_through_dict():
     tc = TrainConfig(epochs=3, learning_rate=0.05, reg_lambda=0.0, seed=7, eval_every=2)
     assert TrainConfig.from_dict(tc.to_dict()) == tc
     assert TrainConfig.from_dict({}) == TrainConfig()
+
+
+@pytest.mark.parametrize("config", (TrainConfig(), ModelConfig(layer_dims=(3, 2))))
+def test_to_dict_has_a_key_for_every_field(config):
+    # a field missing here would be dropped from summary.json and the manifests
+    assert set(config.to_dict()) == {f.name for f in fields(config)}
 
 
 @pytest.mark.parametrize("entries, key", (
@@ -214,8 +223,45 @@ def test_nan_aborts_with_last_finite_params():
     with pytest.raises(TrainingAborted) as exc:
         train(g, cfg, quick(5, seed=3))
     assert exc.value.epoch == 1
+    # the abort names the layer the forward named, and chains the forward's error
+    assert str(exc.value) == "training aborted at epoch 1: non-finite value at layer 1"
+    assert isinstance(exc.value.__cause__, NumericsError)
     init = init_params(cfg.layer_dims, seed=3)
     assert np.array_equal(exc.value.params[0].weight, init[0].weight)
+
+
+def test_best_validation_tie_goes_to_the_last_logged_epoch():
+    # one class and one output column: every prediction is right at every epoch
+    g = sanity_graph(seed=10)
+    g = Graph(g.features, np.zeros(g.num_nodes, dtype=int), g.edges, 1,
+              g.train_mask, g.val_mask, g.test_mask)
+    res = train(g, ModelConfig(layer_dims=(4, 8, 1), strategy="flexidrop"),
+                quick(7, eval_every=3))
+    assert [row["val_accuracy"] for row in res.record.rows] == [1.0, 1.0, 1.0]
+    s = res.record.summary
+    assert (s["best_val_epoch"], s["best_val_accuracy"]) == (7, 1.0)
+    assert s["test_accuracy_at_best_val"] == res.record.rows[-1]["test_accuracy"]
+
+
+@pytest.mark.parametrize("task, epochs", (("node_classification", 7), ("link_prediction", 7),
+                                          ("node_classification", 0), ("link_prediction", 0)))
+def test_one_eval_forward_per_logged_row(monkeypatch, task, epochs):
+    # the last logged row is the final evaluation; only an untrained model is evaluated apart
+    modes = []
+    real = training.forward
+
+    def counted(*args, **kwargs):
+        modes.append(kwargs["mode"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counted)
+    g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=13)
+    cfg = ModelConfig(layer_dims=(4, 8, 6 if task == "link_prediction" else 2),
+                      strategy="flexidrop", task=task)
+    res = train(g, cfg, quick(epochs, eval_every=3))
+    assert [row["epoch"] for row in res.record.rows] == ([3, 6, 7] if epochs else [])
+    assert modes.count("eval") == (3 if epochs else 1)
+    assert modes.count("train") == epochs
 
 
 def test_summary_tracks_best_validation_epoch():
