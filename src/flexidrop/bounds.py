@@ -81,8 +81,7 @@ def complexity_regularizer(tape: Tape, ctx: BoundContext,
     """The layerwise bound as a differentiable Value on ``tape``.
 
     Gradients flow into both the weights (through the max column norm)
-    and the retention logits (through ||p||_2) of layers bound trainable;
-    ``bind_layers`` gives every layer its retention probabilities.
+    and the retention logits (through ||p||_2) of layers bound trainable.
     """
     if len(layers) != ctx.num_layers:
         raise ValueError(f"{len(layers)} layers for a depth-{ctx.num_layers} context")

@@ -106,7 +106,7 @@ def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConf
     model_config = ModelConfig.from_dict(model)
     tc = dict(config.get("train", {}))
     for key in ("epochs", "seed", "reg_lambda", "eval_every", "learning_rate"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:   # grid has no --lambda
             tc[key] = getattr(args, key)
     train_config = TrainConfig.from_dict(tc)
     out = _output_dir(args, command)
@@ -236,8 +236,7 @@ def _gradcheck_instance(seed: int) -> bool:
 
     def model_loss(tape, leaves):
         k = len(params)
-        layers = [BoundLayer(leaves[i], leaves[k + i], tape.sigmoid(leaves[k + i]))
-                  for i in range(k)]
+        layers = [BoundLayer(leaves[i], leaves[k + i]) for i in range(k)]
         out = forward(tape, graph, prop, layers, config, mode="train", seed=0)
         loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
         reg = complexity_regularizer(tape, ctx, layers)
@@ -292,15 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help_text):
         return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
-    def common(p, with_model=True):
+    def common(p, with_model=True, with_lambda=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<command>)")
         p.add_argument("--epochs", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--eval-every", dest="eval_every", type=int)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--lambda", dest="reg_lambda", type=float,
-                       help="regularization weight for the trainable-retention strategy")
+        if with_lambda:
+            p.add_argument("--lambda", dest="reg_lambda", type=float,
+                           help="regularization weight for the trainable-retention strategy")
         if with_model:
             p.add_argument("--propagation", dest="propagation_mode",
                            choices=["symmetric", "row_stochastic"])
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = command("grid", "sweep strategies x rates x seeds")
-    common(p)
+    common(p, with_lambda=False)   # --rates sweeps the flexidrop cells' regularization weight
     p.add_argument("--strategies", default="none,flexidrop,fixed_dropout")
     p.add_argument("--rates", default="0.1,0.3,0.5")
     p.add_argument("--seeds", default="0,1,2")

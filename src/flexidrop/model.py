@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -191,25 +192,31 @@ def retention_probabilities(params: list[LayerParams]) -> list[np.ndarray]:
 
 @dataclass
 class BoundLayer:
-    """Layer parameters bound to a tape: weight and logit leaves plus p = logistic(z)."""
+    """Layer parameters bound to a tape: weight and retention-logit leaves.
+
+    The retention probabilities p = logistic(z) go on the tape on their
+    first read, so a strategy that never scales by p records no node for them.
+    """
 
     weight: Value
     retention_logits: Value
-    retention: Value
+
+    @cached_property
+    def retention(self) -> Value:
+        return self.retention_logits.tape.sigmoid(self.retention_logits)
 
 
 def bind_layers(tape: Tape, params: list[LayerParams], *, trainable: bool) -> list[BoundLayer]:
     """Put each layer's weight and retention logits on ``tape`` as leaves.
 
-    Every layer also gets its retention probabilities p = logistic(z) as
-    a tape Value. ``trainable`` makes both leaves require gradients; the
-    strategies that do not scale by p simply leave z off the loss path.
+    ``trainable`` makes both leaves require gradients; the strategies
+    that do not scale by p simply leave z off the loss path.
     """
     layers = []
     for p in params:
         w = tape.leaf(p.weight, requires_grad=trainable)
         z = tape.leaf(p.retention_logits.reshape(-1, 1), requires_grad=trainable)
-        layers.append(BoundLayer(w, z, tape.sigmoid(z)))
+        layers.append(BoundLayer(w, z))
     return layers
 
 
@@ -293,6 +300,16 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
             raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)
     return ForwardResult(preacts, preacts[-1], p_matrix)
+
+
+def train_forward_is_eval(config: ModelConfig) -> bool:
+    """Whether ``forward`` in mode "train" gives the mode "eval" logits bit for bit.
+
+    It does when the strategy draws no mask: "none" and "flexidrop" take
+    no rate (retention scaling is the same in both modes), and a fixed
+    strategy at rate 0 keeps every entry, node and edge.
+    """
+    return config.rate == 0.0
 
 
 def link_scores(tape: Tape, embeddings: Value, pos_edges: np.ndarray,

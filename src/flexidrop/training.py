@@ -15,7 +15,7 @@ from .graphs import Graph, ValidationError, build_propagation, inject_random_edg
 from .metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
 from .model import (FIXED_STRATEGIES, LayerParams, ModelConfig, NumericsError, bind_layers,
                     checked_fields, forward, init_params, link_loss, link_scores,
-                    retention_probabilities, sample_negative_edges)
+                    retention_probabilities, sample_negative_edges, train_forward_is_eval)
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,10 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
 class TrainingAborted(RuntimeError):
     """Raised when a layer output or the objective turns non-finite (NaN or inf).
 
-    Carries the last finite parameters and the rows logged so far; the
-    message gives the epoch and ``reason``, the NumericsError's message,
-    which names the layer when the forward pass failed.
+    Carries the parameters whose forward or objective failed and the rows
+    logged before them; the message gives the epoch and ``reason``, the
+    NumericsError's message, which names the layer when the forward pass
+    failed. The parameters after t steps fail as epoch t+1 (see train).
     """
 
     def __init__(self, epoch: int, params: list[LayerParams], record: "RunRecord", *,
@@ -157,14 +158,27 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
     The trainable-retention strategy optimizes the weights and the
     retention logits against loss + reg_lambda * regularizer; every other
-    strategy optimizes the weights alone against the plain loss. A
-    non-finite layer output or objective aborts with TrainingAborted,
-    which carries the last finite parameters; when a layer output failed,
-    the message names the layer.
+    strategy optimizes the weights alone against the plain loss.
+
+    Row t of the record holds epoch t's loss and objective and the
+    eval-mode scores and bound of params_t, the parameters after epoch
+    t's step. When the train forward draws no mask
+    (``train_forward_is_eval``), epoch t+1's train forward is the eval
+    forward of params_t, so row t is completed from epoch t+1's tape: its
+    logits, and its regularizer Value when that is on the objective. The
+    last row, the 0-epoch state and the strategies that draw a mask are
+    evaluated apart.
+
+    A non-finite layer output or objective aborts with TrainingAborted,
+    which carries the parameters that failed and the rows logged before
+    them; when a layer output failed, the message names the layer. The
+    forward of params_t fails as epoch t+1, whether it ran as epoch
+    t+1's train forward or as row t's evaluation apart.
     """
     cfg = train_config
     flexi = model_config.strategy == "flexidrop"
     link_task = model_config.task == "link_prediction"
+    reuse = train_forward_is_eval(model_config)
     params = init_params(model_config.layer_dims, cfg.seed)
     ctx = BoundContext.from_graph(graph, model_config.num_layers)
 
@@ -189,27 +203,49 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     record = RunRecord(columns=_record_columns(model_config.num_layers))
     start = time.perf_counter()
 
-    def evaluate() -> tuple[np.ndarray, dict]:
-        """Eval-mode logits of ``params`` and per-split accuracy, plus the test "auc" for links."""
-        tape = Tape()
-        logits = forward(tape, message_graph, prop, params, model_config, mode="eval").logits
+    def score(logits: np.ndarray) -> dict:
+        """Per-split accuracy of eval-mode ``logits``, plus the test "auc" for links."""
         if not link_task:
-            return logits.data, {name: accuracy(logits.data, graph.labels, mask)
-                                 for name, mask in (("train", graph.train_mask),
-                                                    ("val", graph.val_mask),
-                                                    ("test", graph.test_mask))}
-        scored = {name: link_scores(tape, logits, eval_pos[name], eval_negs[name])
-                  for name in ("train", "val", "test")}
-        accs = {name: link_accuracy(probs.data, labels)
-                for name, (probs, labels) in scored.items()}
-        probs, labels = scored["test"]
-        accs["auc"] = auc_score(probs.data, labels)
-        return logits.data, accs
-
-    for epoch in range(1, cfg.epochs + 1):
+            return {name: accuracy(logits, graph.labels, mask)
+                    for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
+                                       ("test", graph.test_mask))}
         tape = Tape()
-        layers = bind_layers(tape, params, trainable=True)
+        embeddings = tape.leaf(logits)
+        scored = {name: link_scores(tape, embeddings, eval_pos[name], eval_negs[name])
+                  for name in ("train", "val", "test")}
+        scores = {name: link_accuracy(probs.data, labels)
+                  for name, (probs, labels) in scored.items()}
+        probs, labels = scored["test"]
+        scores["auc"] = auc_score(probs.data, labels)
+        return scores
+
+    def log_row(row: dict, scores: dict, regularizer: float) -> None:
+        """Complete ``row`` with the scores and bound of ``params`` and append it."""
+        row.update(regularizer=regularizer, train_accuracy=scores["train"],
+                   val_accuracy=scores["val"], test_accuracy=scores["test"])
+        for i, p in enumerate(retention_probabilities(params), start=1):
+            row[f"retention_min_l{i}"] = float(p.min())
+            row[f"retention_mean_l{i}"] = float(p.mean())
+            row[f"retention_max_l{i}"] = float(p.max())
+        row["wall_clock_s"] = time.perf_counter() - start
+        record.rows.append(row)
+
+    pending = None   # row t before its scores and bound, which come from params_t
+    # the pass after the last epoch only evaluates the returned parameters
+    for epoch in range(1, cfg.epochs + 2):
         try:
+            if epoch > cfg.epochs or (pending and not reuse):
+                logits = forward(Tape(), message_graph, prop, params, model_config,
+                                 mode="eval").logits.data
+                scores = score(logits)
+                bound = multilayer_bound(ctx, params)
+                if pending:
+                    log_row(pending, scores, bound)
+                    pending = None
+            if epoch > cfg.epochs:
+                break
+            tape = Tape()
+            layers = bind_layers(tape, params, trainable=True)
             out = forward(tape, message_graph, prop, layers, model_config, mode="train",
                           seed=_epoch_seed(cfg.seed, epoch, 1))
             if link_task:
@@ -218,10 +254,14 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 loss = link_loss(tape, probs, labels)
             else:
                 loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
-            objective = loss
+            objective, reg = loss, None
             if flexi and cfg.reg_lambda > 0.0:
                 reg = complexity_regularizer(tape, ctx, layers)
                 objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
+            if pending:
+                log_row(pending, score(out.logits.data),
+                        multilayer_bound(ctx, params) if reg is None else reg.item())
+                pending = None
             if not np.isfinite(objective.item()):
                 raise NumericsError("non-finite loss")
         except NumericsError as exc:
@@ -239,22 +279,9 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                     cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            logits, scores = evaluate()
-            row = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item(),
-                   "regularizer": multilayer_bound(ctx, params),
-                   "train_accuracy": scores["train"], "val_accuracy": scores["val"],
-                   "test_accuracy": scores["test"]}
-            for i, p in enumerate(retention_probabilities(params), start=1):
-                row[f"retention_min_l{i}"] = float(p.min())
-                row[f"retention_mean_l{i}"] = float(p.mean())
-                row[f"retention_max_l{i}"] = float(p.max())
-            row["wall_clock_s"] = time.perf_counter() - start
-            record.rows.append(row)
+            pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}
 
-    trained = cfg.epochs > 0
-    if not trained:
-        logits, scores = evaluate()
-    last = record.rows[-1] if trained else {}
+    last = record.rows[-1] if record.rows else {}
     # reversed: a tie in validation accuracy goes to the later epoch
     best = max(reversed(record.rows), key=lambda row: row["val_accuracy"], default={})
     record.summary = {
@@ -263,7 +290,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "epochs_run": cfg.epochs,
         "final_train_loss": last.get("train_loss"),
         "final_objective": last.get("objective"),
-        "final_regularizer": multilayer_bound(ctx, params),
+        "final_regularizer": bound,
         "final_train_accuracy": last.get("train_accuracy"),
         "final_val_accuracy": last.get("val_accuracy"),
         "final_test_accuracy": last.get("test_accuracy"),
@@ -272,7 +299,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "test_accuracy_at_best_val": best.get("test_accuracy"),
         "retention_mean": [float(p.mean()) for p in retention_probabilities(params)],
     }
-    if link_task and trained:
+    if link_task and record.rows:
         record.summary["final_test_auc"] = scores["auc"]
     return TrainResult(params, record, logits, scores)
 

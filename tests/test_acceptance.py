@@ -76,7 +76,7 @@ def _model_check(seed: int) -> grad_check:
 
     def build(tape, ls):
         k = len(params)
-        layers = [BoundLayer(ls[i], ls[k + i], tape.sigmoid(ls[k + i])) for i in range(k)]
+        layers = [BoundLayer(ls[i], ls[k + i]) for i in range(k)]
         out = forward(tape, graph, prop, layers, config, mode="train", seed=0)
         loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
         reg = complexity_regularizer(tape, ctx, layers)

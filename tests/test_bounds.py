@@ -236,8 +236,7 @@ def test_regularizer_is_differentiable_everywhere_sampled():
 
     def f(tape, leaves):
         w0, z0, w1, z1 = leaves
-        bound = [BoundLayer(w0, z0, tape.sigmoid(z0)),
-                 BoundLayer(w1, z1, tape.sigmoid(z1))]
+        bound = [BoundLayer(w0, z0), BoundLayer(w1, z1)]
         return complexity_regularizer(tape, ctx, bound)
 
     report = grad_check(f, flat, h=1e-5, tol=1e-4)

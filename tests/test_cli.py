@@ -278,12 +278,14 @@ def test_sweeps_take_no_base_strategy(tmp_path, command):
              "--epochs", "1"])
     assert exc.value.code == 2
     if command == "grid":
-        # grid has no --rate; it must not pass for a prefix of the --rates sweep axis
-        with pytest.raises(SystemExit) as exc:
-            run(["grid", "--rate", "0.3", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--epochs", "1"])
-        assert exc.value.code == 2
-        assert not (tmp_path / "o" / "grid.csv").exists()
+        # grid has no --rate, which must not pass for a prefix of the --rates sweep axis,
+        # and no --lambda: --rates sweeps the flexidrop cells' regularization weight
+        for flag in (["--rate", "0.3"], ["--lambda", "1e308"]):
+            with pytest.raises(SystemExit) as exc:
+                run(["grid", *flag, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--epochs", "1"])
+            assert exc.value.code == 2
+            assert not (tmp_path / "o" / "grid.csv").exists()
 
 
 def test_attack_rate_applies_to_the_listed_fixed_strategies(tmp_path, monkeypatch):

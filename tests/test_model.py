@@ -16,7 +16,7 @@ from flexidrop.model import (CHECKPOINT_FORMAT, FIXED_STRATEGIES, STRATEGIES, Bo
                              LayerParams, ModelConfig, NumericsError, RETENTION_LOGIT_INIT,
                              bind_layers, forward, init_params, link_loss, link_scores,
                              load_checkpoint, retention_probabilities, sample_negative_edges,
-                             save_checkpoint)
+                             save_checkpoint, train_forward_is_eval)
 
 
 def sbm(seed=0, n=20, d=3):
@@ -114,6 +114,16 @@ def test_initial_retention_probability_frozen():
     # logistic(2) to full double precision
     assert np.all(p == 0.8807970779778823)
     assert RETENTION_LOGIT_INIT == 2.0
+
+
+def test_retention_goes_on_the_tape_on_its_first_read():
+    # strategies that never scale by p must not record a sigmoid node per layer and epoch
+    tape = Tape()
+    (layer,) = bind_layers(tape, init_params((3, 2), seed=0), trainable=True)
+    assert len(tape) == 0
+    p = layer.retention
+    assert len(tape) == 1 and p.op == "sigmoid" and layer.retention is p
+    assert np.array_equal(p.data.ravel(), sigmoid(layer.retention_logits.data.ravel()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -244,6 +254,26 @@ def test_flexidrop_eval_equals_train_mode():
     a = run_forward(g, params, cfg, mode="train", seed=1)
     b = run_forward(g, params, cfg, mode="eval", seed=99)
     assert np.array_equal(a.logits.data, b.logits.data)
+
+
+def test_train_forward_is_eval_exactly_where_the_predicate_holds():
+    # training completes a logged row from the next epoch's train forward only where
+    # the predicate holds, so there the two modes must agree bit for bit; elsewhere a
+    # mask is drawn and they differ
+    g = sbm(seed=14, n=30, d=4)
+    params = init_params((4, 6, 2), seed=15)
+    rng = np.random.default_rng(16)
+    for p in params:
+        p.retention_logits[:] = rng.normal(size=p.retention_logits.shape)
+    for strategy, rate, propagation in itertools.product(
+            STRATEGIES, (0.0, 0.3), ("row_stochastic", "symmetric")):
+        if rate and strategy not in FIXED_STRATEGIES:
+            continue
+        cfg = ModelConfig(layer_dims=(4, 6, 2), strategy=strategy, rate=rate,
+                          propagation_mode=propagation)
+        same = np.array_equal(run_forward(g, params, cfg, mode="train", seed=17).logits.data,
+                              run_forward(g, params, cfg, mode="eval").logits.data)
+        assert same == train_forward_is_eval(cfg), (strategy, rate, propagation)
 
 
 def test_flexidrop_saturated_retention_matches_no_dropout_bitwise():
@@ -435,8 +465,7 @@ def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
     k = config.num_layers
 
     def objective(tape, leaves):
-        layers = [BoundLayer(leaves[i], leaves[k + i], tape.sigmoid(leaves[k + i]))
-                  for i in range(k)]
+        layers = [BoundLayer(leaves[i], leaves[k + i]) for i in range(k)]
         out = forward(tape, g, prop, layers, config, mode="train")
         loss = tape.softmax_cross_entropy(out.logits, g.labels, g.train_mask)
         return tape.add(loss, tape.scalar_mul(0.5, complexity_regularizer(tape, ctx, layers)))

@@ -228,6 +228,11 @@ def test_nan_aborts_with_last_finite_params():
     assert isinstance(exc.value.__cause__, NumericsError)
     init = init_params(cfg.layer_dims, seed=3)
     assert np.array_equal(exc.value.params[0].weight, init[0].weight)
+    # untrained, the evaluation of the same parameters fails the same way
+    with pytest.raises(TrainingAborted) as untrained:
+        train(g, cfg, quick(0, seed=3))
+    assert str(untrained.value) == str(exc.value)
+    assert isinstance(untrained.value.__cause__, NumericsError)
 
 
 def test_best_validation_tie_goes_to_the_last_logged_epoch():
@@ -246,22 +251,108 @@ def test_best_validation_tie_goes_to_the_last_logged_epoch():
 @pytest.mark.parametrize("task, epochs", (("node_classification", 7), ("link_prediction", 7),
                                           ("node_classification", 0), ("link_prediction", 0)))
 def test_one_eval_forward_per_logged_row(monkeypatch, task, epochs):
-    # the last logged row is the final evaluation; only an untrained model is evaluated apart
-    modes = []
-    real = training.forward
+    # a strategy that draws no mask completes rows 3 and 6 from the train forwards of
+    # epochs 4 and 7, so only the last row is evaluated apart; the others evaluate
+    # every row apart; an untrained model is evaluated once
+    calls = []
+    real_forward, real_bind = training.forward, training.bind_layers
 
     def counted(*args, **kwargs):
-        modes.append(kwargs["mode"])
-        return real(*args, **kwargs)
+        calls.append(kwargs["mode"])
+        return real_forward(*args, **kwargs)
+
+    def counted_bind(*args, **kwargs):
+        calls.append("bind")
+        return real_bind(*args, **kwargs)
 
     monkeypatch.setattr(training, "forward", counted)
+    monkeypatch.setattr(training, "bind_layers", counted_bind)
     g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=13)
-    cfg = ModelConfig(layer_dims=(4, 8, 6 if task == "link_prediction" else 2),
-                      strategy="flexidrop", task=task)
-    res = train(g, cfg, quick(epochs, eval_every=3))
-    assert [row["epoch"] for row in res.record.rows] == ([3, 6, 7] if epochs else [])
-    assert modes.count("eval") == (3 if epochs else 1)
-    assert modes.count("train") == epochs
+    for strategy, rate, apart in (("flexidrop", 0.0, 1), ("none", 0.0, 1),
+                                  ("fixed_dropout", 0.3, 3), ("dropedge", 0.3, 3)):
+        calls.clear()
+        cfg = ModelConfig(layer_dims=(4, 8, 6 if task == "link_prediction" else 2),
+                          strategy=strategy, rate=rate, task=task)
+        res = train(g, cfg, quick(epochs, eval_every=3))
+        assert [row["epoch"] for row in res.record.rows] == ([3, 6, 7] if epochs else [])
+        assert calls.count("eval") == (apart if epochs else 1), strategy
+        # one binding per epoch, each right before its train forward; the eval path binds none
+        assert calls.count("train") == calls.count("bind") == epochs
+        assert all(b == "train" for a, b in zip(calls, calls[1:]) if a == "bind")
+
+
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0),
+                                            ("fixed_dropout", 0.0), ("dropnode", 0.0),
+                                            ("dropedge", 0.0), ("dropedge", 0.3)))
+def test_row_t_equals_the_last_row_of_a_t_epoch_run(strategy, rate):
+    # the last row of a t-epoch run is always evaluated apart, so a row completed from
+    # the next epoch's train tape must match it key for key
+    g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=14)
+    for task in ("node_classification", "link_prediction"):
+        cfg = ModelConfig(layer_dims=(4, 8, 6 if task == "link_prediction" else 2),
+                          strategy=strategy, rate=rate, task=task)
+        for reg_lambda in (0.5, 0.0):
+            rows = train(g, cfg, quick(5, reg_lambda=reg_lambda, seed=2)).record.rows
+            for t, row in enumerate(rows, start=1):
+                alone = train(g, cfg, quick(t, reg_lambda=reg_lambda, seed=2)).record
+                want = dict(alone.rows[-1], wall_clock_s=row["wall_clock_s"])
+                assert row == want, (task, reg_lambda, t)
+                assert alone.summary["final_regularizer"] == row["regularizer"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("strategy, rate", (("flexidrop", 0.0), ("fixed_dropout", 0.3)))
+def test_nonfinite_evaluation_aborts_at_the_next_epoch(monkeypatch, strategy, rate):
+    # Adam's second step returns weights scaled by 1e306, so layer 2 of any forward of
+    # params_2 overflows. flexidrop meets it in epoch 3's train forward (or, in a 2-epoch
+    # run, in the last row's evaluation), fixed_dropout in row 2's evaluation apart; all
+    # abort as epoch 3 with params_2, row 1 and the forward's error as the cause
+    real = training.adam_step
+
+    def blown_up(param, grad, state, *args):
+        new, state = real(param, grad, state, *args)
+        return (new * 1e306 if state.t == 2 and param.ndim == 2 else new), state
+
+    monkeypatch.setattr(training, "adam_step", blown_up)
+    g = sanity_graph(seed=15)
+    cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate)
+    aborts = []
+    for epochs in (2, 5):
+        with pytest.raises(TrainingAborted) as exc:
+            train(g, cfg, quick(epochs))
+        aborts.append(exc.value)
+        assert exc.value.epoch == 3
+        assert str(exc.value) == "training aborted at epoch 3: non-finite value at layer 2"
+        assert isinstance(exc.value.__cause__, NumericsError)
+        assert [row["epoch"] for row in exc.value.record.rows] == [1]
+        assert np.abs(exc.value.params[0].weight).max() > 1e300
+    short, long = aborts
+    assert short.record.rows[0] == dict(long.record.rows[0],
+                                        wall_clock_s=short.record.rows[0]["wall_clock_s"])
+    for a, b in zip(short.params, long.params):
+        assert np.array_equal(a.weight, b.weight)
+
+
+@pytest.mark.parametrize("strategy, rate", (("flexidrop", 0.0), ("fixed_dropout", 0.3)))
+def test_nonfinite_loss_still_logs_the_row_before_it(monkeypatch, strategy, rate):
+    # epoch 3's forward is finite and its loss is not: row 2 is complete before
+    # epoch 3's objective is checked, whether or not it came from epoch 3's tape
+    real = Tape.softmax_cross_entropy
+    losses = []
+
+    def third_is_inf(self, *args):
+        loss = real(self, *args)
+        losses.append(loss)
+        if len(losses) == 3:
+            loss.data[...] = np.inf
+        return loss
+
+    monkeypatch.setattr(Tape, "softmax_cross_entropy", third_is_inf)
+    cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate)
+    with pytest.raises(TrainingAborted) as exc:
+        train(sanity_graph(seed=16), cfg, quick(5))
+    assert str(exc.value) == "training aborted at epoch 3: non-finite loss"
+    assert [row["epoch"] for row in exc.value.record.rows] == [1, 2]
 
 
 def test_summary_tracks_best_validation_epoch():
