@@ -5,9 +5,15 @@ vectors are columns (k, 1). There is no implicit broadcasting: the only
 shape-bending op is ``row_broadcast_mul``, and every other op raises at
 construction time on mismatched shapes. A Value belongs to exactly one
 Tape for its whole life.
+
+Nothing a tape records refers back to the tape: a Value holds it by weak
+reference and no backward closure holds it. A tape is therefore freed
+with the caller's last reference to it, not later by the cyclic garbage
+collector.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +38,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Value:
     """Node in a computation: data, gradient slot, and provenance tag."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "tape", "_idx")
+    __slots__ = ("data", "requires_grad", "grad", "op", "_tape", "_idx")
 
     def __init__(self, data: np.ndarray, requires_grad: bool, op: str,
                  tape: "Tape", idx: int):
@@ -40,8 +46,13 @@ class Value:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.op = op
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self._idx = idx
+
+    @property
+    def tape(self) -> "Tape | None":
+        """The tape that recorded this Value, or None once that tape is gone."""
+        return self._tape()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -121,9 +132,9 @@ class Tape:
 
         def backward(g, adj):
             if a.requires_grad:
-                self._acc(adj, a, g @ b.data.T)
+                Tape._acc(adj, a, g @ b.data.T)
             if b.requires_grad:
-                self._acc(adj, b, a.data.T @ g)
+                Tape._acc(adj, b, a.data.T @ g)
         return self._record(a.data @ b.data, "matmul", (a, b), backward)
 
     def spmm(self, p, x: Value) -> Value:
@@ -140,7 +151,7 @@ class Tape:
             raise ValueError(f"spmm: inner dimensions differ, {p.shape} @ {x.shape}")
 
         def backward(g, adj):
-            self._acc(adj, x, np.asarray(p.T @ g))
+            Tape._acc(adj, x, np.asarray(p.T @ g))
         return self._record(np.asarray(p @ x.data), "spmm", (x,), backward)
 
     def _same_shape_binary(self, a: Value, b: Value, op: str):
@@ -154,24 +165,24 @@ class Tape:
         a, b = self._same_shape_binary(a, b, "add")
 
         def backward(g, adj):
-            self._acc(adj, a, g)
-            self._acc(adj, b, g)
+            Tape._acc(adj, a, g)
+            Tape._acc(adj, b, g)
         return self._record(a.data + b.data, "add", (a, b), backward)
 
     def sub(self, a: Value, b: Value) -> Value:
         a, b = self._same_shape_binary(a, b, "sub")
 
         def backward(g, adj):
-            self._acc(adj, a, g)
-            self._acc(adj, b, -g)
+            Tape._acc(adj, a, g)
+            Tape._acc(adj, b, -g)
         return self._record(a.data - b.data, "sub", (a, b), backward)
 
     def elementwise_mul(self, a: Value, b: Value) -> Value:
         a, b = self._same_shape_binary(a, b, "elementwise_mul")
 
         def backward(g, adj):
-            self._acc(adj, a, g * b.data)
-            self._acc(adj, b, g * a.data)
+            Tape._acc(adj, a, g * b.data)
+            Tape._acc(adj, b, g * a.data)
         return self._record(a.data * b.data, "elementwise_mul", (a, b), backward)
 
     def row_broadcast_mul(self, x: Value, v: Value) -> Value:
@@ -185,9 +196,9 @@ class Tape:
 
         def backward(g, adj):
             if x.requires_grad:
-                self._acc(adj, x, g * row[None, :])
+                Tape._acc(adj, x, g * row[None, :])
             if v.requires_grad:
-                self._acc(adj, v, (g * x.data).sum(axis=0, keepdims=True).T)
+                Tape._acc(adj, v, (g * x.data).sum(axis=0, keepdims=True).T)
         return self._record(x.data * row[None, :], "row_broadcast_mul", (x, v), backward)
 
     def relu(self, x: Value) -> Value:
@@ -195,7 +206,7 @@ class Tape:
         mask = x.data > 0.0
 
         def backward(g, adj):
-            self._acc(adj, x, g * mask)
+            Tape._acc(adj, x, g * mask)
         return self._record(np.maximum(x.data, 0.0), "relu", (x,), backward)
 
     def sigmoid(self, x: Value) -> Value:
@@ -203,7 +214,7 @@ class Tape:
         out = sigmoid(x.data)
 
         def backward(g, adj):
-            self._acc(adj, x, g * out * (1.0 - out))
+            Tape._acc(adj, x, g * out * (1.0 - out))
         return self._record(out, "sigmoid", (x,), backward)
 
     def log(self, x: Value) -> Value:
@@ -214,7 +225,7 @@ class Tape:
         inside = (x.data >= lo) & (x.data <= hi)
 
         def backward(g, adj):
-            self._acc(adj, x, g * inside / clamped)
+            Tape._acc(adj, x, g * inside / clamped)
         return self._record(np.log(clamped), "log", (x,), backward)
 
     def exp(self, x: Value) -> Value:
@@ -225,14 +236,14 @@ class Tape:
         out = np.exp(clamped)
 
         def backward(g, adj):
-            self._acc(adj, x, g * inside * out)
+            Tape._acc(adj, x, g * inside * out)
         return self._record(out, "exp", (x,), backward)
 
     def sum(self, x: Value) -> Value:
         x = self._own(x, "x", "sum")
 
         def backward(g, adj):
-            self._acc(adj, x, np.full_like(x.data, g[0, 0]))
+            Tape._acc(adj, x, np.full_like(x.data, g[0, 0]))
         return self._record(np.array([[x.data.sum()]]), "sum", (x,), backward)
 
     def mean(self, x: Value) -> Value:
@@ -240,7 +251,7 @@ class Tape:
         inv = 1.0 / x.data.size
 
         def backward(g, adj):
-            self._acc(adj, x, np.full_like(x.data, g[0, 0] * inv))
+            Tape._acc(adj, x, np.full_like(x.data, g[0, 0] * inv))
         return self._record(np.array([[x.data.mean()]]), "mean", (x,), backward)
 
     def column_l2_norms(self, w: Value) -> Value:
@@ -253,7 +264,7 @@ class Tape:
 
         def backward(g, adj):
             scale = np.where(norms > 0.0, g.ravel() / np.where(norms > 0.0, norms, 1.0), 0.0)
-            self._acc(adj, w, w.data * scale[None, :])
+            Tape._acc(adj, w, w.data * scale[None, :])
         return self._record(norms.reshape(-1, 1), "column_l2_norms", (w,), backward)
 
     def max_reduce(self, v: Value) -> Value:
@@ -267,7 +278,7 @@ class Tape:
         def backward(g, adj):
             gv = np.zeros_like(v.data)
             gv[idx, 0] = g[0, 0]
-            self._acc(adj, v, gv)
+            Tape._acc(adj, v, gv)
         return self._record(np.array([[v.data[idx, 0]]]), "max_reduce", (v,), backward)
 
     def product_reduce(self, v: Value) -> Value:
@@ -288,7 +299,7 @@ class Tape:
             suffix[:-1] = np.cumprod(flat[::-1][:-1])[::-1]
 
         def backward(g, adj):
-            self._acc(adj, v, (g[0, 0] * prefix * suffix).reshape(-1, 1))
+            Tape._acc(adj, v, (g[0, 0] * prefix * suffix).reshape(-1, 1))
         return self._record(np.array([[flat.prod() if k else 1.0]]), "product_reduce", (v,), backward)
 
     def scalar_mul(self, c: float, x: Value) -> Value:
@@ -296,7 +307,7 @@ class Tape:
         c = float(c)
 
         def backward(g, adj):
-            self._acc(adj, x, c * g)
+            Tape._acc(adj, x, c * g)
         return self._record(c * x.data, "scalar_mul", (x,), backward)
 
     def softmax_cross_entropy(self, logits: Value, labels: np.ndarray,
@@ -331,7 +342,7 @@ class Tape:
             delta = probs.copy()
             delta[np.arange(idx.size), labels[idx]] -= 1.0
             grad[idx] = delta * (g[0, 0] / m)
-            self._acc(adj, logits, grad)
+            Tape._acc(adj, logits, grad)
         return self._record(np.array([[losses.mean()]]), "softmax_cross_entropy",
                             (logits,), backward)
 

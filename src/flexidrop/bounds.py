@@ -21,6 +21,8 @@ from .autodiff import Tape, Value
 from .graphs import Graph, feature_inf_norm_max
 from .model import BoundLayer, LayerParams, bind_layers, retention_probabilities
 
+MC_CHUNK = 128   # Monte-Carlo sign draws per seed derived from the caller's
+
 # cross-entropy values are unbounded; confidence-interval reporting caps the
 # loss at this value, and the cap is reporting-only (never used in training)
 LOSS_CAP = 10.0
@@ -127,15 +129,13 @@ def _sup_means(signs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     return (signs @ outputs.T).max(axis=1) / n
 
 
-def empirical_rademacher_mc(outputs: np.ndarray, num_draws: int, seed: int,
-                            chunk: int = 128) -> tuple[float, float]:
+def empirical_rademacher_mc(outputs: np.ndarray, num_draws: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the empirical Rademacher complexity.
 
     ``outputs[h, u]`` is hypothesis h evaluated at sample u; the estimate
     is a lower bound for the complexity of any class containing those
-    hypotheses. Draws are generated in fixed-size chunks with seeds
-    derived from ``seed``, so the result does not depend on how the
-    chunks are scheduled. Returns (mean, standard error).
+    hypotheses. Draws are generated in chunks of ``MC_CHUNK`` with seeds
+    derived from ``seed``. Returns (mean, standard error).
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     if outputs.ndim != 2 or outputs.shape[0] < 1:
@@ -143,11 +143,11 @@ def empirical_rademacher_mc(outputs: np.ndarray, num_draws: int, seed: int,
     if num_draws < 2:
         raise ValueError("need at least 2 draws for a standard error")
     n = outputs.shape[1]
-    seeds = np.random.SeedSequence(seed).spawn(math.ceil(num_draws / chunk))
+    seeds = np.random.SeedSequence(seed).spawn(math.ceil(num_draws / MC_CHUNK))
     vals = []
     remaining = num_draws
     for ss in seeds:
-        take = min(chunk, remaining)
+        take = min(MC_CHUNK, remaining)
         signs = np.random.default_rng(ss).integers(0, 2, size=(take, n)) * 2.0 - 1.0
         vals.append(_sup_means(signs, outputs))
         remaining -= take
@@ -176,10 +176,18 @@ def empirical_rademacher_exact(outputs: np.ndarray) -> float:
     return total / count
 
 
-def bound_report(ctx: BoundContext, params: list[LayerParams],
-                 propagation_mode: str = "row_stochastic") -> dict:
-    """JSON-ready summary of the bound and its per-layer factors."""
-    if propagation_mode == "symmetric":
+def bound_valid(propagation_mode: str) -> bool:
+    """Whether the layerwise bound's row-stochastic assumption holds under ``propagation_mode``."""
+    return propagation_mode == "row_stochastic"
+
+
+def bound_report(ctx: BoundContext, params: list[LayerParams], propagation_mode: str) -> dict:
+    """JSON-ready summary of the bound and its per-layer factors.
+
+    ``bound_valid`` is false when the bound's assumption fails; the
+    bound is still evaluated, and a warning is issued.
+    """
+    if not bound_valid(propagation_mode):
         warnings.warn("the layerwise bound assumes a row-stochastic propagation "
                       "operator; symmetric normalization voids its guarantee")
     col_norms = [float(np.sqrt((p.weight ** 2).sum(axis=0)).max()) for p in params]
@@ -189,6 +197,7 @@ def bound_report(ctx: BoundContext, params: list[LayerParams],
         "layer_weight_col_norm_max": col_norms,
         "layer_retention_norm": p_norms,
         "complexity_bound": multilayer_bound(ctx, params),
+        "bound_valid": bound_valid(propagation_mode),
         "num_layers": ctx.num_layers,
         "num_classes": ctx.num_classes,
         "feature_dim": ctx.feature_dim,

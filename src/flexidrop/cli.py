@@ -81,14 +81,29 @@ def load_dataset(spec: dict) -> Graph:
     return load_graph(spec["edges"], spec["features"], spec["labels"], split)
 
 
+# the config keys each sweep's axes overwrite in every cell; no cell reads them,
+# so the sweep refuses them in --config and has no flag for them
+SWEPT_KEYS = {
+    "grid": ("model.strategy", "model.rate", "train.seed", "train.reg_lambda"),
+    "attack": ("model.strategy", "model.rate", "train.seed"),
+    "oversmooth": ("model.strategy", "model.rate", "model.layer_dims", "model.hidden_dims",
+                   "model.output_dim"),
+}
+
+
 def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConfig, Path]:
     """Config file plus flags -> dataset, model, train config and output dir.
 
-    Writes the manifest (resolved config plus any ``sweep`` axes) before
+    A key of the command's ``SWEPT_KEYS`` raises ValidationError. Writes
+    the manifest (resolved config plus any ``sweep`` axes) before
     anything trains, so a failed run still names its inputs.
     """
     config = json.loads(Path(args.config).read_text()) if args.config else {}
     checked_keys("config", config, {"dataset": "dict", "model": "dict", "train": "dict"})
+    for key in SWEPT_KEYS.get(command, ()):
+        section, name = key.split(".")
+        if name in config.get(section, {}):
+            raise ValidationError(f"{command}: config key {key!r} is set per cell by the sweep")
     dataset = config.get("dataset", DEFAULT_DATASET)
     graph = load_dataset(dataset)
     model = dict(config.get("model", {}))
@@ -106,7 +121,7 @@ def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConf
     model_config = ModelConfig.from_dict(model)
     tc = dict(config.get("train", {}))
     for key in ("epochs", "seed", "reg_lambda", "eval_every", "learning_rate"):
-        if getattr(args, key, None) is not None:   # grid has no --lambda
+        if getattr(args, key, None) is not None:   # a sweep has no flag for a swept key
             tc[key] = getattr(args, key)
     train_config = TrainConfig.from_dict(tc)
     out = _output_dir(args, command)
@@ -291,14 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help_text):
         return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
-    def common(p, with_model=True, with_lambda=True):
+    def common(p, name, with_model=True):
+        swept = SWEPT_KEYS.get(name, ())
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_ROOT_ENV}/<command>)")
         p.add_argument("--epochs", type=int)
-        p.add_argument("--seed", type=int)
+        if "train.seed" not in swept:
+            p.add_argument("--seed", type=int)
         p.add_argument("--eval-every", dest="eval_every", type=int)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        if with_lambda:
+        if "train.reg_lambda" not in swept:
             p.add_argument("--lambda", dest="reg_lambda", type=float,
                            help="regularization weight for the trainable-retention strategy")
         if with_model:
@@ -311,20 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dropout rate of the fixed strategies listed in --strategies")
 
     p = command("train", "train one model and write its run record")
-    common(p)
+    common(p, "train")
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--rate", type=float)
     p.set_defaults(func=cmd_train)
 
     p = command("grid", "sweep strategies x rates x seeds")
-    common(p, with_lambda=False)   # --rates sweeps the flexidrop cells' regularization weight
+    common(p, "grid")   # --rates sweeps the flexidrop cells' regularization weight
     p.add_argument("--strategies", default="none,flexidrop,fixed_dropout")
     p.add_argument("--rates", default="0.1,0.3,0.5")
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_grid)
 
     p = command("oversmooth", "depth sweep with final-layer energy")
-    common(p, with_model=False)
+    common(p, "oversmooth", with_model=False)
     p.add_argument("--depths", default="2,4,8,16,32")
     p.add_argument("--strategies", default="none,flexidrop")
     sweep_rate(p)
@@ -332,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oversmooth)
 
     p = command("attack", "random edge injection robustness sweep")
-    common(p)
+    common(p, "attack")
     p.add_argument("--fractions", default="0,0.5")
     p.add_argument("--strategies", default="none,flexidrop")
     p.add_argument("--seeds", default="0,1,2")

@@ -1,7 +1,7 @@
 """Graph convolutional model with trainable dropout retention.
 
-Layer l computes H_l = P @ A_l @ W_l with A_l = m ∘ sigma(H_{l-1}), where
-m is the dropout mask for the chosen strategy and sigma is skipped for
+Layer l computes H_l = P @ A_l @ W_l with A_l = m ∘ relu(H_{l-1}), where
+m is the dropout mask for the chosen strategy and relu is skipped for
 the raw input layer. The trainable-retention strategy replaces the random
 mask by its expectation: every column is scaled by its retention
 probability p = logistic(z), identically in train and eval mode, so the
@@ -67,7 +67,6 @@ class ModelConfig:
     rate: float = 0.0                    # dropout rate for the fixed strategies
     propagation_mode: str = "row_stochastic"
     task: str = "node_classification"
-    activation: str = "relu"
 
     def __post_init__(self):
         dims = tuple(_layer_dim(i, k) for i, k in enumerate(self.layer_dims))
@@ -85,8 +84,6 @@ class ModelConfig:
             raise ValueError(f"unknown propagation mode {self.propagation_mode!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def num_layers(self) -> int:
@@ -244,14 +241,10 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
 
     mode "train" applies the configured dropout strategy, "eval" disables
     the randomized strategies. Retention scaling is deterministic and
-    applies in both modes; mode "sample" instead draws one Bernoulli(p)
-    retention vector per layer without rescaling, a diagnostic for
-    checking the deterministic pass against the sampled average.
+    applies in both modes.
     """
-    if mode not in ("train", "eval", "sample"):
+    if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sample" and config.strategy != "flexidrop":
-        raise ValueError("mode 'sample' only applies to the flexidrop strategy")
     if graph.feature_dim != config.layer_dims[0]:
         raise ValueError(
             f"graph feature dim {graph.feature_dim} != layer_dims[0] {config.layer_dims[0]}")
@@ -281,11 +274,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         a = h if li == 0 else tape.relu(h)
         k_in = a.shape[1]
         if config.strategy == "flexidrop":
-            if mode == "sample":
-                draw = (rng.random(k_in) < layer.retention.data.ravel()).astype(np.float64)
-                a = tape.row_broadcast_mul(a, tape.leaf(draw.reshape(-1, 1)))
-            else:
-                a = tape.row_broadcast_mul(a, layer.retention)
+            a = tape.row_broadcast_mul(a, layer.retention)
         elif mode == "train" and config.strategy == "fixed_dropout" and config.rate > 0.0:
             mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(mask))
@@ -350,7 +339,7 @@ def sample_negative_edges(graph: Graph, count: int, seed: int) -> np.ndarray:
     return sample_absent_pairs(graph, count, np.random.default_rng(seed))
 
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2   # 2: the model config has no activation field
 
 
 def save_checkpoint(path: str | Path, params: list[LayerParams],

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tape
-from .bounds import BoundContext, complexity_regularizer, multilayer_bound
+from .bounds import BoundContext, bound_valid, complexity_regularizer, multilayer_bound
 from .graphs import Graph, ValidationError, build_propagation, inject_random_edges
 from .metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
 from .model import (FIXED_STRATEGIES, LayerParams, ModelConfig, NumericsError, bind_layers,
@@ -23,9 +23,6 @@ class TrainConfig:
     epochs: int = 256
     learning_rate: float = 0.01
     reg_lambda: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     eval_every: int = 1
 
@@ -36,10 +33,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.reg_lambda < 0:
             raise ValueError("reg_lambda must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
@@ -141,13 +134,12 @@ def _record_columns(num_layers: int) -> list[str]:
     return cols
 
 
-def _split_edges(graph: Graph, seed: int,
-                 fractions=(0.85, 0.05, 0.10)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle the edge list and cut it into train/val/test positives."""
+def _split_edges(graph: Graph, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffle the edge list and cut it into train/val/test positives: 85%, 5%, the rest."""
     e = graph.num_edges
     order = np.random.default_rng(seed).permutation(e)
-    n_train = int(fractions[0] * e)
-    n_val = int(fractions[1] * e)
+    n_train = int(0.85 * e)
+    n_val = int(0.05 * e)
     edges = graph.edges
     return (edges[order[:n_train]], edges[order[n_train:n_train + n_val]],
             edges[order[n_train + n_val:]])
@@ -271,12 +263,11 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         tape.backward(objective)
         for i, layer in enumerate(layers):
             params[i].weight, states[i] = adam_step(
-                params[i].weight, layer.weight.grad, states[i],
-                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+                params[i].weight, layer.weight.grad, states[i], cfg.learning_rate)
             if flexi:
                 params[i].retention_logits, z_states[i] = adam_step(
                     params[i].retention_logits, layer.retention_logits.grad.ravel(), z_states[i],
-                    cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+                    cfg.learning_rate)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}
@@ -291,6 +282,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "final_train_loss": last.get("train_loss"),
         "final_objective": last.get("objective"),
         "final_regularizer": bound,
+        "bound_valid": bound_valid(model_config.propagation_mode),
         "final_train_accuracy": last.get("train_accuracy"),
         "final_val_accuracy": last.get("val_accuracy"),
         "final_test_accuracy": last.get("test_accuracy"),

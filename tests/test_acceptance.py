@@ -412,9 +412,14 @@ def test_acceptance_9_cli_determinism(tmp_path):
     same_bound = (outs[0] / "bound_report.json").read_bytes() == \
         (outs[1] / "bound_report.json").read_bytes()
 
+    # grid sets the strategy and λ of each cell itself and refuses them in a config
+    grid_cfg = tmp_path / "grid_config.json"
+    grid_cfg.write_text(json.dumps({**config, "model": {"hidden_dims": [8]},
+                                    "train": {"epochs": 6, "learning_rate": 0.05,
+                                              "eval_every": 2}}))
     gouts = [tmp_path / "ga", tmp_path / "gb"]
     for out in gouts:
-        assert cli_run(["grid", "--config", str(cfg), "--out", str(out),
+        assert cli_run(["grid", "--config", str(grid_cfg), "--out", str(out),
                         "--strategies", "none,flexidrop", "--rates", "0.1",
                         "--seeds", "0,1", "--epochs", "3"]) == 0
     same_grid = (gouts[0] / "grid.csv").read_bytes() == (gouts[1] / "grid.csv").read_bytes()

@@ -1,4 +1,7 @@
 """Tape autodiff: finite-difference oracles and frozen hand examples."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -342,6 +345,35 @@ def test_values_are_confined_to_one_tape():
     v = leaf(t1, [[1.0]])
     with pytest.raises(ValueError, match="tape"):
         t2.relu(v)
+
+
+def test_a_tape_is_freed_by_reference_counting():
+    # nothing a tape records refers back to it, so the tape goes with its last
+    # reference, before the cyclic collector runs; every op's backward is exercised
+    def run():
+        tape = Tape()
+        rng = np.random.default_rng(0)
+        a, b = leaf(tape, rng.uniform(-1, 1, (3, 4))), leaf(tape, rng.uniform(-1, 1, (4, 2)))
+        v = leaf(tape, rng.uniform(0.5, 1.5, (4, 1)))
+        m = tape.spmm(sp.identity(3, format="csr"), tape.matmul(a, b))
+        s = tape.sub(tape.add(m, tape.relu(m)), tape.scalar_mul(0.5, m))
+        e = tape.elementwise_mul(s, tape.sigmoid(s))
+        r = tape.row_broadcast_mul(tape.exp(a), tape.log(v))
+        mix = tape.add(tape.max_reduce(tape.column_l2_norms(e)),
+                       tape.product_reduce(tape.column_l2_norms(r)))
+        ce = tape.softmax_cross_entropy(e, np.array([0, 1, 0]), np.ones(3, dtype=bool))
+        root = tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, ce))
+        tape.backward(root)
+        assert a.grad is not None and v.grad is not None
+        return weakref.ref(tape), a
+
+    gc.disable()
+    try:
+        ref, survivor = run()
+        assert ref() is None
+        assert survivor.tape is None   # a Value does not keep its tape alive
+    finally:
+        gc.enable()
 
 
 def test_shape_mismatch_raises():

@@ -326,11 +326,14 @@ def test_bound_report_contents_and_warning():
     assert report["prefactor"] == complexity_prefactor(ctx)
     assert len(report["layer_weight_col_norm_max"]) == 2
     assert set(report) == {"prefactor", "layer_weight_col_norm_max", "layer_retention_norm",
-                           "complexity_bound", "num_layers", "num_classes", "feature_dim",
-                           "num_nodes", "feature_inf_max"}
+                           "complexity_bound", "bound_valid", "num_layers", "num_classes",
+                           "feature_dim", "num_nodes", "feature_inf_max"}
+    assert report["bound_valid"] is True
 
     with pytest.warns(UserWarning, match="row-stochastic"):
-        bound_report(ctx, params, propagation_mode="symmetric")
+        symmetric = bound_report(ctx, params, propagation_mode="symmetric")
+    assert symmetric["bound_valid"] is False
+    assert symmetric["complexity_bound"] == report["complexity_bound"]
 
 
 def test_loss_cap_constant():

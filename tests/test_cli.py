@@ -8,7 +8,7 @@ import pytest
 
 from flexidrop import training
 from flexidrop.bounds import BoundContext, complexity_prefactor
-from flexidrop.cli import run
+from flexidrop.cli import SWEPT_KEYS, run
 from flexidrop.graphs import SplitSpec, generate_sbm, load_graph
 from flexidrop.model import ModelConfig
 from flexidrop.training import train
@@ -28,15 +28,24 @@ def write_config(tmp_path, body):
     return str(p)
 
 
-def small_config(tmp_path, **overrides):
+def small_config(tmp_path, drop=(), **overrides):
+    """A small config file without the ``drop`` keys ("section.key"), then ``overrides``."""
     body = {"dataset": {"kind": "sbm", "num_nodes": 40, "num_blocks": 2, "p_in": 0.4,
                         "p_out": 0.1, "feature_dim": 4, "noise_scale": 0.2, "seed": 7},
             "model": {"hidden_dims": [8], "strategy": "flexidrop"},
             "train": {"epochs": 4, "learning_rate": 0.05, "reg_lambda": 0.1,
                       "eval_every": 2}}
+    for key in drop:
+        section, name = key.split(".")
+        body[section].pop(name, None)
     for section, vals in overrides.items():
         body.setdefault(section, {}).update(vals)
     return write_config(tmp_path, body)
+
+
+def sweep_config(tmp_path, command, **overrides):
+    """``small_config`` without the keys the sweep ``command`` refuses."""
+    return small_config(tmp_path, drop=SWEPT_KEYS[command], **overrides)
 
 
 def record_trained_configs(monkeypatch) -> list:
@@ -237,6 +246,17 @@ def test_train_rerun_is_byte_identical_modulo_wall_clock(tmp_path):
         (out2 / "bound_report.json").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:the layerwise bound assumes")
+@pytest.mark.parametrize("propagation, valid", (("row_stochastic", True), ("symmetric", False)))
+def test_train_reports_whether_the_bound_holds(tmp_path, propagation, valid):
+    # the layerwise bound assumes a row-stochastic operator
+    out = tmp_path / "o"
+    assert run(["train", "--config", small_config(tmp_path), "--out", str(out),
+                "--propagation", propagation, "--epochs", "2"]) == 0
+    for name in ("summary.json", "bound_report.json"):
+        assert json.loads((out / name).read_text())["bound_valid"] is valid, name
+
+
 def test_train_default_dataset_needs_no_config(tmp_path):
     out = tmp_path / "o"
     assert run(["train", "--out", str(out), "--epochs", "1", "--eval-every", "8"]) == 0
@@ -248,7 +268,7 @@ def test_train_default_dataset_needs_no_config(tmp_path):
 
 
 def test_grid_writes_csv(tmp_path):
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, "grid")
     out = tmp_path / "o"
     assert run(["grid", "--config", cfg, "--out", str(out),
                 "--strategies", "none,fixed_dropout", "--rates", "0.3",
@@ -259,7 +279,7 @@ def test_grid_writes_csv(tmp_path):
 
 
 def test_oversmooth_command(tmp_path):
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, "oversmooth")
     out = tmp_path / "o"
     assert run(["oversmooth", "--config", cfg, "--out", str(out),
                 "--depths", "1,2", "--strategies", "none", "--epochs", "2"]) == 0
@@ -272,7 +292,7 @@ def test_oversmooth_command(tmp_path):
 def test_sweeps_take_no_base_strategy(tmp_path, command):
     # the swept strategies come from --strategies, never from a flag that
     # would also rewrite the base model
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, command)
     with pytest.raises(SystemExit) as exc:
         run([command, "--strategy", "none", "--config", cfg, "--out", str(tmp_path / "o"),
              "--epochs", "1"])
@@ -288,9 +308,42 @@ def test_sweeps_take_no_base_strategy(tmp_path, command):
             assert not (tmp_path / "o" / "grid.csv").exists()
 
 
+SWEEP_CSV = {"grid": "grid.csv", "oversmooth": "oversmoothing.csv", "attack": "robustness.csv"}
+# a value each refused config key could otherwise take
+REFUSED_VALUES = {"model.strategy": "none", "model.rate": 0.0, "model.layer_dims": [4, 8, 2],
+                  "model.hidden_dims": [8], "model.output_dim": 2, "train.seed": 3,
+                  "train.reg_lambda": 0.1}
+
+
+@pytest.mark.parametrize("command, refused", (
+    ("grid", "--seed"), ("grid", "model.strategy"), ("grid", "model.rate"),
+    ("grid", "train.seed"), ("grid", "train.reg_lambda"),
+    ("attack", "--seed"), ("attack", "model.strategy"), ("attack", "model.rate"),
+    ("attack", "train.seed"),
+    ("oversmooth", "model.strategy"), ("oversmooth", "model.rate"),
+    ("oversmooth", "model.layer_dims"), ("oversmooth", "model.hidden_dims"),
+    ("oversmooth", "model.output_dim")))
+def test_sweep_refuses_a_value_its_axes_overwrite(tmp_path, command, refused):
+    # no cell would run with it, so the manifest must not record it either
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--epochs", "1"]
+    if refused.startswith("--"):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", sweep_config(tmp_path, command), refused, "1"])
+        assert exc.value.code == 2
+    else:
+        section, key = refused.split(".")
+        cfg = sweep_config(tmp_path, command, **{section: {key: REFUSED_VALUES[refused]}})
+        assert run(argv + ["--config", cfg]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["type"] == "ValidationError" and repr(refused) in err["error"]
+        assert not (out / "manifest.json").exists()
+    assert not (out / SWEEP_CSV[command]).exists()
+
+
 def test_attack_rate_applies_to_the_listed_fixed_strategies(tmp_path, monkeypatch):
     trained = record_trained_configs(monkeypatch)
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, "attack")
     out = tmp_path / "o"
     assert run(["attack", "--config", cfg, "--out", str(out), "--strategies", "none,dropedge",
                 "--rate", "0.3", "--fractions", "0", "--seeds", "0", "--epochs", "2"]) == 0
@@ -303,7 +356,7 @@ def test_attack_rate_applies_to_the_listed_fixed_strategies(tmp_path, monkeypatc
 
 def test_attack_trains_the_configured_task(tmp_path, monkeypatch):
     trained = record_trained_configs(monkeypatch)
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, "attack")
     out = tmp_path / "o"
     assert run(["attack", "--config", cfg, "--out", str(out), "--task", "link_prediction",
                 "--propagation", "symmetric", "--strategies", "none,flexidrop",
@@ -319,7 +372,7 @@ def test_attack_trains_the_configured_task(tmp_path, monkeypatch):
     ("oversmooth", ["--depths", "2"], "oversmoothing.csv"),
     ("attack", ["--fractions", "0", "--seeds", "0"], "robustness.csv")))
 def test_sweep_records_a_failed_cell_and_goes_on(tmp_path, command, axis, csv_name):
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, command)
     out = tmp_path / "o"
     assert run([command, "--config", cfg, "--out", str(out), "--strategies", "flexidrop,none",
                 "--lambda", "1e308", "--epochs", "2"] + axis) == 0
@@ -331,7 +384,7 @@ def test_sweep_records_a_failed_cell_and_goes_on(tmp_path, command, axis, csv_na
 
 
 def test_attack_command(tmp_path):
-    cfg = small_config(tmp_path)
+    cfg = sweep_config(tmp_path, "attack")
     out = tmp_path / "o"
     assert run(["attack", "--config", cfg, "--out", str(out), "--fractions", "0,0.5",
                 "--strategies", "none", "--seeds", "0", "--epochs", "2"]) == 0

@@ -1,4 +1,6 @@
 """Adam optimizer, the training loop, and grid sweeps."""
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -49,10 +51,36 @@ def test_to_dict_has_a_key_for_every_field(config):
     ({"seed": 1.5}, "seed"),                    # float, not an int
     ({"learning_rate": "0.1"}, "learning_rate"),
     ({"reg_lambda": None}, "reg_lambda"),
+    ({"beta1": 0.9}, "beta1"),                  # Adam's moment and epsilon settings are fixed
+    ({"beta2": 0.999}, "beta2"),
+    ({"eps": 1e-8}, "eps"),
 ))
 def test_train_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, key):
     with pytest.raises(ValidationError, match=f"TrainConfig: .*'{key}'"):
         TrainConfig.from_dict(entries)
+
+
+@pytest.mark.parametrize("strategy, rate, task", (("flexidrop", 0.0, "node_classification"),
+                                                  ("dropedge", 0.3, "link_prediction")))
+def test_train_frees_every_tape_without_the_cyclic_collector(monkeypatch, strategy, rate,
+                                                             task):
+    refs = []
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "Tape", TrackedTape)
+    dims = (4, 8, 2) if task == "node_classification" else (4, 8, 8)
+    gc.disable()
+    try:
+        result = train(sanity_graph(seed=2), ModelConfig(layer_dims=dims, strategy=strategy,
+                                                         rate=rate, task=task), quick(4))
+        assert len(refs) >= 4 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert result.record.rows
 
 
 # ---- Adam --------------------------------------------------------------------------
