@@ -15,8 +15,8 @@ from .model import (LayerParams, ModelConfig, NumericsError, forward, init_param
                     link_loss, link_scores, load_checkpoint, retention_probabilities,
                     sample_negative_edges, save_checkpoint)
 from .training import (AdamState, RunRecord, TrainConfig, TrainingAborted, TrainResult,
-                       adam_step, grid_search, oversmoothing_profile, robustness_sweep,
-                       run_cell, train)
+                       adam_step, depth_dims, grid_search, oversmoothing_profile,
+                       robustness_sweep, run_cell, train)
 
 __all__ = [
     "Tape", "Value", "grad_check", "GradCheckReport",
@@ -30,7 +30,7 @@ __all__ = [
     "complexity_regularizer", "generalization_bound", "empirical_rademacher_mc",
     "empirical_rademacher_exact", "bound_report",
     "TrainConfig", "TrainResult", "TrainingAborted", "AdamState", "RunRecord",
-    "adam_step", "train", "run_cell", "grid_search", "oversmoothing_profile",
+    "adam_step", "train", "run_cell", "grid_search", "depth_dims", "oversmoothing_profile",
     "robustness_sweep",
     "accuracy", "dirichlet_energy", "link_accuracy", "auc_score",
 ]

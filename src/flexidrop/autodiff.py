@@ -2,7 +2,8 @@
 
 Every tensor is a 2-D float64 ``Value``. Scalars are shaped (1, 1) and
 vectors are columns (k, 1). There is no implicit broadcasting: the only
-shape-bending op is ``row_broadcast_mul``, and every other op raises at
+shape-bending op is ``row_broadcast_mul``, which scales the rows of a
+(k, m) matrix by a (k, 1) column, and every other op raises at
 construction time on mismatched shapes. A Value belongs to exactly one
 Tape for its whole life.
 
@@ -186,20 +187,23 @@ class Tape:
         return self._record(a.data * b.data, "elementwise_mul", (a, b), backward)
 
     def row_broadcast_mul(self, x: Value, v: Value) -> Value:
-        """Multiply every row of x (N, k) elementwise by the column vector v (k, 1)."""
+        """Multiply row i of x (k, m) by entry i of the column vector v (k, 1).
+
+        The model scales a weight's input rows by their retention
+        probabilities with it, so the gradient of v is a k-by-m row sum.
+        """
         x = self._own(x, "x", "row_broadcast_mul")
         v = self._own(v, "v", "row_broadcast_mul")
-        if v.shape != (x.shape[1], 1):
+        if v.shape != (x.shape[0], 1):
             raise ValueError(
-                f"row_broadcast_mul: vector must be ({x.shape[1]}, 1), got {v.shape}")
-        row = v.data.ravel()
+                f"row_broadcast_mul: vector must be ({x.shape[0]}, 1), got {v.shape}")
 
         def backward(g, adj):
             if x.requires_grad:
-                Tape._acc(adj, x, g * row[None, :])
+                Tape._acc(adj, x, g * v.data)
             if v.requires_grad:
-                Tape._acc(adj, v, (g * x.data).sum(axis=0, keepdims=True).T)
-        return self._record(x.data * row[None, :], "row_broadcast_mul", (x, v), backward)
+                Tape._acc(adj, v, (g * x.data).sum(axis=1, keepdims=True))
+        return self._record(x.data * v.data, "row_broadcast_mul", (x, v), backward)
 
     def relu(self, x: Value) -> Value:
         x = self._own(x, "x", "relu")

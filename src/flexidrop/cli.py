@@ -21,8 +21,8 @@ from .graphs import (Graph, ParseError, SplitSpec, ValidationError, build_propag
                      generate_sbm, load_graph)
 from .model import (STRATEGIES, BoundLayer, ModelConfig, checked_keys, forward, init_params,
                     load_checkpoint, save_checkpoint)
-from .training import (GRID_COLUMNS, RunRecord, TrainConfig, TrainingAborted, grid_search,
-                       oversmoothing_profile, robustness_sweep, train)
+from .training import (GRID_COLUMNS, RunRecord, TrainConfig, TrainingAborted, depth_dims,
+                       grid_search, oversmoothing_profile, robustness_sweep, train)
 
 OUTPUT_ROOT_ENV = "FLEXIDROP_OUTPUT_ROOT"
 
@@ -31,12 +31,14 @@ DEFAULT_DATASET = {"kind": "sbm", "num_nodes": 200, "num_blocks": 2, "p_in": 0.1
 
 
 def _output_dir(args, command: str) -> Path:
+    """The command's output directory, without an earlier run's error record."""
     if args.out:
         out = Path(args.out)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
         out = root / command
     out.mkdir(parents=True, exist_ok=True)
+    (out / "error.json").unlink(missing_ok=True)
     return out
 
 
@@ -91,11 +93,12 @@ SWEPT_KEYS = {
 }
 
 
-def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConfig, Path]:
-    """Config file plus flags -> dataset, model, train config and output dir.
+def _resolve(args, command: str) -> tuple[Graph, ModelConfig, TrainConfig, Path, dict]:
+    """Config file plus flags -> dataset, model, train config, output dir and manifest config.
 
-    A key of the command's ``SWEPT_KEYS`` raises ValidationError. Writes
-    the manifest (resolved config plus any ``sweep`` axes) before
+    A key of the command's ``SWEPT_KEYS`` raises ValidationError, and the
+    returned manifest config leaves those keys out, as no cell runs them.
+    The command adds its sweep axes and writes the manifest before
     anything trains, so a failed run still names its inputs.
     """
     config = json.loads(Path(args.config).read_text()) if args.config else {}
@@ -124,16 +127,18 @@ def _resolve(args, command: str, **sweep) -> tuple[Graph, ModelConfig, TrainConf
         if getattr(args, key, None) is not None:   # a sweep has no flag for a swept key
             tc[key] = getattr(args, key)
     train_config = TrainConfig.from_dict(tc)
-    out = _output_dir(args, command)
     resolved = {"dataset": dataset, "model": model_config.to_dict(),
-                "train": train_config.to_dict(), **sweep}
-    _write_json(out / "manifest.json", _manifest(command, resolved))
-    return graph, model_config, train_config, out
+                "train": train_config.to_dict()}
+    for key in SWEPT_KEYS.get(command, ()):
+        section, name = key.split(".")
+        resolved[section].pop(name, None)
+    return graph, model_config, train_config, _output_dir(args, command), resolved
 
 
-def _manifest(command: str, config: dict) -> dict:
+def _write_manifest(out: Path, command: str, config: dict) -> None:
     clean = {k: v for k, v in config.items() if not callable(v)}
-    return {"command": command, "version": __version__, "config": clean}
+    _write_json(out / "manifest.json",
+                {"command": command, "version": __version__, "config": clean})
 
 
 def _csv(text: str, kind=str) -> list:
@@ -145,7 +150,8 @@ def _csv(text: str, kind=str) -> list:
 
 
 def cmd_train(args) -> int:
-    graph, model_config, train_config, out = _resolve(args, "train")
+    graph, model_config, train_config, out, resolved = _resolve(args, "train")
+    _write_manifest(out, "train", resolved)
     try:
         result = train(graph, model_config, train_config)
     except TrainingAborted as exc:
@@ -170,8 +176,9 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     strategies, rates, seeds = (_csv(args.strategies), _csv(args.rates, float),
                                 _csv(args.seeds, int))
-    graph, model_config, train_config, out = _resolve(
-        args, "grid", strategies=strategies, rates=rates, seeds=seeds)
+    graph, model_config, train_config, out, resolved = _resolve(args, "grid")
+    _write_manifest(out, "grid", {**resolved, "strategies": strategies, "rates": rates,
+                                  "seeds": seeds})
     rows = grid_search(graph, model_config, strategies, rates, seeds, train_config)
     RunRecord(GRID_COLUMNS, rows).write_csv(out / "grid.csv")
     print(f"grid written to {out / 'grid.csv'}")
@@ -180,11 +187,13 @@ def cmd_grid(args) -> int:
 
 def cmd_oversmooth(args) -> int:
     depths, strategies = _csv(args.depths, int), _csv(args.strategies)
-    graph, model_config, train_config, out = _resolve(
-        args, "oversmooth", depths=depths, strategies=strategies,
-        hidden_dim=args.hidden_dim, rate=args.fixed_rate)
-    rows = oversmoothing_profile(graph, model_config, depths, strategies, train_config,
-                                 hidden_dim=args.hidden_dim, rate=args.fixed_rate)
+    graph, model_config, train_config, out, resolved = _resolve(args, "oversmooth")
+    dims = [depth_dims(graph, model_config, d, args.hidden_dim) for d in depths]
+    _write_manifest(out, "oversmooth", {**resolved, "depths": depths, "strategies": strategies,
+                                        "hidden_dim": args.hidden_dim, "rate": args.fixed_rate,
+                                        "layer_dims": [list(d) for d in dims]})
+    rows = oversmoothing_profile(graph, model_config, dims, strategies, train_config,
+                                 rate=args.fixed_rate)
     RunRecord(["depth", "strategy", "test_accuracy", "final_energy", "status"],
               rows).write_csv(out / "oversmoothing.csv")
     print(f"profile written to {out / 'oversmoothing.csv'}")
@@ -194,9 +203,10 @@ def cmd_oversmooth(args) -> int:
 def cmd_attack(args) -> int:
     fractions, strategies, seeds = (_csv(args.fractions, float), _csv(args.strategies),
                                     _csv(args.seeds, int))
-    graph, model_config, train_config, out = _resolve(
-        args, "attack", fractions=fractions, strategies=strategies, seeds=seeds,
-        rate=args.fixed_rate)
+    graph, model_config, train_config, out, resolved = _resolve(args, "attack")
+    _write_manifest(out, "attack", {**resolved, "fractions": fractions,
+                                    "strategies": strategies, "seeds": seeds,
+                                    "rate": args.fixed_rate})
     rows = robustness_sweep(graph, model_config, fractions, strategies, seeds, train_config,
                             rate=args.fixed_rate)
     RunRecord(["fraction", "strategy", "seed", "test_accuracy", "status"],
@@ -217,7 +227,7 @@ def cmd_bound(args) -> int:
         print(f"complexity_bound {report['complexity_bound']!r}")
         if args.out:
             out = _output_dir(args, "bound")
-            _write_json(out / "manifest.json", _manifest("bound", vars(args)))
+            _write_manifest(out, "bound", vars(args))
             _write_json(out / "bound_report.json", report)
     return 0
 
@@ -235,7 +245,7 @@ def _gradcheck_instance(seed: int) -> bool:
         s = tape.add(m, tape.relu(m))
         s = tape.sub(s, tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
-        r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, a)), tape.log(v))
+        r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)
         mix = tape.add(tape.max_reduce(norms), tape.product_reduce(tape.column_l2_norms(r)))
         return tape.add(tape.add(tape.mean(e), tape.sum(r)), mix)
@@ -278,7 +288,7 @@ def cmd_sbm(args) -> int:
     graph = generate_sbm(args.num_nodes, args.num_blocks, args.p_in, args.p_out,
                          args.feature_dim, args.noise_scale, args.seed)
     out = _output_dir(args, "sbm")
-    _write_json(out / "manifest.json", _manifest("sbm", vars(args)))
+    _write_manifest(out, "sbm", vars(args))
     with open(out / "edges.txt", "w") as fh:
         fh.write("# u v\n")
         for u, v in graph.edges:
@@ -392,11 +402,12 @@ def run(argv=None) -> int:
     except (FileNotFoundError, ParseError, ValidationError, ValueError,
             ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "out", None):
+        # error.json goes where the command writes its outputs, under the default
+        # root without --out; bound writes only under --out and gradcheck nowhere
+        if getattr(args, "out", None) or args.command not in ("bound", "gradcheck"):
             try:
-                out = Path(args.out)
-                out.mkdir(parents=True, exist_ok=True)
-                _write_json(out / "error.json", {"type": type(exc).__name__, "error": str(exc)})
+                _write_json(_output_dir(args, args.command) / "error.json",
+                            {"type": type(exc).__name__, "error": str(exc)})
             except OSError:
                 pass
         return 1

@@ -3,11 +3,20 @@
 Layer l computes H_l = P @ A_l @ W_l with A_l = m ∘ relu(H_{l-1}), where
 m is the dropout mask for the chosen strategy and relu is skipped for
 the raw input layer. The trainable-retention strategy replaces the random
-mask by its expectation: every column is scaled by its retention
+mask by its expectation: every input column is scaled by its retention
 probability p = logistic(z), identically in train and eval mode, so the
-forward pass is deterministic and the logits z receive gradients.
+forward pass is deterministic and the logits z receive gradients. Since
+(A_l diag(p_l)) W_l = A_l (diag(p_l) W_l), the scale sits on the rows of
+the small k_in x k_out weight, not on the N rows of the activations:
 
-The mask is applied to A_l first. The two products are then ordered by
+    H_l = P @ A_l @ (diag(p_l) W_l)
+
+So the raw features X of layer 1 take no gradient, and its backward
+forms no product with W_1 transposed. A widening layer 1 computes
+(P @ X) @ W_1 and so has no sparse backward either; a narrowing one
+still forms P^T g and X^T (P^T g) for the gradient of W_1.
+
+A mask is applied to A_l first. The two products are then ordered by
 width: a layer that narrows (k_out < k_in) computes P @ (A_l @ W_l), so
 its sparse products, forward and backward, are k_out wide; any other
 layer computes (P @ A_l) @ W_l. The sparse products then cost
@@ -273,18 +282,19 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     for li, layer in enumerate(layers):
         a = h if li == 0 else tape.relu(h)
         k_in = a.shape[1]
+        w = layer.weight
         if config.strategy == "flexidrop":
-            a = tape.row_broadcast_mul(a, layer.retention)
+            w = tape.row_broadcast_mul(w, layer.retention)
         elif mode == "train" and config.strategy == "fixed_dropout" and config.rate > 0.0:
             mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(mask))
         elif mode == "train" and config.strategy == "dropnode" and config.rate > 0.0:
             rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), k_in, axis=1)))
-        if layer.weight.shape[1] < k_in:
-            h = tape.spmm(p_matrix, tape.matmul(a, layer.weight))
+        if w.shape[1] < k_in:
+            h = tape.spmm(p_matrix, tape.matmul(a, w))
         else:
-            h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
+            h = tape.matmul(tape.spmm(p_matrix, a), w)
         if not np.isfinite(h.data).all():
             raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)

@@ -357,25 +357,36 @@ GRID_COLUMNS = ["strategy", "param", "seed", "test_accuracy", "val_accuracy",
                 "test_std", "status"]
 
 
-def oversmoothing_profile(graph: Graph, base_model: ModelConfig, depths, strategies,
-                          train_config: TrainConfig, hidden_dim: int = 32,
-                          rate: float = 0.0) -> list[dict]:
-    """Train one model per (depth, strategy) and report accuracy and energy.
+def depth_dims(graph: Graph, base_model: ModelConfig, depth: int,
+               hidden_dim: int) -> tuple[int, ...]:
+    """``layer_dims`` of a depth-``depth`` oversmoothing cell, hidden layers ``hidden_dim`` wide.
 
-    Each cell is ``base_model`` with depth-many layers of width
-    ``hidden_dim``. The energy is the Dirichlet energy of the final
-    layer's eval-mode embeddings, so the randomized strategies are
-    inactive and retention scaling is applied. ``rate`` is the dropout
-    rate of the fixed strategies. Returns one row per (depth, strategy).
+    Node classification ends in the class count; link prediction scores
+    embeddings and ends in ``hidden_dim``.
+    """
+    if depth < 1:
+        raise ValidationError("depths must be >= 1")
+    out = hidden_dim if base_model.task == "link_prediction" else graph.num_classes
+    return (graph.feature_dim,) + (hidden_dim,) * (depth - 1) + (out,)
+
+
+def oversmoothing_profile(graph: Graph, base_model: ModelConfig, layer_dims, strategies,
+                          train_config: TrainConfig, rate: float = 0.0) -> list[dict]:
+    """Train one model per (layer dims, strategy) and report accuracy and energy.
+
+    Each cell is ``base_model`` with one entry of ``layer_dims`` (see
+    ``depth_dims``); its depth is that entry's layer count. The energy is
+    the Dirichlet energy of the final layer's eval-mode embeddings, so
+    the randomized strategies are inactive and retention scaling is
+    applied. ``rate`` is the dropout rate of the fixed strategies.
+    Returns one row per (depth, strategy).
     """
     rows = []
-    for depth in depths:
-        if depth < 1:
-            raise ValidationError("depths must be >= 1")
-        dims = (graph.feature_dim,) + (hidden_dim,) * (depth - 1) + (graph.num_classes,)
+    for dims in layer_dims:
         for strategy in strategies:
             config = _cell_model(base_model, strategy, rate, layer_dims=dims)
-            rows.append(run_cell(graph, config, train_config, depth=depth, strategy=strategy))
+            rows.append(run_cell(graph, config, train_config, depth=len(dims) - 1,
+                                 strategy=strategy))
     return rows
 
 

@@ -23,7 +23,7 @@ from flexidrop.bounds import (BoundContext, complexity_prefactor, complexity_reg
 from flexidrop.cli import run as cli_run
 from flexidrop.graphs import SplitSpec, build_propagation, generate_sbm, load_graph
 from flexidrop.model import BoundLayer, LayerParams, ModelConfig, forward, init_params
-from flexidrop.training import (TrainConfig, oversmoothing_profile, robustness_sweep,
+from flexidrop.training import (TrainConfig, depth_dims, oversmoothing_profile, robustness_sweep,
                                 train)
 
 mp.mp.dps = 50
@@ -56,7 +56,7 @@ def _composite_op_check(seed: int) -> grad_check:
         s = tape.sub(s, tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
         sparse_path = tape.spmm(spm, e)
-        r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, a)), tape.log(v))
+        r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)
         mix = tape.add(tape.max_reduce(norms),
                        tape.product_reduce(tape.column_l2_norms(r)))
@@ -350,9 +350,9 @@ def test_acceptance_7_oversmoothing_direction():
     for seed in range(5):
         tc = TrainConfig(epochs=256, learning_rate=0.01, reg_lambda=0.0, seed=seed,
                          eval_every=32)
-        rows = oversmoothing_profile(graph, ModelConfig(layer_dims=(16, 2)), depths=(8,),
-                                     strategies=("none", "flexidrop"), train_config=tc,
-                                     hidden_dim=32)
+        base = ModelConfig(layer_dims=(16, 2))
+        rows = oversmoothing_profile(graph, base, [depth_dims(graph, base, 8, 32)],
+                                     strategies=("none", "flexidrop"), train_config=tc)
         by = {r["strategy"]: r for r in rows}
         win = (by["flexidrop"]["final_energy"] > by["none"]["final_energy"]
                and by["flexidrop"]["test_accuracy"] >= by["none"]["test_accuracy"])

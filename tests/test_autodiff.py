@@ -137,7 +137,7 @@ def test_all_ops_finite_on_zero_inputs():
     m = sp.csr_matrix(np.zeros((3, 3)))
     outs = [tape.matmul(x, leaf(tape, np.zeros((2, 2)))),
             tape.spmm(m, x), tape.add(x, x), tape.sub(x, x),
-            tape.elementwise_mul(x, x), tape.row_broadcast_mul(x, v),
+            tape.elementwise_mul(x, x), tape.row_broadcast_mul(leaf(tape, np.zeros((2, 3))), v),
             tape.relu(x), tape.sigmoid(x), tape.log(x), tape.exp(x),
             tape.sum(x), tape.mean(x), tape.column_l2_norms(x),
             tape.max_reduce(v), tape.product_reduce(v),
@@ -192,7 +192,7 @@ def test_spmm_matches_dense_matmul_forward_and_backward():
 
 def test_elementwise_and_broadcast_gradients():
     x = RNG.normal(size=(4, 3))
-    v = RNG.normal(size=(3, 1))
+    v = RNG.normal(size=(3, 1))   # scales the rows of x.T (3, 4)
 
     def build_mul(t, a):
         return t.mean(t.elementwise_mul(a, t.leaf(x + 1.0)))
@@ -202,10 +202,10 @@ def test_elementwise_and_broadcast_gradients():
     def build_rb_x(t, a):
         return t.mean(t.row_broadcast_mul(a, t.leaf(v)))
 
-    check_op(build_rb_x, x)
+    check_op(build_rb_x, x.T)
 
     def build_rb_v(t, a):
-        return t.mean(t.row_broadcast_mul(t.leaf(x), a))
+        return t.mean(t.row_broadcast_mul(t.leaf(x.T), a))
 
     check_op(build_rb_v, v)
 
@@ -358,7 +358,7 @@ def test_a_tape_is_freed_by_reference_counting():
         m = tape.spmm(sp.identity(3, format="csr"), tape.matmul(a, b))
         s = tape.sub(tape.add(m, tape.relu(m)), tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
-        r = tape.row_broadcast_mul(tape.exp(a), tape.log(v))
+        r = tape.row_broadcast_mul(tape.exp(b), tape.log(v))
         mix = tape.add(tape.max_reduce(tape.column_l2_norms(e)),
                        tape.product_reduce(tape.column_l2_norms(r)))
         ce = tape.softmax_cross_entropy(e, np.array([0, 1, 0]), np.ones(3, dtype=bool))

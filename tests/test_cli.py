@@ -93,6 +93,19 @@ def test_invalid_model_setting_reports_error_json(tmp_path, capsys):
     assert "rate" in err["error"]
 
 
+def test_failure_without_out_writes_error_json_under_the_output_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("FLEXIDROP_OUTPUT_ROOT", str(tmp_path))
+    cfg = write_config(tmp_path, {"train": {"seed": 3}})
+    assert run(["grid", "--config", cfg]) == 1
+    err = json.loads((tmp_path / "grid" / "error.json").read_text())
+    assert err["type"] == "ValidationError" and "'train.seed'" in err["error"]
+    # a later successful run in the same directory leaves no stale error record
+    assert run(["grid", "--config", sweep_config(tmp_path, "grid"), "--strategies", "none",
+                "--rates", "0", "--seeds", "0", "--epochs", "1"]) == 0
+    assert not (tmp_path / "grid" / "error.json").exists()
+    assert (tmp_path / "grid" / "grid.csv").exists()
+
+
 @pytest.mark.parametrize("section, entries, key", (
     ("train", {"epochs": "4"}, "epochs"),
     ("train", {"reg_lamda": 0.1}, "reg_lamda"),
@@ -286,6 +299,20 @@ def test_oversmooth_command(tmp_path):
     lines = (out / "oversmoothing.csv").read_text().strip().splitlines()
     assert lines[0] == "depth,strategy,test_accuracy,final_energy,status"
     assert len(lines) == 3
+
+
+def test_oversmooth_manifest_records_the_widths_each_depth_trains(tmp_path, monkeypatch):
+    trained = record_trained_configs(monkeypatch)
+    cfg = sweep_config(tmp_path, "oversmooth", model={"task": "link_prediction"})
+    out = tmp_path / "o"
+    assert run(["oversmooth", "--config", cfg, "--out", str(out), "--depths", "1,2",
+                "--strategies", "none", "--hidden-dim", "6", "--epochs", "1"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert not {"strategy", "rate", "layer_dims"} & set(config["model"])   # set per cell
+    # link-prediction cells end in the hidden width, not the dataset's two classes
+    assert config["layer_dims"] == [[4, 6], [4, 6, 6]]
+    assert [list(c.layer_dims) for c in trained] == config["layer_dims"]
+    assert all(c.task == "link_prediction" for c in trained)
 
 
 @pytest.mark.parametrize("command", ("grid", "oversmooth", "attack"))

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from flexidrop.graphs import Graph, ValidationError, generate_sbm
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
 from flexidrop.model import ModelConfig
-from flexidrop.training import TrainConfig, oversmoothing_profile, robustness_sweep
+from flexidrop.training import (TrainConfig, depth_dims, oversmoothing_profile,
+                                robustness_sweep)
 
 
 def graph_with(edges, features, labels=None, classes=2):
@@ -134,9 +135,10 @@ def sweep_train_config():
 
 def test_oversmoothing_profile_shape():
     g = generate_sbm(40, 2, 0.4, 0.1, 4, 0.2, seed=47)
-    rows = oversmoothing_profile(g, ModelConfig(layer_dims=(4, 2)), depths=(1, 2),
+    base = ModelConfig(layer_dims=(4, 2))
+    rows = oversmoothing_profile(g, base, [depth_dims(g, base, d, 8) for d in (1, 2)],
                                  strategies=("none", "flexidrop"),
-                                 train_config=sweep_train_config(), hidden_dim=8)
+                                 train_config=sweep_train_config())
     assert len(rows) == 4
     for row in rows:
         assert set(row) == {"depth", "strategy", "test_accuracy", "val_accuracy",

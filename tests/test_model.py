@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexidrop.autodiff import Tape, grad_check, sigmoid
@@ -387,7 +387,8 @@ def test_dropedge_eval_mode_is_identity_and_train_removes_edges():
 
 def reference_forward(tape, graph, prop, layers, config, mode, seed):
     """The forward before the multiply order was chosen by width: every layer
-    computes (P @ A) @ W. Same random draws, in the same order, as ``forward``."""
+    computes (P @ A) @ W, with flexidrop's retention folded into W's rows as
+    ``forward`` folds it. Same random draws, in the same order, as ``forward``."""
     rng = np.random.default_rng(seed)
     p_matrix = prop.matrix
     if config.strategy == "dropedge" and mode == "train":
@@ -397,8 +398,9 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
     h = tape.leaf(graph.features)
     for li, layer in enumerate(layers):
         a = h if li == 0 else tape.relu(h)
+        w = layer.weight
         if config.strategy == "flexidrop":
-            a = tape.row_broadcast_mul(a, layer.retention)
+            w = tape.row_broadcast_mul(w, layer.retention)
         elif mode == "train" and config.strategy == "fixed_dropout" and config.rate > 0.0:
             mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(mask))
@@ -406,7 +408,7 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
             rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), a.shape[1],
                                                             axis=1)))
-        h = tape.matmul(tape.spmm(p_matrix, a), layer.weight)
+        h = tape.matmul(tape.spmm(p_matrix, a), w)
     return h
 
 
@@ -421,6 +423,8 @@ def logits_and_grads(run, graph, params, config):
 
 
 @settings(max_examples=80, deadline=None)
+@example(dims=[3, 3, 2], n=6, density=0.5, strategy="flexidrop", rate=0.0, mode="train",
+         propagation="row_stochastic", seed=5)   # a square weight: its rows and columns fit p
 @given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
        n=st.integers(2, 12), density=st.floats(0.0, 1.0),
        strategy=st.sampled_from(STRATEGIES), rate=st.floats(0.0, 0.9),
@@ -451,6 +455,16 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
         g, params, config)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    # on every drawn graph and width, flexidrop's folded layers equal the unfolded
+    # (P (A diag p)) W, which scales the columns of A, so the rows of W, by p
+    pmat = prop.matrix.toarray()
+    h = g.features
+    out = forward(Tape(), g, prop, params, replace(config, strategy="flexidrop", rate=0.0), mode)
+    for li, (p, pre) in enumerate(zip(params, out.preactivations)):
+        a = h if li == 0 else np.maximum(h, 0.0)
+        h = (pmat @ (a * sigmoid(p.retention_logits)[None, :])) @ p.weight
+        assert np.abs(pre.data - h).max() <= 1e-12 * np.abs(h).max()
 
 
 def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
