@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation on an append-only tape.
 
 Every tensor is a 2-D float64 ``Value``. Scalars are shaped (1, 1) and
-vectors are columns (k, 1). There is no implicit broadcasting: the only
-shape-bending op is ``row_broadcast_mul``, which scales the rows of a
-(k, m) matrix by a (k, 1) column, and every other op raises at
+vectors are columns (k, 1). There is no implicit broadcasting. Two ops
+bend shapes: ``row_broadcast_mul`` scales the rows of a (k, m) matrix by
+a (k, 1) column, and ``pair_dot`` maps an (N, k) matrix and m raw index
+pairs (u, v) to the (m, 1) column of row inner products <h[u], h[v]>;
+its backward is one sparse product, (B + B^T) h with B holding the
+upstream gradient g_j at (u_j, v_j). Every other op raises at
 construction time on mismatched shapes. A Value belongs to exactly one
 Tape for its whole life.
 
@@ -204,6 +207,27 @@ class Tape:
             if v.requires_grad:
                 Tape._acc(adj, v, (g * x.data).sum(axis=1, keepdims=True))
         return self._record(x.data * v.data, "row_broadcast_mul", (x, v), backward)
+
+    def pair_dot(self, h: Value, pairs: np.ndarray) -> Value:
+        """Inner products <h[u_j], h[v_j]> of the rows of h (N, k), as an (m, 1) column.
+
+        ``pairs`` is a raw (m, 2) integer array that never takes gradients.
+        With B holding g_j at (u_j, v_j), the gradient of h is (B + B^T) h,
+        one sparse product over 2m entries.
+        """
+        h = self._own(h, "h", "pair_dot")
+        n = h.shape[0]
+        # numpy would wrap a negative index to a row from the end
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError(f"pair_dot: pair indices must lie in [0, {n})")
+        u, v = pairs[:, 0], pairs[:, 1]
+
+        def backward(g, adj):
+            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+            b = sp.coo_matrix((np.tile(g.ravel(), 2), (rows, cols)), shape=(n, n))
+            Tape._acc(adj, h, b @ h.data)
+        return self._record((h.data[u] * h.data[v]) @ np.ones((h.shape[1], 1)), "pair_dot",
+                            (h,), backward)
 
     def relu(self, x: Value) -> Value:
         x = self._own(x, "x", "relu")

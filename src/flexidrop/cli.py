@@ -248,7 +248,8 @@ def _gradcheck_instance(seed: int) -> bool:
         r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)
         mix = tape.add(tape.max_reduce(norms), tape.product_reduce(tape.column_l2_norms(r)))
-        return tape.add(tape.add(tape.mean(e), tape.sum(r)), mix)
+        dots = tape.pair_dot(e, np.array([[0, 2], [1, 1], [0, 2]]))
+        return tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, tape.mean(dots)))
 
     ok = grad_check(build, [a0, b0, v0]).passed
 

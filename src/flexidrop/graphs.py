@@ -98,7 +98,12 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """Binary symmetric adjacency without self-loops."""
-        return _adjacency(self.num_nodes, self.edges)
+        n, edges = self.num_nodes, self.edges
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+        a.sort_indices()
+        return a
 
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """Copy of this graph with a different edge set."""
@@ -142,14 +147,6 @@ class PropagationOperator:
         return float(np.abs(self.matrix).sum(axis=1).max())
 
 
-def _adjacency(n: int, edges: np.ndarray) -> sp.csr_matrix:
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    a.sort_indices()
-    return a
-
-
 def build_propagation(graph: Graph, mode: str = "row_stochastic") -> PropagationOperator:
     """Build the normalized propagation operator for ``graph``.
 
@@ -167,20 +164,27 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
     """``build_propagation`` for ``num_nodes`` nodes and an edge array.
 
     ``edges`` must already be canonical, as ``Graph.edges`` and any row
-    subset of it are; it is not validated again.
+    subset of it are; it is not validated again. DropEdge calls this once
+    per training forward, so the CSR arrays are assembled directly: both
+    directions of every edge plus the self-loops, sorted once by their
+    row-major code, with degrees from a bincount of the rows.
     """
     if mode not in ("symmetric", "row_stochastic"):
         raise ValidationError(f"unknown propagation mode {mode!r}")
-    a = _adjacency(num_nodes, edges) + sp.identity(num_nodes, format="csr")
-    a.sum_duplicates()
-    a.sort_indices()
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(num_nodes, dtype=np.int64)
+    codes = np.sort(np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
+                                    edges[:, 1] * num_nodes + edges[:, 0],
+                                    loops * num_nodes + loops]))
+    rows, cols = np.divmod(codes, num_nodes)
+    deg = np.bincount(rows, minlength=num_nodes)
     if mode == "symmetric":
         dinv = 1.0 / np.sqrt(deg)
-        mat = a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+        data = dinv[rows] * dinv[cols]
     else:
-        mat = a.multiply(1.0 / deg[:, None]).tocsr()
-    mat.sort_indices()
+        data = (1.0 / deg)[rows]
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    mat = sp.csr_matrix((data, cols, indptr), shape=(num_nodes, num_nodes))
     return PropagationOperator(mode=mode, matrix=mat)
 
 

@@ -315,22 +315,16 @@ def link_scores(tape: Tape, embeddings: Value, pos_edges: np.ndarray,
                 neg_edges: np.ndarray) -> tuple[Value, np.ndarray]:
     """Edge probabilities logistic(<h_u, h_v>) for positive then negative pairs.
 
-    Returns the stacked probability column and the matching 0/1 label
-    array (positives first).
+    The inner products come from one ``pair_dot`` op, so no per-pair copy
+    of the embeddings is recorded. Returns the stacked probability column
+    and the matching 0/1 label array (positives first).
     """
     pos = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
     neg = np.asarray(neg_edges, dtype=np.int64).reshape(-1, 2)
     pairs = np.concatenate([pos, neg], axis=0)
     if pairs.size == 0:
         raise ValueError("link_scores needs at least one pair")
-    m = pairs.shape[0]
-    n = embeddings.shape[0]
-    sel_u = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 0])), shape=(m, n))
-    sel_v = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 1])), shape=(m, n))
-    hu = tape.spmm(sel_u, embeddings)
-    hv = tape.spmm(sel_v, embeddings)
-    inner = tape.matmul(tape.elementwise_mul(hu, hv), tape.leaf(np.ones((embeddings.shape[1], 1))))
-    probs = tape.sigmoid(inner)
+    probs = tape.sigmoid(tape.pair_dot(embeddings, pairs))
     labels = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     return probs, labels
 

@@ -71,11 +71,12 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a layer output or the objective turns non-finite (NaN or inf).
+    """Raised when a layer output, the objective or a gradient turns non-finite (NaN or inf).
 
-    Carries the parameters whose forward or objective failed and the rows
-    logged before them; the message gives the epoch and ``reason``, the
-    NumericsError's message, which names the layer when the forward pass
+    Carries the parameters whose forward, objective or gradient failed and
+    the rows logged before them; the message gives the epoch and
+    ``reason``: the NumericsError's message, which names the layer when
+    the forward pass failed, or the layer and parameter whose gradient
     failed. The parameters after t steps fail as epoch t+1 (see train).
     """
 
@@ -161,11 +162,13 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     last row, the 0-epoch state and the strategies that draw a mask are
     evaluated apart.
 
-    A non-finite layer output or objective aborts with TrainingAborted,
-    which carries the parameters that failed and the rows logged before
-    them; when a layer output failed, the message names the layer. The
-    forward of params_t fails as epoch t+1, whether it ran as epoch
-    t+1's train forward or as row t's evaluation apart.
+    A non-finite layer output, objective or gradient aborts with
+    TrainingAborted, which carries the parameters that failed and the rows
+    logged before them. The message names the layer whose output failed,
+    or the layer and parameter whose gradient failed; the gradients are
+    checked before the epoch's first Adam step. The forward of params_t
+    fails as epoch t+1, whether it ran as epoch t+1's train forward or as
+    row t's evaluation apart.
     """
     cfg = train_config
     flexi = model_config.strategy == "flexidrop"
@@ -261,6 +264,15 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                                   reason=str(exc)) from exc
 
         tape.backward(objective)
+        # a backward can overflow under a finite objective; Adam would spread it
+        for i, layer in enumerate(layers, start=1):
+            grads = [("weight", layer.weight.grad)]
+            if flexi:
+                grads.append(("retention logits", layer.retention_logits.grad))
+            for name, grad in grads:
+                if not np.isfinite(grad).all():
+                    raise TrainingAborted(epoch, [p.copy() for p in params], record,
+                                          reason=f"non-finite gradient of layer {i} {name}")
         for i, layer in enumerate(layers):
             params[i].weight, states[i] = adam_step(
                 params[i].weight, layer.weight.grad, states[i], cfg.learning_rate)

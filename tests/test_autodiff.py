@@ -141,7 +141,7 @@ def test_all_ops_finite_on_zero_inputs():
             tape.relu(x), tape.sigmoid(x), tape.log(x), tape.exp(x),
             tape.sum(x), tape.mean(x), tape.column_l2_norms(x),
             tape.max_reduce(v), tape.product_reduce(v),
-            tape.scalar_mul(0.0, tape.sum(x)),
+            tape.scalar_mul(0.0, tape.sum(x)), tape.pair_dot(x, np.array([[0, 1], [2, 2]])),
             tape.softmax_cross_entropy(leaf(tape, np.zeros((3, 2))),
                                        np.zeros(3, dtype=int), np.ones(3, dtype=bool))]
     for out in outs:
@@ -188,6 +188,46 @@ def test_spmm_matches_dense_matmul_forward_and_backward():
 
         assert abs(out.item() - out2.item()) <= 1e-10
         assert np.abs(xa.grad - xb.grad).max() <= 1e-10
+
+
+def test_pair_dot_matches_the_selection_matrix_path():
+    # the reference selects h[u] and h[v] with two m-by-N 0/1 matrices, multiplies
+    # them entrywise and row-sums with a ones column; the pairs repeat (0, 3),
+    # hold u == v pairs, and leave node 8 out
+    rng = np.random.default_rng(17)
+    n, k = 9, 4
+    pairs = np.array([[0, 3], [5, 5], [0, 3], [3, 0], [7, 1], [2, 2], [6, 4], [1, 7]])
+    h = rng.normal(size=(n, k))
+    w = rng.normal(size=(len(pairs), 1))
+
+    def reference(tape, hv):
+        m = len(pairs)
+        sel_u = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 0])), shape=(m, n))
+        sel_v = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 1])), shape=(m, n))
+        prod = tape.elementwise_mul(tape.spmm(sel_u, hv), tape.spmm(sel_v, hv))
+        return tape.matmul(prod, tape.leaf(np.ones((k, 1))))
+
+    outs, grads = [], []
+    for build in (reference, lambda tape, hv: tape.pair_dot(hv, pairs)):
+        tape = Tape()
+        hv = leaf(tape, h)
+        out = build(tape, hv)
+        tape.backward(tape.sum(tape.elementwise_mul(out, tape.leaf(w))))
+        outs.append(out.data)
+        grads.append(hv.grad)
+    assert outs[1].shape == (len(pairs), 1)
+    assert np.abs(outs[1] - outs[0]).max() <= 1e-12 * np.abs(outs[0]).max()
+    assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
+    assert not grads[1][8].any()
+
+
+@pytest.mark.parametrize("pairs", ([[0, 1], [-1, 2]], [[0, 4]], [[4, 4]]))
+def test_pair_dot_rejects_an_index_outside_the_rows(pairs):
+    # numpy would wrap -1 to the last row; a pair index names one of the N rows
+    tape = Tape()
+    h = leaf(tape, np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"pair_dot: pair indices must lie in \[0, 4\)"):
+        tape.pair_dot(h, np.array(pairs))
 
 
 def test_elementwise_and_broadcast_gradients():
@@ -362,6 +402,7 @@ def test_a_tape_is_freed_by_reference_counting():
         mix = tape.add(tape.max_reduce(tape.column_l2_norms(e)),
                        tape.product_reduce(tape.column_l2_norms(r)))
         ce = tape.softmax_cross_entropy(e, np.array([0, 1, 0]), np.ones(3, dtype=bool))
+        ce = tape.add(ce, tape.sum(tape.pair_dot(e, np.array([[0, 2], [1, 1]]))))
         root = tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, ce))
         tape.backward(root)
         assert a.grad is not None and v.grad is not None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from flexidrop.graphs import (Graph, ParseError, PropagationOperator, SplitSpec,
                               ValidationError, build_propagation, feature_inf_norm_max,
                               generate_sbm, inject_random_edges, load_graph,
-                              sample_absent_pairs)
+                              propagation_from_edges, sample_absent_pairs)
 
 
 def tiny_graph(edges, n=4, d=2, classes=2):
@@ -115,6 +115,45 @@ def test_propagation_rebuild_is_bit_identical():
     assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.data, b.data)
+
+
+def coo_propagation(n, edges, mode):
+    """The operator built through COO, an identity add and broadcast multiplies."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    a.sort_indices()
+    a = a + sp.identity(n, format="csr")
+    a.sum_duplicates()
+    a.sort_indices()
+    deg = np.asarray(a.sum(axis=1)).ravel()
+    if mode == "symmetric":
+        dinv = 1.0 / np.sqrt(deg)
+        mat = a.multiply(dinv[:, None]).multiply(dinv[None, :]).tocsr()
+    else:
+        mat = a.multiply(1.0 / deg[:, None]).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = [(5, np.zeros((0, 2), dtype=np.int64)), (1, np.zeros((0, 2), dtype=np.int64))]
+    for _ in range(12):
+        n = int(rng.integers(2, 120))
+        pairs = rng.integers(0, n, (int(rng.integers(1, 2 * n)), 2))
+        # canonical, as Graph stores them; most draws leave some nodes isolated
+        cases.append((n, tiny_graph(pairs[pairs[:, 0] != pairs[:, 1]], n=n).edges))
+    g = generate_sbm(300, 3, 0.05, 0.005, 3, 0.1, seed=8)
+    for rate in (0.0, 0.5, 0.9, 1.0):   # DropEdge keeps a row subset of graph.edges
+        cases.append((g.num_nodes, g.edges[rng.random(g.num_edges) >= rate]))
+    for n, edges in cases:
+        for mode in ("symmetric", "row_stochastic"):
+            got = propagation_from_edges(n, edges, mode).matrix
+            want = coo_propagation(n, edges, mode)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, mode, name)
 
 
 def test_propagation_operator_validates_row_sums():

@@ -488,6 +488,27 @@ def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
     assert report.entries_checked == 3 * 6 + 6 * 2 + 3 + 6
 
 
+def test_grad_check_the_link_prediction_path():
+    # weights and retention logits -> forward -> link_scores -> link_loss
+    g = generate_sbm(12, 2, 0.6, 0.2, 3, 0.1, seed=5)
+    config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop", task="link_prediction")
+    params = init_params(config.layer_dims, seed=6)
+    prop = build_propagation(g, config.propagation_mode)
+    negs = sample_negative_edges(g, g.num_edges, seed=7)
+    k = config.num_layers
+
+    def objective(tape, leaves):
+        layers = [BoundLayer(leaves[i], leaves[k + i]) for i in range(k)]
+        out = forward(tape, g, prop, layers, config, mode="train")
+        probs, labels = link_scores(tape, out.logits, g.edges, negs)
+        return link_loss(tape, probs, labels)
+
+    report = grad_check(objective, [p.weight for p in params] +
+                        [p.retention_logits.reshape(-1, 1) for p in params])
+    assert report.passed, str(report)
+    assert report.entries_checked == 3 * 4 + 4 * 2 + 3 + 4
+
+
 # ---- link prediction helpers -------------------------------------------------------
 
 

@@ -383,6 +383,38 @@ def test_nonfinite_loss_still_logs_the_row_before_it(monkeypatch, strategy, rate
     assert [row["epoch"] for row in exc.value.record.rows] == [1, 2]
 
 
+@pytest.mark.parametrize("op, strategy, per_epoch, reason", (
+    ("relu", "none", 1, "non-finite gradient of layer 1 weight"),
+    ("sigmoid", "flexidrop", 2, "non-finite gradient of layer 1 retention logits")))
+def test_nonfinite_gradient_aborts_before_the_step(monkeypatch, op, strategy, per_epoch, reason):
+    # from epoch 3 on, one op's backward passes NaN down while the objective stays
+    # finite; the abort carries params_2, untouched by epoch 3's Adam step, and rows 1-2
+    real = getattr(Tape, op)
+    calls = 0
+
+    def nan_backward(self, x):
+        nonlocal calls
+        out = real(self, x)
+        if out.requires_grad:
+            calls += 1
+            if calls > 2 * per_epoch:
+                idx, fn = self._nodes[-1]
+                self._nodes[-1] = (idx, lambda g, adj: fn(np.full_like(g, np.nan), adj))
+        return out
+
+    g = sanity_graph(seed=17)
+    cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy)
+    two = train(g, cfg, quick(2))
+    monkeypatch.setattr(Tape, op, nan_backward)
+    with pytest.raises(TrainingAborted) as exc:
+        train(g, cfg, quick(5))
+    assert str(exc.value) == f"training aborted at epoch 3: {reason}"
+    assert [row["epoch"] for row in exc.value.record.rows] == [1, 2]
+    for a, b in zip(exc.value.params, two.params):
+        assert np.array_equal(a.weight, b.weight)
+        assert np.array_equal(a.retention_logits, b.retention_logits)
+
+
 def test_summary_tracks_best_validation_epoch():
     g = sanity_graph(seed=10)
     cfg = ModelConfig(layer_dims=(4, 8, 2), strategy="flexidrop")
