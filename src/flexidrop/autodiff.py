@@ -141,21 +141,24 @@ class Tape:
                 Tape._acc(adj, b, a.data.T @ g)
         return self._record(a.data @ b.data, "matmul", (a, b), backward)
 
-    def spmm(self, p, x: Value) -> Value:
-        """Sparse @ dense. The sparse operand is a raw matrix and never takes gradients.
+    def spmm(self, p, x: Value, *, p_t) -> Value:
+        """Sparse @ dense. The sparse operands are raw matrices and never take gradients.
 
-        Backward multiplies by ``p.T``, which for a CSR ``p`` is a CSC view
-        of the same arrays: no transposed copy is built, and an eval-mode
-        product never pays for one.
+        ``p_t`` is ``p``'s transpose as a CSR matrix, built by the caller
+        once for all the products with ``p`` (``PropagationOperator``
+        carries one). Backward multiplies by it: a CSR product, with no
+        transposed view constructed per call.
         """
-        if not sp.issparse(p):
-            raise TypeError("spmm: first operand must be a scipy sparse matrix")
+        if not (sp.issparse(p) and sp.issparse(p_t)):
+            raise TypeError("spmm: p and p_t must be scipy sparse matrices")
         x = self._own(x, "x", "spmm")
         if p.shape[1] != x.shape[0]:
             raise ValueError(f"spmm: inner dimensions differ, {p.shape} @ {x.shape}")
+        if p_t.shape != p.shape[::-1]:
+            raise ValueError(f"spmm: p_t has shape {p_t.shape}, p {p.shape}")
 
         def backward(g, adj):
-            Tape._acc(adj, x, np.asarray(p.T @ g))
+            Tape._acc(adj, x, np.asarray(p_t @ g))
         return self._record(np.asarray(p @ x.data), "spmm", (x,), backward)
 
     def _same_shape_binary(self, a: Value, b: Value, op: str):

@@ -113,10 +113,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """Normalized message-passing matrix, self-loops included, CSR storage."""
+    """Normalized message-passing matrix P, self-loops included, and its transpose.
 
-    mode: str              # "symmetric" | "row_stochastic"
-    matrix: sp.csr_matrix  # (N, N), stored entries all > 0
+    Both are CSR. The transpose is what a backward pass multiplies by, so
+    it is built once with P, never per product. A+I is symmetric, so P^T
+    has P's sparsity pattern; a symmetric P is its own transpose.
+    """
+
+    mode: str                 # "symmetric" | "row_stochastic"
+    matrix: sp.csr_matrix     # (N, N), stored entries all > 0
+    transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
 
     def __post_init__(self):
         if self.mode not in ("symmetric", "row_stochastic"):
@@ -130,6 +136,9 @@ class PropagationOperator:
             sums = np.asarray(m.sum(axis=1)).ravel()
             if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise ValidationError("row-stochastic operator rows must sum to 1")
+        if self.transpose.shape != m.shape or self.transpose.nnz != m.nnz:
+            raise ValidationError(f"propagation transpose has shape {self.transpose.shape} and "
+                                  f"{self.transpose.nnz} entries, the matrix {m.shape} and {m.nnz}")
 
     @property
     def num_nodes(self) -> int:
@@ -167,7 +176,9 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
     subset of it are; it is not validated again. DropEdge calls this once
     per training forward, so the CSR arrays are assembled directly: both
     directions of every edge plus the self-loops, sorted once by their
-    row-major code, with degrees from a bincount of the rows.
+    row-major code, with degrees from a bincount of the rows. The
+    transpose shares P's pattern and index arrays; row-stochastic, its
+    entries are ``(1/deg)[col]``.
     """
     if mode not in ("symmetric", "row_stochastic"):
         raise ValidationError(f"unknown propagation mode {mode!r}")
@@ -178,14 +189,16 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
                                     loops * num_nodes + loops]))
     rows, cols = np.divmod(codes, num_nodes)
     deg = np.bincount(rows, minlength=num_nodes)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    shape = (num_nodes, num_nodes)
     if mode == "symmetric":
         dinv = 1.0 / np.sqrt(deg)
-        data = dinv[rows] * dinv[cols]
-    else:
-        data = (1.0 / deg)[rows]
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    mat = sp.csr_matrix((data, cols, indptr), shape=(num_nodes, num_nodes))
-    return PropagationOperator(mode=mode, matrix=mat)
+        mat = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=shape)
+        return PropagationOperator(mode=mode, matrix=mat, transpose=mat)
+    inv = 1.0 / deg
+    mat = sp.csr_matrix((inv[rows], cols, indptr), shape=shape)
+    transpose = sp.csr_matrix((inv[cols], mat.indices, mat.indptr), shape=shape)
+    return PropagationOperator(mode=mode, matrix=mat, transpose=transpose)
 
 
 @dataclass(frozen=True)

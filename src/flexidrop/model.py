@@ -250,7 +250,9 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
 
     mode "train" applies the configured dropout strategy, "eval" disables
     the randomized strategies. Retention scaling is deterministic and
-    applies in both modes.
+    applies in both modes. ``seed`` seeds the masks of a train forward
+    that draws them; one that draws none (``train_forward_is_eval``)
+    makes no generator and propagates with ``prop`` itself.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,14 +270,13 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         _check_params(params, config)
         layers = bind_layers(tape, params, trainable=(mode == "train"))
 
-    rng = np.random.default_rng(seed)
-    p_matrix = prop.matrix
-    if config.strategy == "dropedge" and mode == "train":
+    draws = mode == "train" and not train_forward_is_eval(config)
+    rng = np.random.default_rng(seed) if draws else None
+    if draws and config.strategy == "dropedge":
         # resample the operator once per forward pass: drop graph edges,
         # keep self-loops, renormalize in the configured mode
         keep = rng.random(graph.num_edges) >= config.rate
-        p_matrix = propagation_from_edges(graph.num_nodes, graph.edges[keep],
-                                          config.propagation_mode).matrix
+        prop = propagation_from_edges(graph.num_nodes, graph.edges[keep], config.propagation_mode)
 
     h = tape.leaf(graph.features)
     preacts: list[Value] = []
@@ -285,20 +286,20 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         w = layer.weight
         if config.strategy == "flexidrop":
             w = tape.row_broadcast_mul(w, layer.retention)
-        elif mode == "train" and config.strategy == "fixed_dropout" and config.rate > 0.0:
+        elif draws and config.strategy == "fixed_dropout":
             mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(mask))
-        elif mode == "train" and config.strategy == "dropnode" and config.rate > 0.0:
+        elif draws and config.strategy == "dropnode":
             rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), k_in, axis=1)))
         if w.shape[1] < k_in:
-            h = tape.spmm(p_matrix, tape.matmul(a, w))
+            h = tape.spmm(prop.matrix, tape.matmul(a, w), p_t=prop.transpose)
         else:
-            h = tape.matmul(tape.spmm(p_matrix, a), w)
+            h = tape.matmul(tape.spmm(prop.matrix, a, p_t=prop.transpose), w)
         if not np.isfinite(h.data).all():
             raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)
-    return ForwardResult(preacts, preacts[-1], p_matrix)
+    return ForwardResult(preacts, preacts[-1], prop.matrix)
 
 
 def train_forward_is_eval(config: ModelConfig) -> bool:

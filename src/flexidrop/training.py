@@ -166,7 +166,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     TrainingAborted, which carries the parameters that failed and the rows
     logged before them. The message names the layer whose output failed,
     or the layer and parameter whose gradient failed; the gradients are
-    checked before the epoch's first Adam step. The forward of params_t
+    checked before the epoch's Adam step. The forward of params_t
     fails as epoch t+1, whether it ran as epoch t+1's train forward or as
     row t's evaluation apart.
     """
@@ -192,8 +192,15 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
     prop = build_propagation(message_graph, model_config.propagation_mode)
 
-    states = [AdamState.zeros_like(p.weight) for p in params]
-    z_states = [AdamState.zeros_like(p.retention_logits) for p in params] if flexi else None
+    # one vector for all parameters, laid out [W_1, z_1, W_2, z_2, ...], stepped
+    # in place by one Adam update per epoch; params are views of it
+    arrays = [a for p in params for a in (p.weight, p.retention_logits)]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    parts = np.split(flat, ends[:-1])
+    params = [LayerParams(w.reshape(p.weight.shape), z)
+              for p, w, z in zip(params, parts[0::2], parts[1::2])]
+    adam = AdamState.zeros_like(flat)
 
     record = RunRecord(columns=_record_columns(model_config.num_layers))
     start = time.perf_counter()
@@ -214,11 +221,11 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         scores["auc"] = auc_score(probs.data, labels)
         return scores
 
-    def log_row(row: dict, scores: dict, regularizer: float) -> None:
-        """Complete ``row`` with the scores and bound of ``params`` and append it."""
+    def log_row(row: dict, scores: dict, regularizer: float, retention: list) -> None:
+        """Complete ``row`` with the scores, bound and retention of ``params`` and append it."""
         row.update(regularizer=regularizer, train_accuracy=scores["train"],
                    val_accuracy=scores["val"], test_accuracy=scores["test"])
-        for i, p in enumerate(retention_probabilities(params), start=1):
+        for i, p in enumerate(retention, start=1):
             row[f"retention_min_l{i}"] = float(p.min())
             row[f"retention_mean_l{i}"] = float(p.mean())
             row[f"retention_max_l{i}"] = float(p.max())
@@ -235,14 +242,15 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 scores = score(logits)
                 bound = multilayer_bound(ctx, params)
                 if pending:
-                    log_row(pending, scores, bound)
+                    log_row(pending, scores, bound, retention_probabilities(params))
                     pending = None
             if epoch > cfg.epochs:
                 break
             tape = Tape()
             layers = bind_layers(tape, params, trainable=True)
+            # a forward that draws no mask takes no seed
             out = forward(tape, message_graph, prop, layers, model_config, mode="train",
-                          seed=_epoch_seed(cfg.seed, epoch, 1))
+                          seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
             if link_task:
                 negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
                 probs, labels = link_scores(tape, out.logits, train_pos, negs)
@@ -254,8 +262,11 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 reg = complexity_regularizer(tape, ctx, layers)
                 objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
             if pending:
+                # flexidrop's p = logistic(z) of params_t is on this tape already
                 log_row(pending, score(out.logits.data),
-                        multilayer_bound(ctx, params) if reg is None else reg.item())
+                        multilayer_bound(ctx, params) if reg is None else reg.item(),
+                        [layer.retention.data.ravel() for layer in layers] if flexi
+                        else retention_probabilities(params))
                 pending = None
             if not np.isfinite(objective.item()):
                 raise NumericsError("non-finite loss")
@@ -264,22 +275,18 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                                   reason=str(exc)) from exc
 
         tape.backward(objective)
+        # z off the loss path (every strategy but flexidrop) gets a zero gradient,
+        # and Adam's step from zero moments leaves it exactly as it was
+        grad = np.concatenate([(v.grad if v.grad is not None else np.zeros(v.shape)).ravel()
+                               for layer in layers
+                               for v in (layer.weight, layer.retention_logits)])
         # a backward can overflow under a finite objective; Adam would spread it
-        for i, layer in enumerate(layers, start=1):
-            grads = [("weight", layer.weight.grad)]
-            if flexi:
-                grads.append(("retention logits", layer.retention_logits.grad))
-            for name, grad in grads:
-                if not np.isfinite(grad).all():
-                    raise TrainingAborted(epoch, [p.copy() for p in params], record,
-                                          reason=f"non-finite gradient of layer {i} {name}")
-        for i, layer in enumerate(layers):
-            params[i].weight, states[i] = adam_step(
-                params[i].weight, layer.weight.grad, states[i], cfg.learning_rate)
-            if flexi:
-                params[i].retention_logits, z_states[i] = adam_step(
-                    params[i].retention_logits, layer.retention_logits.grad.ravel(), z_states[i],
-                    cfg.learning_rate)
+        if not np.isfinite(grad).all():
+            j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
+            raise TrainingAborted(epoch, [p.copy() for p in params], record,
+                                  reason=f"non-finite gradient of layer {j // 2 + 1} "
+                                         f"{('weight', 'retention logits')[j % 2]}")
+        flat[...], adam = adam_step(flat, grad, adam, cfg.learning_rate)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}

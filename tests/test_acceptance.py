@@ -55,7 +55,7 @@ def _composite_op_check(seed: int) -> grad_check:
         s = tape.add(m, tape.relu(m))
         s = tape.sub(s, tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
-        sparse_path = tape.spmm(spm, e)
+        sparse_path = tape.spmm(spm, e, p_t=spm.T.tocsr())
         r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)
         mix = tape.add(tape.max_reduce(norms),

@@ -136,7 +136,7 @@ def test_all_ops_finite_on_zero_inputs():
     v = leaf(tape, np.zeros((2, 1)))
     m = sp.csr_matrix(np.zeros((3, 3)))
     outs = [tape.matmul(x, leaf(tape, np.zeros((2, 2)))),
-            tape.spmm(m, x), tape.add(x, x), tape.sub(x, x),
+            tape.spmm(m, x, p_t=m.T.tocsr()), tape.add(x, x), tape.sub(x, x),
             tape.elementwise_mul(x, x), tape.row_broadcast_mul(leaf(tape, np.zeros((2, 3))), v),
             tape.relu(x), tape.sigmoid(x), tape.log(x), tape.exp(x),
             tape.sum(x), tape.mean(x), tape.column_l2_norms(x),
@@ -178,7 +178,7 @@ def test_spmm_matches_dense_matmul_forward_and_backward():
 
         tape = Tape()
         xa = leaf(tape, x)
-        out = tape.mean(tape.spmm(m, xa))
+        out = tape.mean(tape.spmm(m, xa, p_t=m.T.tocsr()))
         tape.backward(out)
 
         tape2 = Tape()
@@ -204,7 +204,8 @@ def test_pair_dot_matches_the_selection_matrix_path():
         m = len(pairs)
         sel_u = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 0])), shape=(m, n))
         sel_v = sp.csr_matrix((np.ones(m), (np.arange(m), pairs[:, 1])), shape=(m, n))
-        prod = tape.elementwise_mul(tape.spmm(sel_u, hv), tape.spmm(sel_v, hv))
+        prod = tape.elementwise_mul(tape.spmm(sel_u, hv, p_t=sel_u.T.tocsr()),
+                                    tape.spmm(sel_v, hv, p_t=sel_v.T.tocsr()))
         return tape.matmul(prod, tape.leaf(np.ones((k, 1))))
 
     outs, grads = [], []
@@ -395,7 +396,8 @@ def test_a_tape_is_freed_by_reference_counting():
         rng = np.random.default_rng(0)
         a, b = leaf(tape, rng.uniform(-1, 1, (3, 4))), leaf(tape, rng.uniform(-1, 1, (4, 2)))
         v = leaf(tape, rng.uniform(0.5, 1.5, (4, 1)))
-        m = tape.spmm(sp.identity(3, format="csr"), tape.matmul(a, b))
+        eye = sp.identity(3, format="csr")
+        m = tape.spmm(eye, tape.matmul(a, b), p_t=eye)
         s = tape.sub(tape.add(m, tape.relu(m)), tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
         r = tape.row_broadcast_mul(tape.exp(b), tape.log(v))
@@ -425,6 +427,12 @@ def test_shape_mismatch_raises():
         tape.add(a, b)
     with pytest.raises(ValueError):
         tape.matmul(a, b)
+    m = sp.csr_matrix(np.ones((4, 3)))
+    assert tape.spmm(m, b, p_t=m.T.tocsr()).shape == (4, 2)
+    with pytest.raises(ValueError, match="p_t has shape"):
+        tape.spmm(m, b, p_t=m)
+    with pytest.raises(TypeError, match="sparse"):
+        tape.spmm(m, b, p_t=np.ones((3, 4)))
 
 
 def test_requires_grad_false_leaves_get_no_gradient():

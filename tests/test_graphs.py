@@ -136,7 +136,8 @@ def coo_propagation(n, edges, mode):
     return mat
 
 
-def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
+def operator_cases():
+    """(num_nodes, edges) pairs: empty edge sets, random graphs, DropEdge subsets."""
     rng = np.random.default_rng(31)
     cases = [(5, np.zeros((0, 2), dtype=np.int64)), (1, np.zeros((0, 2), dtype=np.int64))]
     for _ in range(12):
@@ -147,7 +148,11 @@ def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
     g = generate_sbm(300, 3, 0.05, 0.005, 3, 0.1, seed=8)
     for rate in (0.0, 0.5, 0.9, 1.0):   # DropEdge keeps a row subset of graph.edges
         cases.append((g.num_nodes, g.edges[rng.random(g.num_edges) >= rate]))
-    for n, edges in cases:
+    return cases
+
+
+def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
+    for n, edges in operator_cases():
         for mode in ("symmetric", "row_stochastic"):
             got = propagation_from_edges(n, edges, mode).matrix
             want = coo_propagation(n, edges, mode)
@@ -156,10 +161,33 @@ def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, mode, name)
 
 
+def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
+    for n, edges in operator_cases():
+        for mode in ("symmetric", "row_stochastic"):
+            prop = propagation_from_edges(n, edges, mode)
+            want = prop.matrix.T.tocsr()
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(prop.transpose, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, mode, name)
+            if mode == "symmetric":
+                assert prop.transpose is prop.matrix
+
+
 def test_propagation_operator_validates_row_sums():
     bad = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValidationError, match="sum to 1"):
-        PropagationOperator(mode="row_stochastic", matrix=bad)
+        PropagationOperator(mode="row_stochastic", matrix=bad, transpose=bad.T.tocsr())
+
+
+@pytest.mark.parametrize("transpose", (
+    sp.csr_matrix(np.ones((3, 3)) / 3),                            # shape disagrees
+    sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]])),             # nnz disagrees
+))
+def test_propagation_operator_rejects_a_transpose_that_disagrees(transpose):
+    good = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    PropagationOperator(mode="row_stochastic", matrix=good, transpose=good)
+    with pytest.raises(ValidationError, match="transpose"):
+        PropagationOperator(mode="row_stochastic", matrix=good, transpose=transpose)
 
 
 def test_propagation_entries_positive():

@@ -350,6 +350,16 @@ def test_dropnode_zeroes_whole_rows():
     assert np.allclose(pre[kept], scaled[kept], atol=1e-9)
 
 
+def test_rate_zero_dropedge_propagates_with_the_operator_itself():
+    # it keeps every edge, so no operator is rebuilt and no generator is made
+    g = generate_sbm(30, 2, 0.3, 0.05, 3, 0.1, seed=4)
+    cfg = ModelConfig(layer_dims=(3, 2), strategy="dropedge", rate=0.0)
+    prop = build_propagation(g, cfg.propagation_mode)
+    params = init_params(cfg.layer_dims, seed=2)
+    out = forward(Tape(), g, prop, params, cfg, mode="train", seed=5)
+    assert out.operator is prop.matrix
+
+
 def test_dropedge_eval_mode_is_identity_and_train_removes_edges():
     g = sbm(seed=12, n=30, d=3)
     cfg = ModelConfig(layer_dims=(3, 2), strategy="dropedge", rate=0.5)
@@ -408,7 +418,7 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
             rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
             a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), a.shape[1],
                                                             axis=1)))
-        h = tape.matmul(tape.spmm(p_matrix, a), w)
+        h = tape.matmul(tape.spmm(p_matrix, a, p_t=p_matrix.T.tocsr()), w)
     return h
 
 

@@ -125,6 +125,28 @@ def test_adam_matches_reference_implementation_over_steps():
         assert np.allclose(param, ref_p, atol=1e-12)
 
 
+def test_flat_adam_step_equals_a_step_per_array():
+    # train() steps one vector [W_1, z_1, W_2, z_2, ...]; Adam is elementwise, so that
+    # gives each array's own step bit for bit. Without z on the loss path its gradient
+    # is zero and the per-array loop leaves it out, as training did per array
+    rng = np.random.default_rng(32)
+    shapes = [(4, 8), (4,), (8, 3), (8,), (3, 1), (3,)]
+    for with_z in (True, False):
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        states = [AdamState.zeros_like(a) for a in arrays]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        state = AdamState.zeros_like(flat)
+        for _ in range(6):
+            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
+            if not with_z:
+                grads[1::2] = [np.zeros(shape) for shape in shapes[1::2]]
+            flat, state = adam_step(flat, np.concatenate([g.ravel() for g in grads]), state,
+                                    lr=0.01)
+            for i in range(0, len(arrays), 1 if with_z else 2):
+                arrays[i], states[i] = adam_step(arrays[i], grads[i], states[i], lr=0.01)
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
 # ---- train loop basics -------------------------------------------------------------
 
 
@@ -336,10 +358,15 @@ def test_nonfinite_evaluation_aborts_at_the_next_epoch(monkeypatch, strategy, ra
     # run, in the last row's evaluation), fixed_dropout in row 2's evaluation apart; all
     # abort as epoch 3 with params_2, row 1 and the forward's error as the cause
     real = training.adam_step
+    # the weight entries of the flat vector [W_1 (4x8), z_1 (4), W_2 (8x2), z_2 (8)]
+    weights = np.r_[0:32, 36:52]
 
     def blown_up(param, grad, state, *args):
+        assert param.shape == (60,)
         new, state = real(param, grad, state, *args)
-        return (new * 1e306 if state.t == 2 and param.ndim == 2 else new), state
+        if state.t == 2:
+            new[weights] *= 1e306
+        return new, state
 
     monkeypatch.setattr(training, "adam_step", blown_up)
     g = sanity_graph(seed=15)
@@ -383,29 +410,66 @@ def test_nonfinite_loss_still_logs_the_row_before_it(monkeypatch, strategy, rate
     assert [row["epoch"] for row in exc.value.record.rows] == [1, 2]
 
 
+def nan_from_op_backward(op, per_epoch):
+    """From epoch 3 on, ``op`` (``per_epoch`` calls an epoch) passes NaN down in backward."""
+    def install(monkeypatch):
+        real = getattr(Tape, op)
+        calls = 0
+
+        def nan_backward(self, x):
+            nonlocal calls
+            out = real(self, x)
+            if out.requires_grad:
+                calls += 1
+                if calls > 2 * per_epoch:
+                    idx, fn = self._nodes[-1]
+                    self._nodes[-1] = (idx, lambda g, adj: fn(np.full_like(g, np.nan), adj))
+            return out
+
+        monkeypatch.setattr(Tape, op, nan_backward)
+    return install
+
+
+def nan_leaf_gradient(layer, name):
+    """From epoch 3 on, only layer ``layer``'s ``name`` leaf gets a NaN gradient."""
+    def install(monkeypatch):
+        real_bind, real_backward = training.bind_layers, Tape.backward
+        bound = []   # one list of layers per epoch: train binds once an epoch
+
+        def bind(*args, **kwargs):
+            bound.append(real_bind(*args, **kwargs))
+            return bound[-1]
+
+        def backward(self, root):
+            real_backward(self, root)
+            if len(bound) >= 3:
+                leaf = getattr(bound[-1][layer - 1], name)
+                leaf.grad = np.full(leaf.shape, np.nan)
+
+        monkeypatch.setattr(training, "bind_layers", bind)
+        monkeypatch.setattr(Tape, "backward", backward)
+    return install
+
+
 @pytest.mark.parametrize("op, strategy, per_epoch, reason", (
     ("relu", "none", 1, "non-finite gradient of layer 1 weight"),
-    ("sigmoid", "flexidrop", 2, "non-finite gradient of layer 1 retention logits")))
+    ("sigmoid", "flexidrop", 2, "non-finite gradient of layer 1 retention logits"),
+    # one leaf's gradient alone turns NaN; the guard's offsets must name it
+    pytest.param(nan_leaf_gradient(2, "weight"), "none", None,
+                 "non-finite gradient of layer 2 weight", id="layer2-weight-none"),
+    pytest.param(nan_leaf_gradient(2, "weight"), "flexidrop", None,
+                 "non-finite gradient of layer 2 weight", id="layer2-weight-flexidrop"),
+    pytest.param(nan_leaf_gradient(2, "retention_logits"), "flexidrop", None,
+                 "non-finite gradient of layer 2 retention logits",
+                 id="layer2-retention_logits-flexidrop")))
 def test_nonfinite_gradient_aborts_before_the_step(monkeypatch, op, strategy, per_epoch, reason):
-    # from epoch 3 on, one op's backward passes NaN down while the objective stays
-    # finite; the abort carries params_2, untouched by epoch 3's Adam step, and rows 1-2
-    real = getattr(Tape, op)
-    calls = 0
-
-    def nan_backward(self, x):
-        nonlocal calls
-        out = real(self, x)
-        if out.requires_grad:
-            calls += 1
-            if calls > 2 * per_epoch:
-                idx, fn = self._nodes[-1]
-                self._nodes[-1] = (idx, lambda g, adj: fn(np.full_like(g, np.nan), adj))
-        return out
-
+    # from epoch 3 on, a gradient turns NaN while the objective stays finite; the
+    # abort carries params_2, untouched by epoch 3's Adam step, and rows 1-2
     g = sanity_graph(seed=17)
     cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy)
     two = train(g, cfg, quick(2))
-    monkeypatch.setattr(Tape, op, nan_backward)
+    poison = op if callable(op) else nan_from_op_backward(op, per_epoch)
+    poison(monkeypatch)
     with pytest.raises(TrainingAborted) as exc:
         train(g, cfg, quick(5))
     assert str(exc.value) == f"training aborted at epoch 3: {reason}"
@@ -413,6 +477,31 @@ def test_nonfinite_gradient_aborts_before_the_step(monkeypatch, op, strategy, pe
     for a, b in zip(exc.value.params, two.params):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.retention_logits, b.retention_logits)
+
+
+@pytest.mark.parametrize("strategy, rate, draws", (
+    ("flexidrop", 0.0, False), ("none", 0.0, False), ("dropedge", 0.0, False),
+    ("fixed_dropout", 0.3, True)))
+def test_a_mask_free_epoch_derives_no_seed_and_makes_no_generator(monkeypatch, strategy, rate,
+                                                                  draws):
+    # stream 1 seeds the masks of epoch t's train forward; init_params makes one generator
+    real_seed, real_rng = training._epoch_seed, np.random.default_rng
+    streams, generators = [], []
+
+    def epoch_seed(base_seed, epoch, stream):
+        streams.append(stream)
+        return real_seed(base_seed, epoch, stream)
+
+    def default_rng(*args, **kwargs):
+        generators.append(args)
+        return real_rng(*args, **kwargs)
+
+    g = sanity_graph(seed=18)
+    monkeypatch.setattr(training, "_epoch_seed", epoch_seed)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    train(g, ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate), quick(4))
+    assert streams.count(1) == (4 if draws else 0)
+    assert len(generators) == (5 if draws else 1)
 
 
 def test_summary_tracks_best_validation_epoch():
