@@ -31,12 +31,8 @@ EXP_CLAMP = 50.0
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1 / (1 + exp(-x)), evaluated without overflow for any sign."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ez = np.exp(x[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(x, -x))   # exp(-|x|) <= 1; min(x, -x) keeps the sign of a NaN
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Value:
@@ -229,8 +225,8 @@ class Tape:
             rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
             b = sp.coo_matrix((np.tile(g.ravel(), 2), (rows, cols)), shape=(n, n))
             Tape._acc(adj, h, b @ h.data)
-        return self._record((h.data[u] * h.data[v]) @ np.ones((h.shape[1], 1)), "pair_dot",
-                            (h,), backward)
+        prods = np.take(h.data, u, axis=0) * np.take(h.data, v, axis=0)
+        return self._record(prods @ np.ones((h.shape[1], 1)), "pair_dot", (h,), backward)
 
     def relu(self, x: Value) -> Value:
         x = self._own(x, "x", "relu")

@@ -276,7 +276,8 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         # resample the operator once per forward pass: drop graph edges,
         # keep self-loops, renormalize in the configured mode
         keep = rng.random(graph.num_edges) >= config.rate
-        prop = propagation_from_edges(graph.num_nodes, graph.edges[keep], config.propagation_mode)
+        kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
+        prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode)
 
     h = tape.leaf(graph.features)
     preacts: list[Value] = []

@@ -17,6 +17,8 @@ from .model import (FIXED_STRATEGIES, LayerParams, ModelConfig, NumericsError, b
                     checked_fields, forward, init_params, link_loss, link_scores,
                     retention_probabilities, sample_negative_edges, train_forward_is_eval)
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and epsilon
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -56,17 +58,16 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, AdamState]:
+              lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns the new parameter and state."""
     if param.shape != grad.shape:
         raise ValueError(f"adam_step: param shape {param.shape} != grad shape {grad.shape}")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_param = param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_param, AdamState(m=m, v=v, t=t)
 
 

@@ -276,6 +276,7 @@ def test_acceptance_5_training_sanity():
     graph = generate_sbm(200, 2, 0.1, 0.01, 16, 0.1, seed=42)
     cfg = ModelConfig(layer_dims=(16, 256, 2), strategy="flexidrop")
     reached = []
+    accuracies = []   # (final, best) test accuracy per seed
     deviations = []
     slowest = 0.0
     for seed in range(5):
@@ -284,13 +285,16 @@ def test_acceptance_5_training_sanity():
         t0 = time.perf_counter()
         res = train(graph, cfg, tc)
         slowest = max(slowest, time.perf_counter() - t0)
-        reached.append(max(r["test_accuracy"] for r in res.record.rows) >= 0.90)
+        best = max(r["test_accuracy"] for r in res.record.rows)
+        reached.append(best >= 0.90)
+        accuracies.append(f"{res.record.summary['final_test_accuracy']:.3f}/{best:.3f}")
         probs = np.concatenate([sigmoid(p.retention_logits) for p in res.params])
         deviations.append(np.abs(probs - RETENTION_INIT_P).mean())
     ok = all(reached) and min(deviations) >= 0.01 and slowest < 120.0
     verdict(5, ok, f"block-model sanity run: {sum(reached)}/5 seeds reach 0.90 within "
-                   f"256 epochs, retention moved by >= {min(deviations):.3f} in mean, "
-                   f"slowest run {slowest:.1f}s")
+                   f"256 epochs (final/best test accuracy on seeds 0-4: "
+                   f"{', '.join(accuracies)}), retention moved by >= {min(deviations):.3f} "
+                   f"in mean, slowest run {slowest:.1f}s")
 
 
 # ---- 6. directional citation-graph comparison ---------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from flexidrop.autodiff import EXP_CLAMP, GradCheckReport, Tape, Value, grad_check
+from flexidrop.autodiff import EXP_CLAMP, GradCheckReport, Tape, Value, grad_check, sigmoid
 
 
 def leaf(tape, data, requires_grad=True):
@@ -263,6 +263,30 @@ def test_unary_op_gradients():
         return t.mean(t.log(a))
 
     check_op(build_log, np.abs(x) + 0.5)
+
+
+def two_branch_sigmoid(x):
+    """The logistic function as two masked branches, 1/(1+exp(-x)) and exp(x)/(1+exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ez = np.exp(x[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(40)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                        745.2, -745.2, 709.8, -709.8, 37.0, -37.0, 5e-324, -5e-324])
+    cases = [np.zeros(0), np.array([0.5]), np.array([-0.5]), special,
+             *(rng.uniform(-800.0, 800.0, size=k) for k in (1, 3, 7, 101, 11001)),
+             *(rng.normal(scale=s, size=k) for s in (1.0, 30.0) for k in (5, 11001)),
+             rng.normal(scale=5.0, size=(11001, 1))]   # the column the link decoder scores
+    for x in cases:
+        got, want = sigmoid(x), two_branch_sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), x
 
 
 def test_reduction_gradients():

@@ -461,6 +461,30 @@ def test_sample_absent_pairs_equals_the_one_pair_at_a_time_draw_at_n2000():
                           reference_sample_absent_pairs(g, count, np.random.default_rng(count)))
 
 
+class CountingGenerator:
+    """A seeded generator that counts the batches ``integers`` draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("seed", (0, 10))
+def test_sample_absent_pairs_equals_the_one_pair_at_a_time_draw_over_several_batches(seed):
+    # half the absent pairs, the largest sparse request: repeats within a batch leave
+    # it short, so later batches must skip the codes the earlier ones accepted
+    g = generate_sbm(120, 3, 0.2, 0.02, 3, 0.1, seed=7)
+    count = (120 * 119 // 2 - g.num_edges) // 2
+    rng = CountingGenerator(seed)
+    got = sample_absent_pairs(g, count, rng)
+    assert rng.calls >= 2   # seed 0 takes two batches, seed 10 three
+    assert_same_array(got, reference_sample_absent_pairs(g, count, np.random.default_rng(seed)))
+
+
 # ---- feature norm -----------------------------------------------------------------
 
 

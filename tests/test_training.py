@@ -106,6 +106,7 @@ def test_adam_zero_gradient_keeps_param():
 
 
 def test_adam_matches_reference_implementation_over_steps():
+    # Adam's moment decays and epsilon are fixed at 0.9, 0.999 and 1e-8
     rng = np.random.default_rng(30)
     param = rng.normal(size=(2, 3))
     state = AdamState.zeros_like(param)
@@ -115,13 +116,12 @@ def test_adam_matches_reference_implementation_over_steps():
     v = np.zeros_like(param)
     for t in range(1, 6):
         g = rng.normal(size=(2, 3))
-        param, state = adam_step(param, g, state, lr=0.02, beta1=0.8, beta2=0.95,
-                                 eps=1e-7)
-        m = 0.8 * m + 0.2 * g
-        v = 0.95 * v + 0.05 * g * g
-        mhat = m / (1 - 0.8 ** t)
-        vhat = v / (1 - 0.95 ** t)
-        ref_p = ref_p - 0.02 * mhat / (np.sqrt(vhat) + 1e-7)
+        param, state = adam_step(param, g, state, lr=0.02)
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        mhat = m / (1 - 0.9 ** t)
+        vhat = v / (1 - 0.999 ** t)
+        ref_p = ref_p - 0.02 * mhat / (np.sqrt(vhat) + 1e-8)
         assert np.allclose(param, ref_p, atol=1e-12)
 
 
