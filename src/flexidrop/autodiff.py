@@ -11,9 +11,11 @@ construction time on mismatched shapes. A Value belongs to exactly one
 Tape for its whole life.
 
 Nothing a tape records refers back to the tape: a Value holds it by weak
-reference and no backward closure holds it. A tape is therefore freed
-with the caller's last reference to it, not later by the cyclic garbage
-collector.
+reference and no backward closure holds it. The tape keeps only the
+backward closures, so an eval tape holds no intermediate arrays, and a
+tape is freed with its caller's last reference, not by the cyclic
+collector. ``Tape.backward(root, wrt)`` returns the gradients of the
+leaves in ``wrt`` and stores none, so two roots' gradients never mix.
 """
 from __future__ import annotations
 
@@ -36,18 +38,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Value:
-    """Node in a computation: data, gradient slot, and provenance tag."""
+    """Node in a computation: data and provenance tag."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_tape", "_idx")
+    __slots__ = ("data", "requires_grad", "op", "_tape", "_idx")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool, op: str,
-                 tape: "Tape", idx: int):
+    def __init__(self, data: np.ndarray, requires_grad: bool, op: str, tape: "Tape"):
         self.data = data
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.op = op
         self._tape = weakref.ref(tape)
-        self._idx = idx
+        self._idx = tape._count   # the index of this Value's adjoint in backward
+        tape._count += 1
 
     @property
     def tape(self) -> "Tape | None":
@@ -86,7 +87,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._values: list[Value] = []
+        self._count = 0                              # Values made so far
         self._nodes: list[tuple[int, object]] = []   # (output index, backward fn)
         self.argmax_trace: list[int] = []            # max_reduce choices, in op order
 
@@ -96,9 +97,7 @@ class Tape:
     # ---- construction helpers -------------------------------------------------
 
     def leaf(self, data, requires_grad: bool = False) -> Value:
-        v = Value(_as_matrix(data), requires_grad, "leaf", self, len(self._values))
-        self._values.append(v)
-        return v
+        return Value(_as_matrix(data), requires_grad, "leaf", self)
 
     def _own(self, v: Value, arg: str, op: str) -> Value:
         if not isinstance(v, Value):
@@ -109,8 +108,7 @@ class Tape:
 
     def _record(self, data: np.ndarray, op: str, inputs: tuple[Value, ...], backward) -> Value:
         rg = any(x.requires_grad for x in inputs)
-        out = Value(data, rg, op, self, len(self._values))
-        self._values.append(out)
+        out = Value(data, rg, op, self)
         if rg:
             self._nodes.append((out._idx, backward))
         return out
@@ -375,28 +373,31 @@ class Tape:
 
     # ---- reverse pass ---------------------------------------------------------
 
-    def backward(self, root: Value) -> None:
-        """Accumulate d(root)/d(v) into v.grad for every requires_grad Value.
+    def backward(self, root: Value, wrt: list[Value]) -> list[np.ndarray]:
+        """d(root)/d(v), read-only, for each leaf v in ``wrt`` that requires grad.
 
-        Calling backward twice without clearing grads adds the gradients
-        again; callers that want fresh gradients build a fresh tape.
-        Gradients are never added in place, so one array may be stored as
-        the grad of several Values (``add`` hands its upstream gradient to
-        both operands); stored grads are read-only for that reason.
+        Zeros where root does not depend on v. Nothing is stored, and each
+        node's adjoint is dropped once its backward has run. Gradients are
+        never added in place, so one array may be returned for several
+        Values (``add`` hands its upstream gradient to both operands).
         """
         root = self._own(root, "root", "backward")
         if root.shape != (1, 1):
             raise ValueError(f"backward: root must be a scalar, got shape {root.shape}")
-        adj: list[np.ndarray | None] = [None] * len(self._values)
+        for i, v in enumerate(wrt):
+            if self._own(v, f"wrt[{i}]", "backward").op != "leaf" or not v.requires_grad:
+                raise ValueError(f"backward: wrt[{i}] must be a leaf that requires grad, got {v}")
+        adj: list[np.ndarray | None] = [None] * self._count
         adj[root._idx] = np.ones((1, 1))
         for out_idx, fn in reversed(self._nodes):
             g = adj[out_idx]
             if g is not None:
+                adj[out_idx] = None
                 fn(g, adj)
-        for v in self._values:
-            if v.requires_grad and adj[v._idx] is not None:
-                v.grad = adj[v._idx] if v.grad is None else v.grad + adj[v._idx]
-                v.grad.setflags(write=False)
+        grads = [np.zeros(v.shape) if adj[v._idx] is None else adj[v._idx] for v in wrt]
+        for g in grads:
+            g.setflags(write=False)
+        return grads
 
 
 @dataclass
@@ -428,10 +429,8 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
 
     tape = Tape()
     leaves = [tape.leaf(p, requires_grad=True) for p in params]
-    root = f(tape, leaves)
-    tape.backward(root)
+    analytic = tape.backward(f(tape, leaves), leaves)
     base_trace = list(tape.argmax_trace)
-    analytic = [lv.grad if lv.grad is not None else np.zeros_like(lv.data) for lv in leaves]
 
     def eval_at(point: list[np.ndarray]) -> tuple[float, list[int]]:
         t = Tape()

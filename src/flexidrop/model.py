@@ -373,6 +373,9 @@ def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, d
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format {manifest.get('format_version')!r}")
     config = ModelConfig.from_dict(manifest["config"])
+    if len(manifest["layers"]) != config.num_layers:
+        raise ValueError(f"{path.with_suffix('.json')}: manifest lists {len(manifest['layers'])} "
+                         f"layers, its config has {config.num_layers}")
     params = []
     with np.load(path.with_suffix(".npz")) as data:
         for i, spec in enumerate(manifest["layers"]):

@@ -31,10 +31,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0.0 <= self.reg_lambda < np.inf:
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
@@ -275,12 +275,10 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
             raise TrainingAborted(epoch, [p.copy() for p in params], record,
                                   reason=str(exc)) from exc
 
-        tape.backward(objective)
         # z off the loss path (every strategy but flexidrop) gets a zero gradient,
         # and Adam's step from zero moments leaves it exactly as it was
-        grad = np.concatenate([(v.grad if v.grad is not None else np.zeros(v.shape)).ravel()
-                               for layer in layers
-                               for v in (layer.weight, layer.retention_logits)])
+        grad = np.concatenate([g.ravel() for g in tape.backward(objective, [
+            v for layer in layers for v in (layer.weight, layer.retention_logits)])])
         # a backward can overflow under a finite objective; Adam would spread it
         if not np.isfinite(grad).all():
             j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))

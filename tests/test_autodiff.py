@@ -1,5 +1,6 @@
 """Tape autodiff: finite-difference oracles and frozen hand examples."""
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,8 +32,8 @@ def analytic_grad(build, x):
     tape = Tape()
     v = leaf(tape, x)
     out = build(tape, v)
-    tape.backward(out)
-    return out.item(), v.grad.copy()
+    (grad,) = tape.backward(out, [v])
+    return out.item(), grad
 
 
 def check_op(build, x, tol=1e-6):
@@ -56,9 +57,9 @@ def test_cross_entropy_two_equal_logits_is_log_two():
     logits = leaf(tape, [[0.0, 0.0]])
     loss = tape.softmax_cross_entropy(logits, np.array([0]), np.array([True]))
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
-    tape.backward(loss)
+    (grad,) = tape.backward(loss, [logits])
     # softmax is (1/2, 1/2); gradient is p - onehot(0)
-    assert np.allclose(logits.grad, [[-0.5, 0.5]], atol=1e-12)
+    assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-12)
 
 
 def test_column_norm_three_four_five():
@@ -66,16 +67,16 @@ def test_column_norm_three_four_five():
     v = leaf(tape, [[3.0], [4.0]])
     out = tape.column_l2_norms(v)
     assert out.item() == pytest.approx(5.0, abs=1e-12)
-    tape.backward(out)
-    assert np.allclose(v.grad, [[0.6], [0.8]], atol=1e-12)
+    (grad,) = tape.backward(out, [v])
+    assert np.allclose(grad, [[0.6], [0.8]], atol=1e-12)
 
 
 def test_column_norm_zero_column_has_zero_grad():
     tape = Tape()
     v = leaf(tape, [[0.0, 3.0], [0.0, 4.0]])
     out = tape.sum(tape.column_l2_norms(v))
-    tape.backward(out)
-    assert np.allclose(v.grad, [[0.0, 0.6], [0.0, 0.8]], atol=1e-12)
+    (grad,) = tape.backward(out, [v])
+    assert np.allclose(grad, [[0.0, 0.6], [0.0, 0.8]], atol=1e-12)
 
 
 def test_product_reduce_gradient_is_partial_products():
@@ -83,8 +84,8 @@ def test_product_reduce_gradient_is_partial_products():
     v = leaf(tape, [[2.0], [3.0], [5.0]])
     out = tape.product_reduce(v)
     assert out.item() == 30.0
-    tape.backward(out)
-    assert np.allclose(v.grad, [[15.0], [10.0], [6.0]], atol=1e-12)
+    (grad,) = tape.backward(out, [v])
+    assert np.allclose(grad, [[15.0], [10.0], [6.0]], atol=1e-12)
 
 
 def test_product_reduce_handles_zero_entry():
@@ -92,17 +93,17 @@ def test_product_reduce_handles_zero_entry():
     v = leaf(tape, [[2.0], [0.0], [5.0]])
     out = tape.product_reduce(v)
     assert out.item() == 0.0
-    tape.backward(out)
+    (grad,) = tape.backward(out, [v])
     # d/dv_i prod = prod of the others, computed without dividing by zero
-    assert np.allclose(v.grad, [[0.0], [10.0], [0.0]], atol=1e-12)
+    assert np.allclose(grad, [[0.0], [10.0], [0.0]], atol=1e-12)
 
 
 def test_max_reduce_ties_take_lowest_index():
     tape = Tape()
     v = leaf(tape, [[2.0], [2.0]])
     out = tape.max_reduce(v)
-    tape.backward(out)
-    assert np.allclose(v.grad, [[1.0], [0.0]])
+    (grad,) = tape.backward(out, [v])
+    assert np.allclose(grad, [[1.0], [0.0]])
     assert tape.argmax_trace == [0]
 
 
@@ -110,8 +111,8 @@ def test_relu_zero_input_has_zero_gradient():
     tape = Tape()
     v = leaf(tape, [[0.0]])
     out = tape.sum(tape.relu(v))
-    tape.backward(out)
-    assert v.grad[0, 0] == 0.0
+    (grad,) = tape.backward(out, [v])
+    assert grad[0, 0] == 0.0
 
 
 def test_exp_log_clamp_behaviour():
@@ -119,15 +120,15 @@ def test_exp_log_clamp_behaviour():
     big = leaf(tape, [[60.0]])
     out = tape.exp(big)
     assert out.item() == pytest.approx(np.exp(EXP_CLAMP))
-    tape.backward(out)
-    assert big.grad[0, 0] == 0.0        # clamped region is flat
+    (grad,) = tape.backward(out, [big])
+    assert grad[0, 0] == 0.0            # clamped region is flat
 
     tape2 = Tape()
     tiny = leaf(tape2, [[0.0]])
     out2 = tape2.log(tiny)
     assert out2.item() == -EXP_CLAMP    # log input floored at exp(-50)
-    tape2.backward(out2)
-    assert tiny.grad[0, 0] == 0.0
+    (grad2,) = tape2.backward(out2, [tiny])
+    assert grad2[0, 0] == 0.0
 
 
 def test_all_ops_finite_on_zero_inputs():
@@ -179,15 +180,15 @@ def test_spmm_matches_dense_matmul_forward_and_backward():
         tape = Tape()
         xa = leaf(tape, x)
         out = tape.mean(tape.spmm(m, xa, p_t=m.T.tocsr()))
-        tape.backward(out)
+        (ga,) = tape.backward(out, [xa])
 
         tape2 = Tape()
         xb = leaf(tape2, x)
         out2 = tape2.mean(tape2.matmul(tape2.leaf(dense), xb))
-        tape2.backward(out2)
+        (gb,) = tape2.backward(out2, [xb])
 
         assert abs(out.item() - out2.item()) <= 1e-10
-        assert np.abs(xa.grad - xb.grad).max() <= 1e-10
+        assert np.abs(ga - gb).max() <= 1e-10
 
 
 def test_pair_dot_matches_the_selection_matrix_path():
@@ -213,9 +214,8 @@ def test_pair_dot_matches_the_selection_matrix_path():
         tape = Tape()
         hv = leaf(tape, h)
         out = build(tape, hv)
-        tape.backward(tape.sum(tape.elementwise_mul(out, tape.leaf(w))))
+        grads += tape.backward(tape.sum(tape.elementwise_mul(out, tape.leaf(w))), [hv])
         outs.append(out.data)
-        grads.append(hv.grad)
     assert outs[1].shape == (len(pairs), 1)
     assert np.abs(outs[1] - outs[0]).max() <= 1e-12 * np.abs(outs[0]).max()
     assert np.abs(grads[1] - grads[0]).max() <= 1e-12 * np.abs(grads[0]).max()
@@ -319,8 +319,8 @@ def test_cross_entropy_extreme_logits_stay_finite():
     logits = leaf(tape, [[1000.0, -1000.0], [-1000.0, 1000.0]])
     loss = tape.softmax_cross_entropy(logits, np.array([0, 0]), np.ones(2, dtype=bool))
     assert np.isfinite(loss.item())
-    tape.backward(loss)
-    assert np.isfinite(logits.grad).all()
+    (grad,) = tape.backward(loss, [logits])
+    assert np.isfinite(grad).all()
 
 
 # ---- tape mechanics ---------------------------------------------------------------
@@ -330,24 +330,15 @@ def test_backward_requires_scalar_root():
     tape = Tape()
     v = leaf(tape, [[1.0], [2.0]])
     with pytest.raises(ValueError, match="scalar"):
-        tape.backward(tape.relu(v))
+        tape.backward(tape.relu(v), [v])
 
 
 def test_value_reuse_accumulates_gradient():
     tape = Tape()
     v = leaf(tape, [[3.0]])
     out = tape.sum(tape.add(v, v))
-    tape.backward(out)
-    assert v.grad[0, 0] == 2.0
-
-
-def test_repeated_backward_accumulates_into_grad():
-    tape = Tape()
-    v = leaf(tape, [[3.0]])
-    out = tape.sum(v)
-    tape.backward(out)
-    tape.backward(out)
-    assert v.grad[0, 0] == 2.0      # documented: grads add across calls
+    (grad,) = tape.backward(out, [v])
+    assert grad[0, 0] == 2.0
 
 
 def reference_acc(adj, v, g):
@@ -378,31 +369,103 @@ def test_shared_gradient_arrays_equal_fresh_accumulation(monkeypatch, name):
         a, b = (leaf(tape, rng.normal(size=(3, 3))) for _ in range(2))
         c = leaf(tape, rng.normal(size=(3, 3)), requires_grad=False)
         root = SHARED_GRADIENT_GRAPHS[name](tape, a, b, c)
-        tape.backward(root)
-        tape.backward(root)   # the second pass adds onto the stored grads
-        assert c.grad is None
-        return [v.grad for v in tape._values]
+        # the second call must leave the arrays the first one returned as they were
+        return tape.backward(root, [a, b]) + tape.backward(root, [a, b])
 
     got = grads()
     with monkeypatch.context() as m:
         m.setattr(Tape, "_acc", staticmethod(reference_acc))
         want = grads()
-    assert [g is None for g in got] == [g is None for g in want]
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
-        if g is not None:
-            assert np.array_equal(g, w)
-            assert not g.flags.writeable
+        assert np.array_equal(g, w)
+        assert not g.flags.writeable
 
 
-def test_stored_grads_share_storage_and_are_read_only():
+def test_returned_grads_share_storage_and_are_read_only():
     tape = Tape()
     a = leaf(tape, [[1.0]])
     b = leaf(tape, [[2.0]])
-    tape.backward(tape.add(a, b))
-    assert a.grad is b.grad          # add hands one array to both operands
+    ga, gb = tape.backward(tape.add(a, b), [a, b])
+    assert ga is gb                  # add hands one array to both operands
     with pytest.raises(ValueError, match="read-only"):
-        a.grad += 1.0
-    assert b.grad[0, 0] == 1.0
+        ga += 1.0
+    assert gb[0, 0] == 1.0
+
+
+def test_two_roots_on_one_tape_get_their_own_gradients():
+    # nothing is stored between calls: a second backward, from the same root or
+    # another, returns exactly what a fresh tape would
+    def build():
+        tape = Tape()
+        rng = np.random.default_rng(8)
+        w, z = leaf(tape, rng.normal(size=(4, 3))), leaf(tape, rng.normal(size=(4, 1)))
+        h = tape.row_broadcast_mul(w, tape.sigmoid(z))
+        return tape, w, z, tape.mean(tape.relu(h)), tape.max_reduce(tape.column_l2_norms(h))
+
+    tape, w, z, loss, reg = build()
+    first = tape.backward(loss, [w, z])
+    assert [g.tobytes() for g in tape.backward(loss, [w, z])] == [g.tobytes() for g in first]
+    tape2, w2, z2, _, reg2 = build()
+    want = tape2.backward(reg2, [w2, z2])
+    assert [g.tobytes() for g in tape.backward(reg, [w, z])] == [g.tobytes() for g in want]
+    # a leaf the root does not reach gets zeros of its shape
+    (gz,) = tape.backward(tape.sum(w), [z])
+    assert gz.shape == (4, 1) and not gz.any()
+
+
+def test_backward_takes_only_leaves_that_require_grad():
+    t1, t2 = Tape(), Tape()
+    a, frozen = leaf(t1, [[2.0]]), leaf(t1, [[3.0]], requires_grad=False)
+    mid = t1.relu(a)
+    root = t1.sum(t1.elementwise_mul(mid, frozen))
+    for bad in (mid, frozen):
+        with pytest.raises(ValueError, match=r"wrt\[1\] must be a leaf that requires grad"):
+            t1.backward(root, [a, bad])
+    with pytest.raises(ValueError, match=r"wrt\[0\].*different tape"):
+        t1.backward(root, [leaf(t2, [[1.0]])])
+    with pytest.raises(TypeError, match=r"wrt\[0\].*must be a Value"):
+        t1.backward(root, [np.ones((1, 1))])
+
+
+def chain(tape, v):
+    """Forty elementwise ops on v: relu, sigmoid and a scaling in turn."""
+    ops = (tape.relu, tape.sigmoid, lambda u: tape.scalar_mul(0.9, u))
+    for i in range(40):
+        v = ops[i % 3](v)
+    return v
+
+
+def test_backward_drops_each_adjoint_once_its_node_has_run():
+    # on a 1000x100 leaf every adjoint is 800 kB; holding all 40 would peak
+    # near 40 arrays, dropping them leaves the live one and a backward's temporaries
+    x = np.random.default_rng(9).normal(size=(1000, 100))
+    tape = Tape()
+    xv = tape.leaf(x, requires_grad=True)
+    root = tape.mean(chain(tape, xv))
+    tracemalloc.start()
+    try:
+        (grad,) = tape.backward(root, [xv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == x.shape and grad.any()
+    assert peak < 6 * x.nbytes, f"backward peaked at {peak / x.nbytes:.1f} arrays"
+
+
+def test_an_eval_tape_keeps_no_intermediate_arrays():
+    # no op takes a gradient, so the tape records nothing and each
+    # intermediate goes with its last reference; the chain's output remains
+    x = np.random.default_rng(9).normal(size=(1000, 100))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        out = chain(tape, tape.leaf(x))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 0 and out.shape == x.shape
+    assert held < 2 * x.nbytes, f"the eval tape holds {held / x.nbytes:.1f} arrays"
 
 
 def test_values_are_confined_to_one_tape():
@@ -430,8 +493,8 @@ def test_a_tape_is_freed_by_reference_counting():
         ce = tape.softmax_cross_entropy(e, np.array([0, 1, 0]), np.ones(3, dtype=bool))
         ce = tape.add(ce, tape.sum(tape.pair_dot(e, np.array([[0, 2], [1, 1]]))))
         root = tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, ce))
-        tape.backward(root)
-        assert a.grad is not None and v.grad is not None
+        ga, gv = tape.backward(root, [a, v])
+        assert ga.any() and gv.any()
         return weakref.ref(tape), a
 
     gc.disable()
@@ -464,9 +527,10 @@ def test_requires_grad_false_leaves_get_no_gradient():
     a = leaf(tape, [[2.0]])
     b = leaf(tape, [[3.0]], requires_grad=False)
     out = tape.sum(tape.elementwise_mul(a, b))
-    tape.backward(out)
-    assert a.grad[0, 0] == 3.0
-    assert b.grad is None
+    (grad,) = tape.backward(out, [a])
+    assert grad[0, 0] == 3.0
+    with pytest.raises(ValueError, match="requires grad"):
+        tape.backward(out, [b])
 
 
 def test_tape_replay_is_bit_deterministic():
@@ -474,8 +538,8 @@ def test_tape_replay_is_bit_deterministic():
         tape = Tape()
         x = leaf(tape, RNG_FIXED.copy())
         out = tape.mean(tape.sigmoid(tape.matmul(x, tape.leaf(W_FIXED))))
-        tape.backward(out)
-        return out.item(), x.grad.copy()
+        (grad,) = tape.backward(out, [x])
+        return out.item(), grad
 
     a_val, a_grad = run()
     b_val, b_grad = run()

@@ -106,6 +106,26 @@ def test_failure_without_out_writes_error_json_under_the_output_root(tmp_path, m
     assert (tmp_path / "grid" / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("flags, config, key", (
+    (["--learning-rate", "nan"], None, "learning_rate"),
+    (["--lambda", "inf"], None, "reg_lambda"),
+    ([], '{"train": {"learning_rate": NaN}}', "learning_rate"),   # JSON's NaN literal
+), ids=("learning-rate-flag", "lambda-flag", "json-nan"))
+def test_non_finite_rate_fails_before_training_naming_the_field(tmp_path, capsys, flags,
+                                                                config, key):
+    # a NaN learning rate once trained until NaN weights aborted the run at epoch 2
+    args = list(flags)
+    if config:
+        (tmp_path / "nan.json").write_text(config)
+        args += ["--config", str(tmp_path / "nan.json")]
+    out = tmp_path / "o"
+    assert run(["train", *args, "--epochs", "2", "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValueError" and err["error"].startswith(f"{key} must be finite")
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+    assert not (out / "last_finite.npz").exists() and not (out / "run.csv").exists()
+
+
 @pytest.mark.parametrize("section, entries, key", (
     ("train", {"epochs": "4"}, "epochs"),
     ("train", {"reg_lamda": 0.1}, "reg_lamda"),
@@ -216,6 +236,24 @@ def test_bound_with_checkpoint_writes_report(tmp_path, capsys):
     report = json.loads((bout / "bound_report.json").read_text())
     assert report["complexity_bound"] > 0.0
     assert "complexity_bound" in capsys.readouterr().out
+
+
+def test_bound_refuses_a_checkpoint_whose_layer_list_has_an_extra_entry(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    out = tmp_path / "train"
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "model.json").read_text())
+    meta["layers"].append(meta["layers"][-1])
+    (out / "model.json").write_text(json.dumps(meta))
+    bout = tmp_path / "bound"
+    code = run(["bound", "--layers", "2", "--classes", "2", "--feature-dim", "4",
+                "--nodes", "40", "--feature-inf-max", "1.5",
+                "--checkpoint", str(out / "model"), "--out", str(bout)])
+    assert code == 1
+    assert f"{out / 'model.json'}: manifest lists 3 layers" in capsys.readouterr().err
+    err = json.loads((bout / "error.json").read_text())
+    assert err["type"] == "ValueError" and "model.json" in err["error"]
+    assert not (bout / "bound_report.json").exists()
 
 
 # ---- train --------------------------------------------------------------------------

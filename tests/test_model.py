@@ -1,6 +1,7 @@
 """Model forward passes, dropout strategies, and checkpointing."""
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -427,9 +428,9 @@ def logits_and_grads(run, graph, params, config):
     tape = Tape()
     layers = bind_layers(tape, params, trainable=True)
     logits = run(tape, layers)
-    tape.backward(tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask))
-    grads = [g for layer in layers for g in (layer.weight.grad, layer.retention_logits.grad)]
-    return [logits.data] + [np.zeros(1) if g is None else g for g in grads]
+    return [logits.data] + tape.backward(
+        tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask),
+        [v for layer in layers for v in (layer.weight, layer.retention_logits)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -601,6 +602,22 @@ def test_checkpoint_of_another_format_fails_naming_it(tmp_path):
     meta.update(format_version=1, config={**meta["config"], "activation": "relu"})
     (tmp_path / "model.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("layers", (lambda ls: ls + ls[-1:], lambda ls: ls[:1]),
+                         ids=("one-extra", "one-missing"))
+def test_checkpoint_rejects_a_layer_list_that_disagrees_with_the_config(tmp_path, layers):
+    # an extra entry asked the archive for an array it does not hold, and a
+    # missing one loaded one layer of a two-layer model without a word
+    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="none")
+    path = tmp_path / "model"
+    save_checkpoint(path, init_params(cfg.layer_dims, seed=15), cfg)
+    meta = json.loads((tmp_path / "model.json").read_text())
+    meta["layers"] = layers(meta["layers"])
+    (tmp_path / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'model.json'}: manifest lists "
+                                                   f"{len(meta['layers'])} layers, its config has 2")):
         load_checkpoint(path)
 
 

@@ -60,6 +60,16 @@ def test_train_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, ke
         TrainConfig.from_dict(entries)
 
 
+@pytest.mark.parametrize("key", ("learning_rate", "reg_lambda"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), -float("inf")))
+def test_train_config_rejects_a_non_finite_rate_naming_the_field(key, value):
+    # every ordered comparison with NaN is false, so "learning_rate <= 0" let NaN train
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        TrainConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} must be finite"):
+        TrainConfig.from_dict({key: value})
+
+
 @pytest.mark.parametrize("strategy, rate, task", (("flexidrop", 0.0, "node_classification"),
                                                   ("dropedge", 0.3, "link_prediction")))
 def test_train_frees_every_tape_without_the_cyclic_collector(monkeypatch, strategy, rate,
@@ -440,11 +450,13 @@ def nan_leaf_gradient(layer, name):
             bound.append(real_bind(*args, **kwargs))
             return bound[-1]
 
-        def backward(self, root):
-            real_backward(self, root)
+        def backward(self, root, wrt):
+            grads = real_backward(self, root, wrt)
             if len(bound) >= 3:
                 leaf = getattr(bound[-1][layer - 1], name)
-                leaf.grad = np.full(leaf.shape, np.nan)
+                grads = [np.full(v.shape, np.nan) if v is leaf else g
+                         for v, g in zip(wrt, grads)]
+            return grads
 
         monkeypatch.setattr(training, "bind_layers", bind)
         monkeypatch.setattr(Tape, "backward", backward)
