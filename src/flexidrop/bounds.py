@@ -23,10 +23,6 @@ from .model import BoundLayer, LayerParams, bind_layers, retention_probabilities
 
 MC_CHUNK = 128   # Monte-Carlo sign draws per seed derived from the caller's
 
-# cross-entropy values are unbounded; confidence-interval reporting caps the
-# loss at this value, and the cap is reporting-only (never used in training)
-LOSS_CAP = 10.0
-
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -110,8 +106,7 @@ def generalization_bound(empirical_risk: float, rademacher: float,
                          loss_bound: float, delta: float, num_samples: int) -> float:
     """High-probability risk bound: empirical + 2 * complexity + confidence term.
 
-    ``loss_bound`` caps the loss range (see LOSS_CAP for the reporting
-    default); ``delta`` is the failure probability.
+    ``loss_bound`` caps the loss range; ``delta`` is the failure probability.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

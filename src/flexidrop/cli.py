@@ -13,14 +13,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .autodiff import grad_check
 from .bounds import BoundContext, bound_report, complexity_prefactor, complexity_regularizer
-from .graphs import (Graph, ParseError, SplitSpec, ValidationError, build_propagation,
+from .graphs import (PROPAGATION_MODES, Graph, SplitSpec, ValidationError, build_propagation,
                      generate_sbm, load_graph)
-from .model import (STRATEGIES, BoundLayer, ModelConfig, checked_keys, forward, init_params,
-                    load_checkpoint, save_checkpoint)
+from .model import (STRATEGIES, TASKS, BoundLayer, ModelConfig, checked_keys, forward,
+                    init_params, load_checkpoint, save_checkpoint)
 from .training import (GRID_COLUMNS, RunRecord, TrainConfig, TrainingAborted, depth_dims,
                        grid_search, oversmoothing_profile, robustness_sweep, train)
 
@@ -113,14 +114,18 @@ def _resolve(args, command: str) -> tuple[Graph, ModelConfig, TrainConfig, Path,
     for key in ("strategy", "rate", "propagation_mode", "task"):   # train has all four flags
         if getattr(args, key, None) is not None:
             model[key] = getattr(args, key)
-    widths = checked_keys("model", {"hidden_dims": model.pop("hidden_dims", [256]),
-                                    "output_dim": model.pop("output_dim", 32)},
-                          {"hidden_dims": "tuple[int, ...]", "output_dim": "int"})
+    for key in ("hidden_dims", "output_dim"):
+        if key in model and "layer_dims" in model:
+            raise ValidationError(f"model: key {key!r} is not read next to 'layer_dims'")
+    link = model.get("task") == "link_prediction"
+    if "output_dim" in model and not link:
+        raise ValidationError("model: key 'output_dim' is read only under link_prediction")
     if "layer_dims" not in model:
-        # only link prediction chooses its output width
-        out_dim = (widths["output_dim"] if model.get("task") == "link_prediction"
-                   else graph.num_classes)
-        model["layer_dims"] = [graph.feature_dim] + list(widths["hidden_dims"]) + [out_dim]
+        widths = checked_keys("model", {
+            "hidden_dims": model.pop("hidden_dims", [256]),
+            "output_dim": model.pop("output_dim", 32 if link else graph.num_classes)},
+            {"hidden_dims": "tuple[int, ...]", "output_dim": "int"})
+        model["layer_dims"] = [graph.feature_dim, *widths["hidden_dims"], widths["output_dim"]]
     model_config = ModelConfig.from_dict(model)
     tc = dict(config.get("train", {}))
     for key in ("epochs", "seed", "reg_lambda", "eval_every", "learning_rate"):
@@ -223,6 +228,14 @@ def cmd_bound(args) -> int:
     print(f"complexity_prefactor {value!r}")
     if args.checkpoint:
         params, model_config, _ = load_checkpoint(args.checkpoint)
+        dims = model_config.layer_dims   # a link model's output width is no class count
+        classes = dims[-1] if model_config.task == "node_classification" else args.classes
+        for flag, given, fit in (("--layers", args.layers, len(dims) - 1),
+                                 ("--feature-dim", args.feature_dim, dims[0]),
+                                 ("--classes", args.classes, classes)):
+            if given != fit:
+                raise ValidationError(f"{flag} {given} does not fit checkpoint {args.checkpoint}, "
+                                      f"whose layer_dims are {list(dims)}")
         report = bound_report(ctx, params, model_config.propagation_mode)
         print(f"complexity_bound {report['complexity_bound']!r}")
         if args.out:
@@ -232,12 +245,14 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _gradcheck_instance(seed: int) -> bool:
-    """One composite gradient check touching every op plus the model path."""
+def _gradcheck_instance(seed: int) -> list:
+    """Two gradient checks: a composite of every tape op, and the model with its regularizer."""
     rng = np.random.default_rng(seed)
     a0 = rng.uniform(-1, 1, (3, 4))
     b0 = rng.uniform(-1, 1, (4, 2))
     v0 = rng.uniform(0.5, 1.5, (4, 1))
+    spm = sp.csr_matrix((rng.random((3, 3)) < 0.6) * rng.random((3, 3)))
+    labels = rng.integers(0, 2, 3)
 
     def build(tape, leaves):
         a, b, v = leaves
@@ -245,13 +260,16 @@ def _gradcheck_instance(seed: int) -> bool:
         s = tape.add(m, tape.relu(m))
         s = tape.sub(s, tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
+        ce = tape.softmax_cross_entropy(tape.spmm(spm, e, p_t=spm.T.tocsr()), labels,
+                                        np.ones(3, dtype=bool))
         r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)
         mix = tape.add(tape.max_reduce(norms), tape.product_reduce(tape.column_l2_norms(r)))
         dots = tape.pair_dot(e, np.array([[0, 2], [1, 1], [0, 2]]))
-        return tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, tape.mean(dots)))
+        return tape.add(tape.add(tape.mean(e), tape.sum(r)),
+                        tape.add(tape.add(mix, ce), tape.mean(dots)))
 
-    ok = grad_check(build, [a0, b0, v0]).passed
+    reports = [grad_check(build, [a0, b0, v0])]
 
     graph = generate_sbm(12, 2, 0.6, 0.2, 3, 0.1, seed)
     prop = build_propagation(graph, "row_stochastic")
@@ -268,14 +286,13 @@ def _gradcheck_instance(seed: int) -> bool:
         reg = complexity_regularizer(tape, ctx, layers)
         return tape.add(loss, tape.scalar_mul(0.5, reg))
 
-    ok = grad_check(model_loss, shapes).passed and ok
-    return ok
+    return reports + [grad_check(model_loss, shapes)]
 
 
 def cmd_gradcheck(args) -> int:
     all_ok = True
     for i in range(args.instances):
-        ok = _gradcheck_instance(args.seed + i)
+        ok = all(r.passed for r in _gradcheck_instance(args.seed + i))
         print(f"instance {i}: {'pass' if ok else 'FAIL'}")
         all_ok = all_ok and ok
     if not all_ok:
@@ -286,8 +303,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sbm(args) -> int:
-    graph = generate_sbm(args.num_nodes, args.num_blocks, args.p_in, args.p_out,
-                         args.feature_dim, args.noise_scale, args.seed)
+    graph = generate_sbm(**{key: getattr(args, key) for key in DEFAULT_DATASET if key != "kind"})
     out = _output_dir(args, "sbm")
     _write_manifest(out, "sbm", vars(args))
     with open(out / "edges.txt", "w") as fh:
@@ -330,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lambda", dest="reg_lambda", type=float,
                            help="regularization weight for the trainable-retention strategy")
         if with_model:
-            p.add_argument("--propagation", dest="propagation_mode",
-                           choices=["symmetric", "row_stochastic"])
-            p.add_argument("--task", choices=["node_classification", "link_prediction"])
+            p.add_argument("--propagation", dest="propagation_mode", choices=PROPAGATION_MODES)
+            p.add_argument("--task", choices=TASKS)
 
     def sweep_rate(p):
         p.add_argument("--rate", dest="fixed_rate", type=float, default=0.0,
@@ -383,13 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = command("sbm", "generate a block-model dataset as loadable files")
-    p.add_argument("--num-nodes", dest="num_nodes", type=int, default=200)
-    p.add_argument("--num-blocks", dest="num_blocks", type=int, default=2)
-    p.add_argument("--p-in", dest="p_in", type=float, default=0.1)
-    p.add_argument("--p-out", dest="p_out", type=float, default=0.01)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p.add_argument("--noise-scale", dest="noise_scale", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=42)
+    for key, value in DEFAULT_DATASET.items():   # its flags default to the default dataset
+        if key != "kind":
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(value), default=value)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sbm)
     return parser
@@ -400,8 +411,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ParseError, ValidationError, ValueError,
-            ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # error.json goes where the command writes its outputs, under the default
         # root without --out; bound writes only under --out and gradcheck nowhere

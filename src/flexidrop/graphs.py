@@ -17,6 +17,9 @@ class ValidationError(ValueError):
     """Structurally valid input that violates a data contract."""
 
 
+PROPAGATION_MODES = ("symmetric", "row_stochastic")
+
+
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
     """Sort each pair as (min, max), then sort rows and drop duplicates."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -120,12 +123,12 @@ class PropagationOperator:
     has P's sparsity pattern; a symmetric P is its own transpose.
     """
 
-    mode: str                 # "symmetric" | "row_stochastic"
+    mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
     transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
 
     def __post_init__(self):
-        if self.mode not in ("symmetric", "row_stochastic"):
+        if self.mode not in PROPAGATION_MODES:
             raise ValidationError(f"unknown propagation mode {self.mode!r}")
         m = self.matrix
         if m.shape[0] != m.shape[1]:
@@ -180,7 +183,7 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
     transpose shares P's pattern and index arrays; row-stochastic, its
     entries are ``(1/deg)[col]``.
     """
-    if mode not in ("symmetric", "row_stochastic"):
+    if mode not in PROPAGATION_MODES:
         raise ValidationError(f"unknown propagation mode {mode!r}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     loops = np.arange(num_nodes, dtype=np.int64)
@@ -236,13 +239,7 @@ class SplitSpec:
                 masks.append(m)
                 start += c
             return tuple(masks)
-        masks = []
-        for path in self.index_files:
-            idx = _read_index_file(path, num_nodes)
-            m = np.zeros(num_nodes, dtype=bool)
-            m[idx] = True
-            masks.append(m)
-        return tuple(masks)
+        return tuple(_read_index_file(path, num_nodes) for path in self.index_files)
 
 
 def _data_lines(path: str):
@@ -255,7 +252,8 @@ def _data_lines(path: str):
 
 
 def _read_index_file(path: str, num_nodes: int) -> np.ndarray:
-    out = []
+    """The node mask of the indices ``path`` lists, one per line."""
+    mask = np.zeros(num_nodes, dtype=bool)
     for lineno, line in _data_lines(path):
         try:
             idx = int(line)
@@ -263,8 +261,8 @@ def _read_index_file(path: str, num_nodes: int) -> np.ndarray:
             raise ParseError(f"{path}, line {lineno}: expected a node index, got {line!r}") from None
         if not 0 <= idx < num_nodes:
             raise ValidationError(f"{path}, line {lineno}: node index {idx} out of range [0, {num_nodes})")
-        out.append(idx)
-    return np.asarray(sorted(set(out)), dtype=np.int64)
+        mask[idx] = True
+    return mask
 
 
 def _read_numeric_csv(path: str) -> np.ndarray:
@@ -324,11 +322,10 @@ def load_graph(edge_file: str, feature_file: str, label_file: str,
             warnings.warn(f"{edge_file}, line {lineno}: dropping self-loop on node {u}")
             continue
         pairs.append((u, v))
-    edges = _canonical_edges(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
     num_classes = int(labels.max()) + 1 if labels.size else 1
     train_m, val_m, test_m = split.resolve(n)
-    return Graph(features, labels, edges, num_classes, train_m, val_m, test_m)
+    return Graph(features, labels, pairs, num_classes, train_m, val_m, test_m)
 
 
 def generate_sbm(num_nodes: int, num_blocks: int, p_in: float, p_out: float,

@@ -35,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import Tape, Value, sigmoid
-from .graphs import (Graph, PropagationOperator, ValidationError, propagation_from_edges,
-                     sample_absent_pairs)
+from .graphs import (PROPAGATION_MODES, Graph, PropagationOperator, ValidationError,
+                     propagation_from_edges, sample_absent_pairs)
 from .graphs import build_propagation  # noqa: F401  (bench/spans.py traces calls at this binding)
 
 STRATEGIES = ("none", "flexidrop", "fixed_dropout", "dropnode", "dropedge")
@@ -65,9 +65,6 @@ class LayerParams:
                 f"retention logits length {self.retention_logits.shape[0]} "
                 f"must match weight input width {self.weight.shape[0]}")
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weight.copy(), self.retention_logits.copy())
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -89,7 +86,7 @@ class ModelConfig:
                 raise ValueError(f"strategy {self.strategy!r} takes no rate")
         elif not 0.0 <= self.rate < 1.0:
             raise ValueError(f"rate must lie in [0, 1), got {self.rate}")
-        if self.propagation_mode not in ("symmetric", "row_stochastic"):
+        if self.propagation_mode not in PROPAGATION_MODES:
             raise ValueError(f"unknown propagation mode {self.propagation_mode!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
@@ -345,46 +342,46 @@ def sample_negative_edges(graph: Graph, count: int, seed: int) -> np.ndarray:
     return sample_absent_pairs(graph, count, np.random.default_rng(seed))
 
 
-CHECKPOINT_FORMAT = 2   # 2: the model config has no activation field
+CHECKPOINT_FORMAT = 3   # 3: the config's layer_dims alone states the array shapes
 
 
 def save_checkpoint(path: str | Path, params: list[LayerParams],
                     config: ModelConfig, extra: dict | None = None) -> None:
-    """Write ``<path>.npz`` with all arrays and ``<path>.json`` with the manifest."""
+    """Write the arrays of params that fit ``config`` to ``<path>.npz``, the config to ``.json``."""
     path = Path(path)
-    arrays = {}
-    layers = []
-    for i, p in enumerate(params):
-        arrays[f"weight_{i}"] = p.weight
-        arrays[f"retention_logits_{i}"] = p.retention_logits
-        layers.append({"weight_shape": list(p.weight.shape),
-                       "retention_len": int(p.retention_logits.shape[0])})
-    np.savez(path.with_suffix(".npz"), **arrays)
-    manifest = {"format_version": CHECKPOINT_FORMAT, "config": config.to_dict(),
-                "layers": layers}
+    _check_params(params, config)
+    np.savez(path.with_suffix(".npz"), **{k: a for i, p in enumerate(params) for k, a in (
+        (f"weight_{i}", p.weight), (f"retention_logits_{i}", p.retention_logits))})
+    manifest = {"format_version": CHECKPOINT_FORMAT, "config": config.to_dict()}
     if extra:
         manifest["extra"] = extra
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, dict]:
+    """The params, config and manifest at ``path``; bad input raises ValueError naming its file.
+
+    The ``.npz`` must hold exactly each layer's ``weight_i`` and ``retention_logits_i``,
+    of the shapes the config's layer_dims give.
+    """
     path = Path(path)
-    manifest = json.loads(path.with_suffix(".json").read_text())
-    if manifest.get("format_version") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {manifest.get('format_version')!r}")
-    config = ModelConfig.from_dict(manifest["config"])
-    if len(manifest["layers"]) != config.num_layers:
-        raise ValueError(f"{path.with_suffix('.json')}: manifest lists {len(manifest['layers'])} "
-                         f"layers, its config has {config.num_layers}")
-    params = []
+    try:
+        manifest = json.loads(path.with_suffix(".json").read_text())
+        if not isinstance(manifest, dict) or "config" not in manifest:
+            raise ValueError("expected a mapping with a 'config' key")
+        if manifest.get("format_version") != CHECKPOINT_FORMAT:
+            raise ValueError(f"unsupported checkpoint format {manifest.get('format_version')!r}")
+        config = ModelConfig.from_dict(manifest["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path.with_suffix('.json')}: {exc}") from exc
+    dims = config.layer_dims
+    want = {k: shape for i in range(config.num_layers) for k, shape in (
+        (f"weight_{i}", dims[i:i + 2]), (f"retention_logits_{i}", dims[i:i + 1]))}
     with np.load(path.with_suffix(".npz")) as data:
-        for i, spec in enumerate(manifest["layers"]):
-            w = data[f"weight_{i}"]
-            z = data[f"retention_logits_{i}"]
-            if list(w.shape) != spec["weight_shape"]:
-                raise ValueError(f"layer {i} weight shape mismatch against manifest")
-            expected = (config.layer_dims[i], config.layer_dims[i + 1])
-            if w.shape != expected or z.shape != (expected[0],):
-                raise ValueError(f"layer {i} array shape disagrees with config layer_dims")
-            params.append(LayerParams(w, z))
-    return params, config, manifest
+        arrays = {name: data[name] for name in data.files}
+    shapes = {k: a.shape for k, a in arrays.items()}
+    if shapes != want:
+        raise ValueError(f"{path.with_suffix('.npz')}: holds array shapes {shapes}, but layer_dims "
+                         f"{list(dims)} need exactly {want}")
+    return ([LayerParams(arrays[f"weight_{i}"], arrays[f"retention_logits_{i}"])
+             for i in range(config.num_layers)], config, manifest)

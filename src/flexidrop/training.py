@@ -272,8 +272,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
             if not np.isfinite(objective.item()):
                 raise NumericsError("non-finite loss")
         except NumericsError as exc:
-            raise TrainingAborted(epoch, [p.copy() for p in params], record,
-                                  reason=str(exc)) from exc
+            raise TrainingAborted(epoch, params, record, reason=str(exc)) from exc
 
         # z off the loss path (every strategy but flexidrop) gets a zero gradient,
         # and Adam's step from zero moments leaves it exactly as it was
@@ -282,7 +281,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         # a backward can overflow under a finite objective; Adam would spread it
         if not np.isfinite(grad).all():
             j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
-            raise TrainingAborted(epoch, [p.copy() for p in params], record,
+            raise TrainingAborted(epoch, params, record,
                                   reason=f"non-finite gradient of layer {j // 2 + 1} "
                                          f"{('weight', 'retention logits')[j % 2]}")
         flat[...], adam = adam_step(flat, grad, adam, cfg.learning_rate)

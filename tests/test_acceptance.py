@@ -16,13 +16,13 @@ import pytest
 
 import mpmath as mp
 
-from flexidrop.autodiff import Tape, grad_check, sigmoid
-from flexidrop.bounds import (BoundContext, complexity_prefactor, complexity_regularizer,
-                              empirical_rademacher_exact, empirical_rademacher_mc,
-                              generalization_bound, multilayer_bound, single_layer_bound)
-from flexidrop.cli import run as cli_run
+from flexidrop.autodiff import Tape, sigmoid
+from flexidrop.bounds import (BoundContext, complexity_prefactor, empirical_rademacher_exact,
+                              empirical_rademacher_mc, generalization_bound, multilayer_bound,
+                              single_layer_bound)
+from flexidrop.cli import _gradcheck_instance, run as cli_run
 from flexidrop.graphs import SplitSpec, build_propagation, generate_sbm, load_graph
-from flexidrop.model import BoundLayer, LayerParams, ModelConfig, forward, init_params
+from flexidrop.model import LayerParams, ModelConfig, forward, init_params
 from flexidrop.training import (TrainConfig, depth_dims, oversmoothing_profile, robustness_sweep,
                                 train)
 
@@ -39,61 +39,15 @@ def verdict(criterion: int, ok: bool, detail: str) -> None:
 # ---- 1. gradient fidelity ----------------------------------------------------------
 
 
-def _composite_op_check(seed: int) -> grad_check:
-    rng = np.random.default_rng(seed)
-    a0 = rng.uniform(-1, 1, (3, 4))
-    b0 = rng.uniform(-1, 1, (4, 2))
-    v0 = rng.uniform(0.5, 1.5, (4, 1))
-    import scipy.sparse as sp
-    spm = sp.csr_matrix((rng.random((3, 3)) < 0.6) * rng.random((3, 3)))
-    labels = rng.integers(0, 2, 3)
-    mask = np.ones(3, dtype=bool)
-
-    def build(tape, leaves):
-        a, b, v = leaves
-        m = tape.matmul(a, b)
-        s = tape.add(m, tape.relu(m))
-        s = tape.sub(s, tape.scalar_mul(0.5, m))
-        e = tape.elementwise_mul(s, tape.sigmoid(s))
-        sparse_path = tape.spmm(spm, e, p_t=spm.T.tocsr())
-        r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
-        norms = tape.column_l2_norms(e)
-        mix = tape.add(tape.max_reduce(norms),
-                       tape.product_reduce(tape.column_l2_norms(r)))
-        ce = tape.softmax_cross_entropy(sparse_path, labels, mask)
-        return tape.add(tape.add(tape.mean(e), tape.sum(r)), tape.add(mix, ce))
-
-    return grad_check(build, [a0, b0, v0], h=1e-5, tol=1e-4)
-
-
-def _model_check(seed: int) -> grad_check:
-    graph = generate_sbm(12, 2, 0.6, 0.2, 3, 0.1, seed=seed)
-    prop = build_propagation(graph, "row_stochastic")
-    config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop")
-    params = init_params(config.layer_dims, seed)
-    ctx = BoundContext.from_graph(graph, 2)
-    leaves = [p.weight for p in params] + [p.retention_logits for p in params]
-
-    def build(tape, ls):
-        k = len(params)
-        layers = [BoundLayer(ls[i], ls[k + i]) for i in range(k)]
-        out = forward(tape, graph, prop, layers, config, mode="train", seed=0)
-        loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
-        reg = complexity_regularizer(tape, ctx, layers)
-        return tape.add(loss, tape.scalar_mul(0.5, reg))
-
-    return grad_check(build, leaves, h=1e-5, tol=1e-4)
-
-
 def test_acceptance_1_gradient_fidelity():
     start = time.perf_counter()
-    reports = [_composite_op_check(100 + i) for i in range(12)]
-    reports += [_model_check(200 + i) for i in range(8)]
+    # each instance checks a composite of every tape op, then the model and regularizer
+    reports = [r for i in range(10) for r in _gradcheck_instance(100 + i)]
     elapsed = time.perf_counter() - start
     worst = max(r.max_rel_error for r in reports)
-    ok = all(r.passed for r in reports) and worst < 1e-4 and elapsed < 60.0
-    verdict(1, ok, f"20 seeded instances (12 op-composite + 8 full model+regularizer), "
-                   f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    ok = len(reports) == 20 and all(r.passed for r in reports) and worst < 1e-4 and elapsed < 60.0
+    verdict(1, ok, f"{len(reports)} grad checks over 10 seeded instances (op composite + full "
+                   f"model+regularizer each), max rel err {worst:.2e}, {elapsed:.1f}s")
 
 
 # ---- 2. bound formulas vs arbitrary-precision oracles -------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mpmath as mp
 
 from flexidrop.autodiff import Tape, grad_check
-from flexidrop.bounds import (BoundContext, LOSS_CAP, bound_report, complexity_prefactor,
+from flexidrop.bounds import (BoundContext, bound_report, complexity_prefactor,
                               complexity_regularizer, empirical_rademacher_exact,
                               empirical_rademacher_mc, generalization_bound,
                               multilayer_bound, single_layer_bound)
@@ -335,6 +335,3 @@ def test_bound_report_contents_and_warning():
     assert symmetric["bound_valid"] is False
     assert symmetric["complexity_bound"] == report["complexity_bound"]
 
-
-def test_loss_cap_constant():
-    assert LOSS_CAP == 10.0

@@ -162,6 +162,29 @@ def test_bad_dataset_or_width_entry_reports_error_json(tmp_path, section, entrie
     assert not (out / "run.csv").exists()
 
 
+@pytest.mark.parametrize("model, key", (
+    ({"layer_dims": [4, 8, 2], "hidden_dims": [64]}, "hidden_dims"),
+    ({"layer_dims": [4, 8, 2], "output_dim": 7, "task": "link_prediction"}, "output_dim"),
+    ({"output_dim": 7}, "output_dim"),
+), ids=("hidden-beside-layer-dims", "output-beside-layer-dims", "output-under-node-task"))
+def test_a_shape_key_that_would_not_be_read_reports_error_json(tmp_path, model, key):
+    # each trained without a word before: 4-8-2, or the class count as output width
+    out = tmp_path / "o"
+    cfg = small_config(tmp_path, drop=("model.hidden_dims",), model=model)
+    assert run(["train", "--config", cfg, "--out", str(out)]) == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["type"] == "ValidationError" and f"model: key {key!r}" in err["error"]
+    assert not (out / "run.csv").exists()
+
+
+def test_output_dim_sets_the_width_of_a_link_model(tmp_path):
+    out = tmp_path / "o"
+    cfg = small_config(tmp_path, model={"task": "link_prediction", "output_dim": 5})
+    assert run(["train", "--config", cfg, "--out", str(out), "--epochs", "1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["model"]["layer_dims"] == [4, 8, 5]
+
+
 def sbm_files_config(tmp_path, split):
     data = tmp_path / "data"
     assert run(["sbm", "--num-nodes", "30", "--feature-dim", "4", "--out", str(data)]) == 0
@@ -238,22 +261,49 @@ def test_bound_with_checkpoint_writes_report(tmp_path, capsys):
     assert "complexity_bound" in capsys.readouterr().out
 
 
-def test_bound_refuses_a_checkpoint_whose_layer_list_has_an_extra_entry(tmp_path, capsys):
+def test_bound_refuses_a_checkpoint_whose_archive_has_a_wrong_set_of_arrays(tmp_path, capsys):
     cfg = small_config(tmp_path)
     out = tmp_path / "train"
     assert run(["train", "--config", cfg, "--out", str(out)]) == 0
-    meta = json.loads((out / "model.json").read_text())
-    meta["layers"].append(meta["layers"][-1])
-    (out / "model.json").write_text(json.dumps(meta))
+    with np.load(out / "model.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    np.savez(out / "model.npz", **arrays, weight_2=arrays["weight_1"])
     bout = tmp_path / "bound"
     code = run(["bound", "--layers", "2", "--classes", "2", "--feature-dim", "4",
                 "--nodes", "40", "--feature-inf-max", "1.5",
                 "--checkpoint", str(out / "model"), "--out", str(bout)])
     assert code == 1
-    assert f"{out / 'model.json'}: manifest lists 3 layers" in capsys.readouterr().err
+    assert f"{out / 'model.npz'}: holds array shapes" in capsys.readouterr().err
     err = json.loads((bout / "error.json").read_text())
-    assert err["type"] == "ValueError" and "model.json" in err["error"]
+    assert err["type"] == "ValueError" and "model.npz" in err["error"]
     assert not (bout / "bound_report.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", (("--layers", "3"), ("--feature-dim", "7"),
+                                         ("--classes", "5")))
+def test_bound_refuses_a_context_that_does_not_fit_the_checkpoint(tmp_path, capsys, flag, value):
+    # the checkpoint is 4 -> 8 -> 2; the bound of another shape was reported before
+    out = tmp_path / "train"
+    assert run(["train", "--config", small_config(tmp_path), "--out", str(out)]) == 0
+    context = {"--layers": "2", "--classes": "2", "--feature-dim": "4", "--nodes": "40",
+               "--feature-inf-max": "1.5", flag: value}
+    bout = tmp_path / "bound"
+    code = run(["bound", *[a for kv in context.items() for a in kv],
+                "--checkpoint", str(out / "model"), "--out", str(bout)])
+    assert code == 1
+    assert f"{flag} {value} does not fit checkpoint" in capsys.readouterr().err
+    err = json.loads((bout / "error.json").read_text())
+    assert err["type"] == "ValidationError" and "layer_dims are [4, 8, 2]" in err["error"]
+    assert not (bout / "bound_report.json").exists()
+
+
+def test_bound_takes_any_class_count_for_a_link_checkpoint(tmp_path):
+    # a link model's output width is an embedding width, not a class count
+    out = tmp_path / "train"
+    assert run(["train", "--config", small_config(tmp_path), "--out", str(out),
+                "--task", "link_prediction"]) == 0
+    assert run(["bound", "--layers", "2", "--classes", "2", "--feature-dim", "4", "--nodes", "40",
+                "--feature-inf-max", "1.5", "--checkpoint", str(out / "model")]) == 0
 
 
 # ---- train --------------------------------------------------------------------------

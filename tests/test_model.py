@@ -588,6 +588,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded_cfg == cfg
     assert manifest["extra"]["epoch"] == 12
     assert manifest["format_version"] == CHECKPOINT_FORMAT
+    # the config's layer_dims is the one statement of the array shapes
+    assert set(manifest) == {"format_version", "config", "extra"}
+    with np.load(tmp_path / "model.npz") as data:
+        assert data.files == ["weight_0", "retention_logits_0", "weight_1", "retention_logits_1"]
     for a, b in zip(params, loaded):
         assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.retention_logits, b.retention_logits)
@@ -598,27 +602,60 @@ def test_checkpoint_of_another_format_fails_naming_it(tmp_path):
     path = str(tmp_path / "model")
     save_checkpoint(path, init_params(cfg.layer_dims, seed=15), cfg)
     meta = json.loads((tmp_path / "model.json").read_text())
-    # format 1 wrote the model config with an activation field
-    meta.update(format_version=1, config={**meta["config"], "activation": "relu"})
-    (tmp_path / "model.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
-        load_checkpoint(path)
+    # format 1 wrote the model config with an activation field, format 2 a
+    # list of layer shapes beside the config
+    for version, changes in ((1, {"config": {**meta["config"], "activation": "relu"}}),
+                             (2, {"layers": [{"weight_shape": [3, 2], "retention_len": 3}]})):
+        (tmp_path / "model.json").write_text(json.dumps({**meta, **changes,
+                                                         "format_version": version}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'model.json'}: unsupported checkpoint format {version}")):
+            load_checkpoint(path)
 
 
-@pytest.mark.parametrize("layers", (lambda ls: ls + ls[-1:], lambda ls: ls[:1]),
-                         ids=("one-extra", "one-missing"))
-def test_checkpoint_rejects_a_layer_list_that_disagrees_with_the_config(tmp_path, layers):
-    # an extra entry asked the archive for an array it does not hold, and a
-    # missing one loaded one layer of a two-layer model without a word
+@pytest.mark.parametrize("params", (
+    lambda ps: ps[:1],
+    lambda ps: ps + ps[-1:],
+    lambda ps: [ps[0], LayerParams(np.zeros((6, 3)), np.zeros(6))],
+), ids=("one-layer-missing", "one-layer-extra", "wrong-shape"))
+def test_save_checkpoint_refuses_params_that_do_not_fit_the_config(tmp_path, params):
     cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="none")
-    path = tmp_path / "model"
-    save_checkpoint(path, init_params(cfg.layer_dims, seed=15), cfg)
-    meta = json.loads((tmp_path / "model.json").read_text())
-    meta["layers"] = layers(meta["layers"])
-    (tmp_path / "model.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'model.json'}: manifest lists "
-                                                   f"{len(meta['layers'])} layers, its config has 2")):
-        load_checkpoint(path)
+    with pytest.raises(ValueError):
+        save_checkpoint(tmp_path / "model", params(init_params(cfg.layer_dims, seed=15)), cfg)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("manifest", ([], "model", {"format_version": 3}),
+                         ids=("a-list", "a-string", "no-config"))
+def test_checkpoint_rejects_a_manifest_without_a_config_naming_it(tmp_path, manifest):
+    # these raised TypeError or KeyError, which the command line does not catch
+    cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
+    save_checkpoint(tmp_path / "model", init_params(cfg.layer_dims, seed=15), cfg)
+    (tmp_path / "model.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'model.json'}: expected a mapping with a 'config' key")):
+        load_checkpoint(tmp_path / "model")
+
+
+@pytest.mark.parametrize("arrays", (
+    lambda a: {k: v for k, v in a.items() if k != "retention_logits_1"},
+    lambda a: {k: v for k, v in a.items() if k != "weight_0"},
+    lambda a: {**a, "weight_2": np.zeros((2, 2))},
+    lambda a: {**a, "retention_logits_1": np.zeros(5)},
+    lambda a: {**a, "weight_1": a["weight_1"].T},
+), ids=("missing-retention", "missing-weight", "extra-weight", "long-retention",
+        "transposed-weight"))
+def test_checkpoint_rejects_an_archive_without_exactly_the_configs_arrays(tmp_path, arrays):
+    # a missing array raised KeyError from the archive, and an extra one was ignored
+    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="none")
+    save_checkpoint(tmp_path / "model", init_params(cfg.layer_dims, seed=15), cfg)
+    with np.load(tmp_path / "model.npz") as data:
+        held = {k: data[k] for k in data.files}
+    np.savez(tmp_path / "model.npz", **arrays(held))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'model.npz'}: holds array shapes ")) as exc:
+        load_checkpoint(tmp_path / "model")
+    assert "layer_dims [3, 6, 2] need exactly" in str(exc.value)
 
 
 def test_checkpoint_rejects_tampered_manifest(tmp_path):
