@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -116,16 +116,26 @@ class Graph:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """Normalized message-passing matrix P, self-loops included, and its transpose.
+    """Normalized message-passing matrix P, self-loops included, its transpose, and P X.
 
-    Both are CSR. The transpose is what a backward pass multiplies by, so
-    it is built once with P, never per product. A+I is symmetric, so P^T
-    has P's sparsity pattern; a symmetric P is its own transpose.
+    Both matrices are CSR. The transpose is what a backward pass
+    multiplies by, so it is built once with P, never per product. A+I is
+    symmetric, so P^T has P's sparsity pattern; a symmetric P is its own
+    transpose.
+
+    ``features`` is the (N, d) input X the operator was built for, or
+    None. With it, ``propagated`` is P X, computed here once and
+    read-only: layer 1's unmasked input is X, which takes no gradient, so
+    that propagation is the same in every forward with this operator.
+    ``model.forward`` refuses an operator whose ``features`` are not its
+    graph's.
     """
 
     mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
     transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
+    features: np.ndarray | None = None          # X, (N, d)
+    propagated: np.ndarray | None = field(init=False, default=None)   # P X, (N, d)
 
     def __post_init__(self):
         if self.mode not in PROPAGATION_MODES:
@@ -142,6 +152,15 @@ class PropagationOperator:
         if self.transpose.shape != m.shape or self.transpose.nnz != m.nnz:
             raise ValidationError(f"propagation transpose has shape {self.transpose.shape} and "
                                   f"{self.transpose.nnz} entries, the matrix {m.shape} and {m.nnz}")
+        if self.features is not None:
+            x = np.asarray(self.features, dtype=np.float64)   # a Graph's features stay the same array
+            if x.ndim != 2 or x.shape[0] != m.shape[0]:
+                raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
+                                      "propagation matrix")
+            px = np.asarray(m @ x)
+            px.setflags(write=False)
+            object.__setattr__(self, "features", x)
+            object.__setattr__(self, "propagated", px)
 
     @property
     def num_nodes(self) -> int:
@@ -160,7 +179,7 @@ class PropagationOperator:
 
 
 def build_propagation(graph: Graph, mode: str = "row_stochastic") -> PropagationOperator:
-    """Build the normalized propagation operator for ``graph``.
+    """Build the normalized propagation operator for ``graph``, with P X of its features.
 
     Self-loops are always added before normalization, so every row has
     degree >= 1 and isolated nodes stay well defined.
@@ -168,12 +187,12 @@ def build_propagation(graph: Graph, mode: str = "row_stochastic") -> Propagation
     mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
     mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
     """
-    return propagation_from_edges(graph.num_nodes, graph.edges, mode)
+    return propagation_from_edges(graph.num_nodes, graph.edges, mode, features=graph.features)
 
 
-def propagation_from_edges(num_nodes: int, edges: np.ndarray,
-                           mode: str = "row_stochastic") -> PropagationOperator:
-    """``build_propagation`` for ``num_nodes`` nodes and an edge array.
+def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str = "row_stochastic",
+                           features: np.ndarray | None = None) -> PropagationOperator:
+    """``build_propagation`` for ``num_nodes`` nodes, an edge array and optional ``features``.
 
     ``edges`` must already be canonical, as ``Graph.edges`` and any row
     subset of it are; it is not validated again. DropEdge calls this once
@@ -181,7 +200,8 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
     directions of every edge plus the self-loops, sorted once by their
     row-major code, with degrees from a bincount of the rows. The
     transpose shares P's pattern and index arrays; row-stochastic, its
-    entries are ``(1/deg)[col]``.
+    entries are ``(1/deg)[col]``. Given ``features``, the operator holds
+    their propagation P X (see ``PropagationOperator``).
     """
     if mode not in PROPAGATION_MODES:
         raise ValidationError(f"unknown propagation mode {mode!r}")
@@ -197,11 +217,11 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray,
     if mode == "symmetric":
         dinv = 1.0 / np.sqrt(deg)
         mat = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=shape)
-        return PropagationOperator(mode=mode, matrix=mat, transpose=mat)
+        return PropagationOperator(mode=mode, matrix=mat, transpose=mat, features=features)
     inv = 1.0 / deg
     mat = sp.csr_matrix((inv[rows], cols, indptr), shape=shape)
     transpose = sp.csr_matrix((inv[cols], mat.indices, mat.indptr), shape=shape)
-    return PropagationOperator(mode=mode, matrix=mat, transpose=transpose)
+    return PropagationOperator(mode=mode, matrix=mat, transpose=transpose, features=features)
 
 
 @dataclass(frozen=True)

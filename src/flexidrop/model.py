@@ -11,22 +11,24 @@ the small k_in x k_out weight, not on the N rows of the activations:
 
     H_l = P @ A_l @ (diag(p_l) W_l)
 
-So the raw features X of layer 1 take no gradient, and its backward
-forms no product with W_1 transposed. A widening layer 1 computes
-(P @ X) @ W_1 and so has no sparse backward either; a narrowing one
-still forms P^T g and X^T (P^T g) for the gradient of W_1.
+The raw features X of layer 1 take no gradient, so layer 1 always
+computes (P @ A_1) @ W_1 and its backward has no sparse product and no
+product with W_1 transposed, whatever its width. Unmasked, P @ A_1 is
+P @ X, which the ``PropagationOperator`` computes once when it is built;
+a dropout mask drawn on X is applied and propagated outside the tape.
 
-A mask is applied to A_l first. The two products are then ordered by
-width: a layer that narrows (k_out < k_in) computes P @ (A_l @ W_l), so
-its sparse products, forward and backward, are k_out wide; any other
-layer computes (P @ A_l) @ W_l. The sparse products then cost
-O(|E| min(k_in, k_out)), the argument of Kipf & Welling
+From layer 2 on, a mask is applied to A_l first, and the two products
+are ordered by width: a layer that narrows (k_out < k_in) computes
+P @ (A_l @ W_l), so its sparse products, forward and backward, are k_out
+wide; any other layer computes (P @ A_l) @ W_l. The sparse products then
+cost O(|E| min(k_in, k_out)), the argument of Kipf & Welling
 (arXiv:1609.02907). Both orders give the same H_l up to float rounding.
 """
 from __future__ import annotations
 
 import json
 import operator
+import zipfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -250,6 +252,13 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     applies in both modes. ``seed`` seeds the masks of a train forward
     that draws them; one that draws none (``train_forward_is_eval``)
     makes no generator and propagates with ``prop`` itself.
+
+    Layer 1 starts from ``prop.propagated``, the P X that ``prop`` holds,
+    so ``prop`` must have been built from ``graph.features``
+    (``build_propagation(graph)``); any other operator raises ValueError
+    naming its features and the graph's. DropEdge's operator of each
+    train forward is built here, with its own P X. A mask drawn on X is
+    propagated here, off the tape: X takes no gradient.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -261,6 +270,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
                          f"{config.propagation_mode!r}")
     if prop.num_nodes != graph.num_nodes:
         raise ValueError(f"operator has {prop.num_nodes} nodes, graph has {graph.num_nodes}")
+    _check_operator_features(prop, graph)
     if isinstance(params[0], BoundLayer):
         layers = params
     else:
@@ -274,30 +284,55 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         # keep self-loops, renormalize in the configured mode
         keep = rng.random(graph.num_edges) >= config.rate
         kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
-        prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode)
+        prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode,
+                                      features=graph.features)
 
-    h = tape.leaf(graph.features)
     preacts: list[Value] = []
     for li, layer in enumerate(layers):
-        a = h if li == 0 else tape.relu(h)
-        k_in = a.shape[1]
+        a = tape.relu(h) if li > 0 else None
         w = layer.weight
+        k_in = w.shape[0]
         if config.strategy == "flexidrop":
             w = tape.row_broadcast_mul(w, layer.retention)
-        elif draws and config.strategy == "fixed_dropout":
-            mask = (rng.random(a.shape) >= config.rate) / (1.0 - config.rate)
-            a = tape.elementwise_mul(a, tape.leaf(mask))
-        elif draws and config.strategy == "dropnode":
-            rows = (rng.random(a.shape[0]) >= config.rate) / (1.0 - config.rate)
-            a = tape.elementwise_mul(a, tape.leaf(np.repeat(rows.reshape(-1, 1), k_in, axis=1)))
-        if w.shape[1] < k_in:
-            h = tape.spmm(prop.matrix, tape.matmul(a, w), p_t=prop.transpose)
+        mask = _draw_mask(rng, (graph.num_nodes, k_in), config) if draws else None
+        if li == 0:
+            # X takes no gradient, so P A_1 is a constant of this forward: the
+            # operator's P X, or the masked input propagated here, off the tape
+            pa = prop.propagated if mask is None else prop.matrix @ (graph.features * mask)
+            h = tape.matmul(tape.leaf(pa), w)
         else:
-            h = tape.matmul(tape.spmm(prop.matrix, a, p_t=prop.transpose), w)
+            if mask is not None:
+                a = tape.elementwise_mul(a, tape.leaf(mask))
+            if w.shape[1] < k_in:
+                h = tape.spmm(prop.matrix, tape.matmul(a, w), p_t=prop.transpose)
+            else:
+                h = tape.matmul(tape.spmm(prop.matrix, a, p_t=prop.transpose), w)
         if not np.isfinite(h.data).all():
             raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)
     return ForwardResult(preacts, preacts[-1], prop.matrix)
+
+
+def _check_operator_features(prop: PropagationOperator, graph: Graph) -> None:
+    """Refuse ``prop`` unless its P X was built from ``graph``'s features."""
+    theirs, ours = prop.features, graph.features
+    if theirs is ours or (theirs is not None and theirs.shape == ours.shape
+                          and np.array_equal(theirs, ours)):
+        return
+    held = "no features" if theirs is None else f"features of shape {theirs.shape}"
+    raise ValueError(f"the operator's P X was built from {held}, not from the graph's features "
+                     f"of shape {ours.shape}; build it with build_propagation(graph)")
+
+
+def _draw_mask(rng: np.random.Generator, shape: tuple[int, int],
+               config: ModelConfig) -> np.ndarray | None:
+    """The scaled keep mask of a layer input of ``shape``, or None for a strategy without one."""
+    if config.strategy == "fixed_dropout":
+        return (rng.random(shape) >= config.rate) / (1.0 - config.rate)
+    if config.strategy == "dropnode":
+        rows = (rng.random(shape[0]) >= config.rate) / (1.0 - config.rate)
+        return np.repeat(rows.reshape(-1, 1), shape[1], axis=1)
+    return None
 
 
 def train_forward_is_eval(config: ModelConfig) -> bool:
@@ -377,11 +412,15 @@ def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, d
     dims = config.layer_dims
     want = {k: shape for i in range(config.num_layers) for k, shape in (
         (f"weight_{i}", dims[i:i + 2]), (f"retention_logits_{i}", dims[i:i + 1]))}
-    with np.load(path.with_suffix(".npz")) as data:
-        arrays = {name: data[name] for name in data.files}
+    npz = path.with_suffix(".npz")
+    try:
+        with np.load(npz) as data:
+            arrays = {name: data[name] for name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:   # truncated, not a zip, pickled
+        raise ValueError(f"{npz}: cannot read its arrays: {type(exc).__name__}: {exc}") from exc
     shapes = {k: a.shape for k, a in arrays.items()}
     if shapes != want:
-        raise ValueError(f"{path.with_suffix('.npz')}: holds array shapes {shapes}, but layer_dims "
+        raise ValueError(f"{npz}: holds array shapes {shapes}, but layer_dims "
                          f"{list(dims)} need exactly {want}")
     return ([LayerParams(arrays[f"weight_{i}"], arrays[f"retention_logits_{i}"])
              for i in range(config.num_layers)], config, manifest)

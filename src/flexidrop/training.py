@@ -59,16 +59,31 @@ class AdamState:
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new parameter and state."""
+    """One bias-corrected Adam update of ``param`` and ``state``, in place; returns both.
+
+    Each value is computed in the operation order of the textbook
+    formula, so the in-place update gives it bit for bit, with two
+    temporaries instead of one per operation.
+    """
     if param.shape != grad.shape:
         raise ValueError(f"adam_step: param shape {param.shape} != grad shape {grad.shape}")
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_param, AdamState(m=m, v=v, t=t)
+    state.t += 1
+    m, v = state.m, state.v
+    step = np.multiply(1.0 - ADAM_BETA1, grad)
+    m *= ADAM_BETA1
+    m += step                                   # m = b1 m + (1 - b1) g
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+    step *= grad
+    v *= ADAM_BETA2
+    v += step                                   # v = b2 v + ((1 - b2) g) g
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS                           # sqrt(v_hat) + eps
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=step)
+    step *= lr
+    step /= denom                               # (lr m_hat) / (sqrt(v_hat) + eps)
+    param -= step
+    return param, state
 
 
 class TrainingAborted(RuntimeError):
@@ -284,7 +299,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
             raise TrainingAborted(epoch, params, record,
                                   reason=f"non-finite gradient of layer {j // 2 + 1} "
                                          f"{('weight', 'retention logits')[j % 2]}")
-        flat[...], adam = adam_step(flat, grad, adam, cfg.learning_rate)
+        adam_step(flat, grad, adam, cfg.learning_rate)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}

@@ -279,6 +279,29 @@ def test_bound_refuses_a_checkpoint_whose_archive_has_a_wrong_set_of_arrays(tmp_
     assert not (bout / "bound_report.json").exists()
 
 
+@pytest.mark.parametrize("damage", ("truncated", "text", "object-array"))
+def test_bound_names_a_checkpoint_archive_it_cannot_read(tmp_path, capsys, damage):
+    # np.load's own errors (BadZipFile, and two ValueErrors) did not name the file
+    out = tmp_path / "train"
+    assert run(["train", "--config", small_config(tmp_path), "--out", str(out)]) == 0
+    npz = out / "model.npz"
+    if damage == "truncated":
+        npz.write_bytes(npz.read_bytes()[:200])
+    elif damage == "text":
+        npz.write_text("weight_0 = [[1.0, 2.0]]\n")
+    else:
+        np.savez(npz, weight_0=np.array([object()], dtype=object))
+    bout = tmp_path / "bound"
+    code = run(["bound", "--layers", "2", "--classes", "2", "--feature-dim", "4",
+                "--nodes", "40", "--feature-inf-max", "1.5",
+                "--checkpoint", str(out / "model"), "--out", str(bout)])
+    assert code == 1
+    assert f"{npz}: cannot read its arrays" in capsys.readouterr().err
+    err = json.loads((bout / "error.json").read_text())
+    assert err["type"] == "ValueError" and str(npz) in err["error"]
+    assert not (bout / "bound_report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", (("--layers", "3"), ("--feature-dim", "7"),
                                          ("--classes", "5")))
 def test_bound_refuses_a_context_that_does_not_fit_the_checkpoint(tmp_path, capsys, flag, value):

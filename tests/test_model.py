@@ -478,6 +478,74 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
         assert np.abs(pre.data - h).max() <= 1e-12 * np.abs(h).max()
 
 
+@pytest.mark.parametrize("strategy", ("fixed_dropout", "dropnode"))
+@pytest.mark.parametrize("dims", ((3, 6, 2), (6, 2, 3), (5, 2)))   # layer 1 widens, narrows
+def test_a_masked_layer_1_matches_the_reference(strategy, dims):
+    # the mask on X is drawn and propagated off the tape; the reference records both
+    g = sbm(seed=3, n=16, d=dims[0])
+    config = ModelConfig(layer_dims=dims, strategy=strategy, rate=0.3)
+    params = init_params(dims, seed=5)
+    prop = build_propagation(g, config.propagation_mode)
+    for seed in (0, 1, 2):
+        got = logits_and_grads(
+            lambda t, layers: forward(t, g, prop, layers, config, "train", seed).logits,
+            g, params, config)
+        want = logits_and_grads(
+            lambda t, layers: reference_forward(t, g, prop, layers, config, "train", seed),
+            g, params, config)
+        for a, b in zip(got, want):
+            if len(dims) == 2:   # one layer: (P (X m)) W either way, the same arithmetic
+                assert np.array_equal(a, b)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("dims", ((3, 6, 2), (6, 2, 3), (4, 5, 5, 2), (3, 2)))
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0), ("dropedge", 0.0),
+                                            ("fixed_dropout", 0.3), ("dropnode", 0.3)))
+def test_a_train_forward_makes_one_spmm_per_layer_after_the_first(monkeypatch, dims,
+                                                                   strategy, rate):
+    # layer 1 starts from the operator's P X, or from a masked X propagated off the tape
+    calls = []
+    real = Tape.spmm
+
+    def counted(self, p, x, *, p_t):
+        calls.append(x.shape)
+        return real(self, p, x, p_t=p_t)
+
+    monkeypatch.setattr(Tape, "spmm", counted)
+    g = sbm(seed=2, n=12, d=dims[0])
+    config = ModelConfig(layer_dims=dims, strategy=strategy, rate=rate)
+    run_forward(g, init_params(dims, seed=1), config, mode="train", seed=4)
+    assert len(calls) == config.num_layers - 1
+
+
+def test_forward_refuses_an_operator_built_from_other_features():
+    g = sbm(seed=0, n=20, d=3)
+    config = ModelConfig(layer_dims=(3, 4, 2))
+    params = init_params(config.layer_dims, seed=0)
+    cases = (
+        (build_propagation(g.with_edges(g.edges[:5]), "row_stochastic"), None),   # the same X
+        (build_propagation(sbm(seed=1, n=20, d=3), "row_stochastic"),
+         r"built from features of shape \(20, 3\), not from the graph's features of shape "
+         r"\(20, 3\)"),
+        (build_propagation(sbm(seed=0, n=20, d=4), "row_stochastic"),
+         r"built from features of shape \(20, 4\), not from the graph's features of shape "
+         r"\(20, 3\)"),
+        (propagation_from_edges(20, g.edges, "row_stochastic"), "built from no features"),
+    )
+    for prop, refusal in cases:
+        if refusal is None:
+            forward(Tape(), g, prop, params, config)
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                forward(Tape(), g, prop, params, config)
+    # features equal to the graph's, held in another array, are the graph's
+    twin = Graph(g.features.copy(), g.labels, g.edges, g.num_classes,
+                 g.train_mask, g.val_mask, g.test_mask)
+    got = forward(Tape(), g, build_propagation(twin, "row_stochastic"), params, config)
+    assert np.array_equal(got.logits.data, run_forward(g, params, config).logits.data)
+
+
 def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
     # layer 2 narrows 6 -> 2 and so multiplies by W before propagating
     g = sbm(seed=11, n=10, d=3)

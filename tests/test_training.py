@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from flexidrop import training
 from flexidrop.autodiff import Tape
@@ -104,7 +105,7 @@ def test_adam_first_step_is_signed_learning_rate():
     new, state = adam_step(param, grad, state, lr=0.1)
     assert np.allclose(new, [-0.1, 0.1, -0.1], atol=1e-8)
     assert state.t == 1
-    assert np.array_equal(param, np.zeros(3))       # input untouched
+    assert new is param                             # stepped in place
 
 
 def test_adam_zero_gradient_keeps_param():
@@ -135,6 +136,32 @@ def test_adam_matches_reference_implementation_over_steps():
         assert np.allclose(param, ref_p, atol=1e-12)
 
 
+def test_in_place_adam_step_equals_the_out_of_place_formula():
+    # the textbook update, one temporary per operation; the in-place step keeps its
+    # operation order, so it must give every bit
+    def formula(param, grad, m, v, t, lr):
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        return param - lr * m_hat / (np.sqrt(v_hat) + 1e-8), m, v
+
+    rng = np.random.default_rng(34)
+    for shape in ((1,), (7,), (3, 5), (2, 3, 4)):
+        param = rng.normal(size=shape)
+        state = AdamState.zeros_like(param)
+        m0, v0 = state.m, state.v
+        want, m, v = param.copy(), state.m.copy(), state.v.copy()
+        for t in range(1, 6):
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            got, state = adam_step(param, grad, state, lr=0.03)
+            want, m, v = formula(want, grad, m, v, t, lr=0.03)
+            assert got is param and state.m is m0 and state.v is v0   # the same arrays
+            assert state.t == t
+            assert np.array_equal(param, want), (shape, t)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), (shape, t)
+
+
 def test_flat_adam_step_equals_a_step_per_array():
     # train() steps one vector [W_1, z_1, W_2, z_2, ...]; Adam is elementwise, so that
     # gives each array's own step bit for bit. Without z on the loss path its gradient
@@ -155,6 +182,37 @@ def test_flat_adam_step_equals_a_step_per_array():
             for i in range(0, len(arrays), 1 if with_z else 2):
                 arrays[i], states[i] = adam_step(arrays[i], grads[i], states[i], lr=0.01)
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+
+
+# ---- propagation of the features ----------------------------------------------------
+
+
+@pytest.mark.parametrize("task, strategy, rate, per_forward", (
+    ("node_classification", "none", 0.0, 0),
+    ("node_classification", "flexidrop", 0.0, 0),
+    ("node_classification", "dropedge", 0.0, 0),
+    ("node_classification", "fixed_dropout", 0.3, 0),   # masks X, then propagates the product
+    ("node_classification", "dropedge", 0.5, 1),        # an operator per train forward
+    ("link_prediction", "flexidrop", 0.0, 0),
+    ("link_prediction", "dropedge", 0.5, 1),
+))
+def test_the_features_are_propagated_once_per_operator(monkeypatch, task, strategy, rate,
+                                                       per_forward):
+    g = sanity_graph()
+    products = []
+    real = sp.csr_matrix.__matmul__
+
+    def spy(self, other):
+        if other is g.features:
+            products.append(self.shape)
+        return real(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
+    epochs = 4
+    train(g, ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate, task=task),
+          quick(epochs, reg_lambda=0.1))
+    # the run's operator once, then each train forward's own operator under DropEdge
+    assert len(products) == 1 + per_forward * epochs
 
 
 # ---- train loop basics -------------------------------------------------------------
