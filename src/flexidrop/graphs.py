@@ -123,19 +123,18 @@ class PropagationOperator:
     symmetric, so P^T has P's sparsity pattern; a symmetric P is its own
     transpose.
 
-    ``features`` is the (N, d) input X the operator was built for, or
-    None. With it, ``propagated`` is P X, computed here once and
-    read-only: layer 1's unmasked input is X, which takes no gradient, so
-    that propagation is the same in every forward with this operator.
-    ``model.forward`` refuses an operator whose ``features`` are not its
-    graph's.
+    ``features`` is the (N, d) input X the operator was built for, and
+    ``propagated`` is P X, computed here once and read-only: layer 1's
+    unmasked input is X, which takes no gradient, so that propagation is
+    the same in every forward with this operator. ``model.forward``
+    refuses an operator whose ``features`` are not its graph's array.
     """
 
     mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
     transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
-    features: np.ndarray | None = None          # X, (N, d)
-    propagated: np.ndarray | None = field(init=False, default=None)   # P X, (N, d)
+    features: np.ndarray      # X, (N, d)
+    propagated: np.ndarray = field(init=False)   # P X, (N, d), read-only
 
     def __post_init__(self):
         if self.mode not in PROPAGATION_MODES:
@@ -152,15 +151,13 @@ class PropagationOperator:
         if self.transpose.shape != m.shape or self.transpose.nnz != m.nnz:
             raise ValidationError(f"propagation transpose has shape {self.transpose.shape} and "
                                   f"{self.transpose.nnz} entries, the matrix {m.shape} and {m.nnz}")
-        if self.features is not None:
-            x = np.asarray(self.features, dtype=np.float64)   # a Graph's features stay the same array
-            if x.ndim != 2 or x.shape[0] != m.shape[0]:
-                raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
-                                      "propagation matrix")
-            px = np.asarray(m @ x)
-            px.setflags(write=False)
-            object.__setattr__(self, "features", x)
-            object.__setattr__(self, "propagated", px)
+        x = self.features
+        if x.ndim != 2 or x.shape[0] != m.shape[0]:
+            raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
+                                  "propagation matrix")
+        px = np.asarray(m @ x)
+        px.setflags(write=False)
+        object.__setattr__(self, "propagated", px)
 
     @property
     def num_nodes(self) -> int:
@@ -187,12 +184,12 @@ def build_propagation(graph: Graph, mode: str = "row_stochastic") -> Propagation
     mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
     mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
     """
-    return propagation_from_edges(graph.num_nodes, graph.edges, mode, features=graph.features)
+    return propagation_from_edges(graph.num_nodes, graph.edges, mode, graph.features)
 
 
-def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str = "row_stochastic",
-                           features: np.ndarray | None = None) -> PropagationOperator:
-    """``build_propagation`` for ``num_nodes`` nodes, an edge array and optional ``features``.
+def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str,
+                           features: np.ndarray) -> PropagationOperator:
+    """``build_propagation`` for ``num_nodes`` nodes, an edge array and ``features``.
 
     ``edges`` must already be canonical, as ``Graph.edges`` and any row
     subset of it are; it is not validated again. DropEdge calls this once
@@ -200,8 +197,8 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str = "row_s
     directions of every edge plus the self-loops, sorted once by their
     row-major code, with degrees from a bincount of the rows. The
     transpose shares P's pattern and index arrays; row-stochastic, its
-    entries are ``(1/deg)[col]``. Given ``features``, the operator holds
-    their propagation P X (see ``PropagationOperator``).
+    entries are ``(1/deg)[col]``. The operator holds the propagation
+    P X of ``features`` (see ``PropagationOperator``).
     """
     if mode not in PROPAGATION_MODES:
         raise ValidationError(f"unknown propagation mode {mode!r}")

@@ -254,9 +254,10 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     makes no generator and propagates with ``prop`` itself.
 
     Layer 1 starts from ``prop.propagated``, the P X that ``prop`` holds,
-    so ``prop`` must have been built from ``graph.features``
-    (``build_propagation(graph)``); any other operator raises ValueError
-    naming its features and the graph's. DropEdge's operator of each
+    so ``prop`` must have been built from the array ``graph.features``
+    (``build_propagation(graph)``, or of any ``graph.with_edges`` copy);
+    any other operator raises ValueError naming the shapes of its
+    features and the graph's. DropEdge's operator of each
     train forward is built here, with its own P X. A mask drawn on X is
     propagated here, off the tape: X takes no gradient.
     """
@@ -270,7 +271,10 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
                          f"{config.propagation_mode!r}")
     if prop.num_nodes != graph.num_nodes:
         raise ValueError(f"operator has {prop.num_nodes} nodes, graph has {graph.num_nodes}")
-    _check_operator_features(prop, graph)
+    if prop.features is not graph.features:   # a Graph's features are one read-only array
+        raise ValueError(f"the operator's P X was built from features of shape "
+                         f"{prop.features.shape}, not from the graph's features of shape "
+                         f"{graph.features.shape}; build it with build_propagation(graph)")
     if isinstance(params[0], BoundLayer):
         layers = params
     else:
@@ -285,7 +289,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         keep = rng.random(graph.num_edges) >= config.rate
         kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
         prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode,
-                                      features=graph.features)
+                                      graph.features)
 
     preacts: list[Value] = []
     for li, layer in enumerate(layers):
@@ -311,17 +315,6 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
             raise NumericsError(f"non-finite value at layer {li + 1}")
         preacts.append(h)
     return ForwardResult(preacts, preacts[-1], prop.matrix)
-
-
-def _check_operator_features(prop: PropagationOperator, graph: Graph) -> None:
-    """Refuse ``prop`` unless its P X was built from ``graph``'s features."""
-    theirs, ours = prop.features, graph.features
-    if theirs is ours or (theirs is not None and theirs.shape == ours.shape
-                          and np.array_equal(theirs, ours)):
-        return
-    held = "no features" if theirs is None else f"features of shape {theirs.shape}"
-    raise ValueError(f"the operator's P X was built from {held}, not from the graph's features "
-                     f"of shape {ours.shape}; build it with build_propagation(graph)")
 
 
 def _draw_mask(rng: np.random.Generator, shape: tuple[int, int],

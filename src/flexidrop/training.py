@@ -58,8 +58,8 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
-              lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update of ``param`` and ``state``, in place; returns both.
+              lr: float) -> None:
+    """One bias-corrected Adam update of ``param`` and ``state``, in place.
 
     Each value is computed in the operation order of the textbook
     formula, so the in-place update gives it bit for bit, with two
@@ -83,7 +83,6 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState,
     step *= lr
     step /= denom                               # (lr m_hat) / (sqrt(v_hat) + eps)
     param -= step
-    return param, state
 
 
 class TrainingAborted(RuntimeError):

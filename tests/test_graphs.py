@@ -154,7 +154,7 @@ def operator_cases():
 def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
     for n, edges in operator_cases():
         for mode in ("symmetric", "row_stochastic"):
-            got = propagation_from_edges(n, edges, mode).matrix
+            got = propagation_from_edges(n, edges, mode, np.zeros((n, 1))).matrix
             want = coo_propagation(n, edges, mode)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -164,7 +164,7 @@ def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
 def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
     for n, edges in operator_cases():
         for mode in ("symmetric", "row_stochastic"):
-            prop = propagation_from_edges(n, edges, mode)
+            prop = propagation_from_edges(n, edges, mode, np.zeros((n, 1)))
             want = prop.matrix.T.tocsr()
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(prop.transpose, name), getattr(want, name)
@@ -176,7 +176,8 @@ def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
 def test_propagation_operator_validates_row_sums():
     bad = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 1.0]]))
     with pytest.raises(ValidationError, match="sum to 1"):
-        PropagationOperator(mode="row_stochastic", matrix=bad, transpose=bad.T.tocsr())
+        PropagationOperator(mode="row_stochastic", matrix=bad, transpose=bad.T.tocsr(),
+                            features=np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("transpose", (
@@ -185,9 +186,10 @@ def test_propagation_operator_validates_row_sums():
 ))
 def test_propagation_operator_rejects_a_transpose_that_disagrees(transpose):
     good = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    PropagationOperator(mode="row_stochastic", matrix=good, transpose=good)
+    x = np.zeros((2, 1))
+    PropagationOperator(mode="row_stochastic", matrix=good, transpose=good, features=x)
     with pytest.raises(ValidationError, match="transpose"):
-        PropagationOperator(mode="row_stochastic", matrix=good, transpose=transpose)
+        PropagationOperator(mode="row_stochastic", matrix=good, transpose=transpose, features=x)
 
 
 def test_propagation_entries_positive():

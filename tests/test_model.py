@@ -405,7 +405,7 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
     if config.strategy == "dropedge" and mode == "train":
         keep = rng.random(graph.num_edges) >= config.rate
         p_matrix = propagation_from_edges(graph.num_nodes, graph.edges[keep],
-                                          config.propagation_mode).matrix
+                                          config.propagation_mode, graph.features).matrix
     h = tape.leaf(graph.features)
     for li, layer in enumerate(layers):
         a = h if li == 0 else tape.relu(h)
@@ -531,7 +531,6 @@ def test_forward_refuses_an_operator_built_from_other_features():
         (build_propagation(sbm(seed=0, n=20, d=4), "row_stochastic"),
          r"built from features of shape \(20, 4\), not from the graph's features of shape "
          r"\(20, 3\)"),
-        (propagation_from_edges(20, g.edges, "row_stochastic"), "built from no features"),
     )
     for prop, refusal in cases:
         if refusal is None:
@@ -539,11 +538,11 @@ def test_forward_refuses_an_operator_built_from_other_features():
         else:
             with pytest.raises(ValueError, match=refusal):
                 forward(Tape(), g, prop, params, config)
-    # features equal to the graph's, held in another array, are the graph's
+    # features equal to the graph's but held in another array are refused too
     twin = Graph(g.features.copy(), g.labels, g.edges, g.num_classes,
                  g.train_mask, g.val_mask, g.test_mask)
-    got = forward(Tape(), g, build_propagation(twin, "row_stochastic"), params, config)
-    assert np.array_equal(got.logits.data, run_forward(g, params, config).logits.data)
+    with pytest.raises(ValueError, match=r"built from features of shape \(20, 3\)"):
+        forward(Tape(), g, build_propagation(twin, "row_stochastic"), params, config)
 
 
 def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():

@@ -102,17 +102,16 @@ def test_adam_first_step_is_signed_learning_rate():
     param = np.zeros(3)
     grad = np.array([1.0, -2.0, 0.5])
     state = AdamState.zeros_like(param)
-    new, state = adam_step(param, grad, state, lr=0.1)
-    assert np.allclose(new, [-0.1, 0.1, -0.1], atol=1e-8)
+    adam_step(param, grad, state, lr=0.1)
+    assert np.allclose(param, [-0.1, 0.1, -0.1], atol=1e-8)   # stepped in place
     assert state.t == 1
-    assert new is param                             # stepped in place
 
 
 def test_adam_zero_gradient_keeps_param():
     param = np.array([1.5, -2.0])
     state = AdamState.zeros_like(param)
-    new, state = adam_step(param, np.zeros(2), state, lr=0.1)
-    assert np.array_equal(new, param)
+    adam_step(param, np.zeros(2), state, lr=0.1)
+    assert np.array_equal(param, [1.5, -2.0])
     assert state.t == 1
 
 
@@ -127,7 +126,7 @@ def test_adam_matches_reference_implementation_over_steps():
     v = np.zeros_like(param)
     for t in range(1, 6):
         g = rng.normal(size=(2, 3))
-        param, state = adam_step(param, g, state, lr=0.02)
+        adam_step(param, g, state, lr=0.02)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         mhat = m / (1 - 0.9 ** t)
@@ -154,9 +153,9 @@ def test_in_place_adam_step_equals_the_out_of_place_formula():
         want, m, v = param.copy(), state.m.copy(), state.v.copy()
         for t in range(1, 6):
             grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-            got, state = adam_step(param, grad, state, lr=0.03)
+            assert adam_step(param, grad, state, lr=0.03) is None
             want, m, v = formula(want, grad, m, v, t, lr=0.03)
-            assert got is param and state.m is m0 and state.v is v0   # the same arrays
+            assert state.m is m0 and state.v is v0   # the same arrays
             assert state.t == t
             assert np.array_equal(param, want), (shape, t)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v), (shape, t)
@@ -177,10 +176,9 @@ def test_flat_adam_step_equals_a_step_per_array():
             grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6) for shape in shapes]
             if not with_z:
                 grads[1::2] = [np.zeros(shape) for shape in shapes[1::2]]
-            flat, state = adam_step(flat, np.concatenate([g.ravel() for g in grads]), state,
-                                    lr=0.01)
+            adam_step(flat, np.concatenate([g.ravel() for g in grads]), state, lr=0.01)
             for i in range(0, len(arrays), 1 if with_z else 2):
-                arrays[i], states[i] = adam_step(arrays[i], grads[i], states[i], lr=0.01)
+                adam_step(arrays[i], grads[i], states[i], lr=0.01)
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
 
 
@@ -431,10 +429,9 @@ def test_nonfinite_evaluation_aborts_at_the_next_epoch(monkeypatch, strategy, ra
 
     def blown_up(param, grad, state, *args):
         assert param.shape == (60,)
-        new, state = real(param, grad, state, *args)
+        real(param, grad, state, *args)
         if state.t == 2:
-            new[weights] *= 1e306
-        return new, state
+            param[weights] *= 1e306
 
     monkeypatch.setattr(training, "adam_step", blown_up)
     g = sanity_graph(seed=15)
