@@ -16,6 +16,13 @@ backward closures, so an eval tape holds no intermediate arrays, and a
 tape is freed with its caller's last reference, not by the cyclic
 collector. ``Tape.backward(root, wrt)`` returns the gradients of the
 leaves in ``wrt`` and stores none, so two roots' gradients never mix.
+
+A Value's array may be row- or column-major: ``matmul`` forms a tall
+product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster.
+The backward of ``relu`` and of ``elementwise_mul``, which see hidden
+activations, multiply in their upstream gradient's order, copying an
+operand whose order differs, since numpy multiplies mixed orders several
+times slower.
 """
 from __future__ import annotations
 
@@ -28,6 +35,26 @@ import scipy.sparse as sp
 # exp/log arguments are clamped so results stay within exp(+-50); the
 # clamped regions have exact zero derivative, which finite differences agree with
 EXP_CLAMP = 50.0
+
+# OpenBLAS forms a product of at most this many multiply-adds (m n k) with its
+# small-matrix kernel; above it, its packed kernel forms a tall result faster
+# column-major
+SMALL_PRODUCT = 10**6
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a tall one (more rows than columns) above SMALL_PRODUCT comes back column-major."""
+    m, n = a.shape[0], b.shape[1]
+    if m > n and m * n * a.shape[1] > SMALL_PRODUCT:
+        return (b.T @ a.T).T
+    return a @ b
+
+
+def _in_order_of(x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """x in like's memory order, copied if it differs: numpy multiplies mixed orders 2-9x slower."""
+    if like.flags.f_contiguous and not like.flags.c_contiguous:
+        return np.asfortranarray(x)
+    return np.ascontiguousarray(x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -76,7 +103,7 @@ def _as_matrix(data) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     elif arr.ndim != 2:
         raise ValueError(f"Values are 2-D matrices; got array of ndim {arr.ndim}")
-    return np.ascontiguousarray(arr)
+    return arr if arr.flags.f_contiguous else np.ascontiguousarray(arr)
 
 
 class Tape:
@@ -130,10 +157,10 @@ class Tape:
 
         def backward(g, adj):
             if a.requires_grad:
-                Tape._acc(adj, a, g @ b.data.T)
+                Tape._acc(adj, a, _dot(g, b.data.T))
             if b.requires_grad:
-                Tape._acc(adj, b, a.data.T @ g)
-        return self._record(a.data @ b.data, "matmul", (a, b), backward)
+                Tape._acc(adj, b, _dot(a.data.T, g))
+        return self._record(_dot(a.data, b.data), "matmul", (a, b), backward)
 
     def spmm(self, p, x: Value, *, p_t) -> Value:
         """Sparse @ dense. The sparse operands are raw matrices and never take gradients.
@@ -182,8 +209,10 @@ class Tape:
         a, b = self._same_shape_binary(a, b, "elementwise_mul")
 
         def backward(g, adj):
-            Tape._acc(adj, a, g * b.data)
-            Tape._acc(adj, b, g * a.data)
+            if a.requires_grad:
+                Tape._acc(adj, a, g * _in_order_of(b.data, g))
+            if b.requires_grad:
+                Tape._acc(adj, b, g * _in_order_of(a.data, g))
         return self._record(a.data * b.data, "elementwise_mul", (a, b), backward)
 
     def row_broadcast_mul(self, x: Value, v: Value) -> Value:
@@ -218,12 +247,13 @@ class Tape:
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"pair_dot: pair indices must lie in [0, {n})")
         u, v = pairs[:, 0], pairs[:, 1]
+        hd = np.ascontiguousarray(h.data)   # a column-major h's rows are strided
 
         def backward(g, adj):
             rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
             b = sp.coo_matrix((np.tile(g.ravel(), 2), (rows, cols)), shape=(n, n))
-            Tape._acc(adj, h, b @ h.data)
-        prods = np.take(h.data, u, axis=0) * np.take(h.data, v, axis=0)
+            Tape._acc(adj, h, b @ hd)
+        prods = np.take(hd, u, axis=0) * np.take(hd, v, axis=0)
         return self._record(prods @ np.ones((h.shape[1], 1)), "pair_dot", (h,), backward)
 
     def relu(self, x: Value) -> Value:
@@ -231,7 +261,7 @@ class Tape:
         mask = x.data > 0.0
 
         def backward(g, adj):
-            Tape._acc(adj, x, g * mask)
+            Tape._acc(adj, x, g * _in_order_of(mask, g))
         return self._record(np.maximum(x.data, 0.0), "relu", (x,), backward)
 
     def sigmoid(self, x: Value) -> Value:
@@ -354,11 +384,11 @@ class Tape:
         if idx.size == 0:
             raise ValueError("softmax_cross_entropy: mask selects no rows")
         z = logits.data[idx]
-        shift = z - z.max(axis=1, keepdims=True)
-        ez = np.exp(shift)
+        top = np.ascontiguousarray(z.T).max(axis=0)   # class-major: a long-axis reduction
+        ez = np.exp(z - top[:, None])
         denom = ez.sum(axis=1, keepdims=True)
         probs = ez / denom
-        lse = np.log(denom).ravel() + z.max(axis=1)
+        lse = np.log(denom).ravel() + top
         losses = lse - z[np.arange(idx.size), labels[idx]]
         m = idx.size
 

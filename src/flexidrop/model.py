@@ -298,7 +298,9 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         k_in = w.shape[0]
         if config.strategy == "flexidrop":
             w = tape.row_broadcast_mul(w, layer.retention)
-        mask = _draw_mask(rng, (graph.num_nodes, k_in), config) if draws else None
+        # in the memory order of the input it scales (Tape.matmul's rule sets it)
+        order = "F" if li > 0 and not a.data.flags.c_contiguous else "C"
+        mask = _draw_mask(rng, (graph.num_nodes, k_in), config, order) if draws else None
         if li == 0:
             # X takes no gradient, so P A_1 is a constant of this forward: the
             # operator's P X, or the masked input propagated here, off the tape
@@ -317,14 +319,15 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     return ForwardResult(preacts, preacts[-1], prop.matrix)
 
 
-def _draw_mask(rng: np.random.Generator, shape: tuple[int, int],
-               config: ModelConfig) -> np.ndarray | None:
-    """The scaled keep mask of a layer input of ``shape``, or None for a strategy without one."""
+def _draw_mask(rng: np.random.Generator, shape: tuple[int, int], config: ModelConfig,
+               order: str) -> np.ndarray | None:
+    """The scaled keep mask of a layer input of ``shape`` in memory ``order``, or None
+    for a strategy without one. The order does not change the draws."""
     if config.strategy == "fixed_dropout":
-        return (rng.random(shape) >= config.rate) / (1.0 - config.rate)
+        return np.asarray(rng.random(shape) >= config.rate, order=order) / (1.0 - config.rate)
     if config.strategy == "dropnode":
         rows = (rng.random(shape[0]) >= config.rate) / (1.0 - config.rate)
-        return np.repeat(rows.reshape(-1, 1), shape[1], axis=1)
+        return np.broadcast_to(rows.reshape(-1, 1), shape).copy(order=order)
     return None
 
 
@@ -407,7 +410,8 @@ def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, d
         (f"weight_{i}", dims[i:i + 2]), (f"retention_logits_{i}", dims[i:i + 1]))}
     npz = path.with_suffix(".npz")
     try:
-        with np.load(npz) as data:
+        # np.load leaks a handle it opens itself when zipfile rejects the file
+        with open(npz, "rb") as f, np.load(f) as data:
             arrays = {name: data[name] for name in data.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:   # truncated, not a zip, pickled
         raise ValueError(f"{npz}: cannot read its arrays: {type(exc).__name__}: {exc}") from exc

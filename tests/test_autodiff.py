@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexidrop.autodiff import EXP_CLAMP, GradCheckReport, Tape, Value, grad_check, sigmoid
 
@@ -321,6 +323,132 @@ def test_cross_entropy_extreme_logits_stay_finite():
     assert np.isfinite(loss.item())
     (grad,) = tape.backward(loss, [logits])
     assert np.isfinite(grad).all()
+
+
+# ---- dense products and class-major reductions -------------------------------------
+
+# (m, k, n) of a (m, k) @ (k, n) product and the layout its result must have: a tall
+# product (m > n) of more than 10**6 multiply-adds comes back column-major ("F"),
+# every other one row-major ("C")
+PRODUCT_SHAPES = [
+    ((2000, 128, 256), "F"),    # node2000_flexidrop's layer 1
+    ((2000, 256, 4), "F"),      # its A W_2
+    ((256, 2000, 4), "F"),      # its A^T g, as a forward product
+    ((1001, 100, 10), "F"),     # just above the limit
+    ((1000, 100, 10), "C"),     # on the limit
+    ((200, 256, 2), "C"),       # tall, below: node200_cli's A W_2
+    ((200, 16, 256), "C"),      # wide, below
+    ((128, 2000, 256), "C"),    # wide, above
+    ((4, 256, 2000), "C"),      # wide, above
+    ((300, 64, 300), "C"),      # square, above
+]
+
+
+def product_error_bound(x, y):
+    """|fl(x @ y) - x @ y| <= gamma_k (|x| @ |y|) entrywise for any summation order.
+
+    gamma_k = k u / (1 - k u), u = 2**-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.5). Twice that bounds two products that round differently.
+    """
+    u = np.finfo(np.float64).eps / 2
+    k = x.shape[1]
+    return 2 * (k * u / (1 - k * u)) * (np.abs(x) @ np.abs(y))
+
+
+@pytest.mark.parametrize("shape, layout", PRODUCT_SHAPES, ids=lambda s: "x".join(map(str, s))
+                         if isinstance(s, tuple) else s)
+def test_matmul_products_agree_with_numpy_and_take_the_pinned_layout(shape, layout):
+    m, k, n = shape
+    rng = np.random.default_rng(m * k + n)
+    a, b, g = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(m, n))
+    tape = Tape()
+    av, bv = leaf(tape, a), leaf(tape, b)
+    out = tape.matmul(av, bv)
+    # sum(out * g) hands matmul the upstream gradient g exactly
+    ga, gb = tape.backward(tape.sum(tape.elementwise_mul(out, leaf(tape, g, False))), [av, bv])
+    for got, x, y in ((out.data, a, b), (ga, g, b.T), (gb, a.T, g)):
+        assert np.all(np.abs(got - x @ y) <= product_error_bound(x, y))
+    assert out.data.flags[f"{layout}_CONTIGUOUS"]
+    assert not out.data.flags[f"{'C' if layout == 'F' else 'F'}_CONTIGUOUS"]
+
+
+def test_gradients_through_mixed_memory_orders_are_the_row_major_ones():
+    # a column-major leaf meets a row-major mask and, in backward, row-major upstream
+    # gradients (g W^T is below the small-matrix size); elementwise products are exact
+    rng = np.random.default_rng(9)
+    x, m = rng.normal(size=(2000, 64)), rng.normal(size=(2000, 64))
+    w, g = rng.normal(size=(64, 4)), rng.normal(size=(2000, 4))
+    grads = []
+    for order in "CF":
+        tape = Tape()
+        xv = leaf(tape, np.asarray(x, order=order))
+        assert xv.data.flags[f"{order}_CONTIGUOUS"]   # a leaf keeps its order
+        out = tape.matmul(tape.relu(tape.elementwise_mul(xv, leaf(tape, m, False))),
+                          leaf(tape, w, False))
+        grads += tape.backward(tape.sum(tape.elementwise_mul(out, leaf(tape, g, False))), [xv])
+    assert grads[1].tobytes() == grads[0].tobytes()
+
+
+def test_pair_dot_of_a_column_major_h_is_the_row_major_one():
+    # a widening last layer hands pair_dot column-major embeddings
+    rng = np.random.default_rng(12)
+    h, pairs, w = rng.normal(size=(50, 6)), rng.integers(0, 50, size=(40, 2)), rng.normal(size=(40, 1))
+    results = []
+    for order in "CF":
+        tape = Tape()
+        hv = leaf(tape, np.asarray(h, order=order))
+        out = tape.pair_dot(hv, pairs)
+        results += [out.data, *tape.backward(
+            tape.sum(tape.elementwise_mul(out, leaf(tape, w, False))), [hv])]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(results[:2], results[2:]))
+
+
+def old_softmax_cross_entropy(logits, labels, mask):
+    """The row-wise formula, with the row max taken twice, and its gradient."""
+    idx = np.flatnonzero(mask)
+    z = logits[idx]
+    shift = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shift)
+    denom = ez.sum(axis=1, keepdims=True)
+    probs = ez / denom
+    lse = np.log(denom).ravel() + z.max(axis=1)
+    losses = lse - z[np.arange(idx.size), labels[idx]]
+    grad = np.zeros_like(logits)
+    delta = probs.copy()
+    delta[np.arange(idx.size), labels[idx]] -= 1.0
+    grad[idx] = delta * (1.0 / idx.size)
+    return np.array([[losses.mean()]]), grad
+
+
+# integer values force ties, +-1e300 the extremes of the shift
+LOGIT_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([1e300, -1e300, np.nextafter(1e300, 0.0), np.nextafter(-1e300, 0.0)]))
+
+
+@st.composite
+def masked_logits(draw):
+    c = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 20))
+    logits = np.array(draw(st.lists(LOGIT_ENTRIES, min_size=n * c, max_size=n * c)))
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    return logits.reshape(n, c), labels, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_logits())
+def test_softmax_cross_entropy_equals_the_row_wise_formula_bit_for_bit(case):
+    logits, labels, mask = case
+    tape = Tape()
+    z = leaf(tape, logits)
+    loss = tape.softmax_cross_entropy(z, labels, mask)
+    (grad,) = tape.backward(loss, [z])
+    want_loss, want_grad = old_softmax_cross_entropy(logits, labels, mask)
+    assert loss.data.tobytes() == want_loss.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 # ---- tape mechanics ---------------------------------------------------------------

@@ -35,6 +35,29 @@ def test_accuracy_tie_goes_to_lowest_class():
     assert accuracy(logits, np.array([1]), np.ones(1, dtype=bool)) == 0.0
 
 
+@st.composite
+def masked_logits(draw):
+    # integer values force ties; +-1e300 are the extremes
+    entry = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e300, 1e300),
+                      st.sampled_from([1e300, -1e300]))
+    c = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 20))
+    logits = np.array(draw(st.lists(entry, min_size=n * c, max_size=n * c))).reshape(n, c)
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    return logits, labels, mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_logits())
+def test_accuracy_takes_the_first_class_holding_the_row_max(case):
+    logits, labels, mask = case
+    # max() returns the first of equal keys: the lowest class of a tie
+    preds = [max(range(row.size), key=lambda j: row[j]) for row in logits[mask]]
+    assert accuracy(logits, labels, mask) == float((np.array(preds) == labels[mask]).mean())
+
+
 def test_accuracy_empty_mask_raises():
     with pytest.raises(ValidationError, match="selects no nodes"):
         accuracy(np.zeros((2, 2)), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))

@@ -499,6 +499,37 @@ def test_a_masked_layer_1_matches_the_reference(strategy, dims):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+@pytest.mark.parametrize("strategy", ("fixed_dropout", "dropnode"))
+def test_a_mask_on_a_column_major_input_is_the_row_major_draw(monkeypatch, strategy):
+    # layer 1's 300x64 @ 64x64 product is above the small-matrix size, so it comes
+    # back column-major and layer 2's mask is drawn column-major: same draws
+    masks = {}
+    real = Tape.elementwise_mul
+
+    def spy(self, a, b):
+        masks.setdefault(key, []).append(b.data)
+        return real(self, a, b)
+
+    monkeypatch.setattr(Tape, "elementwise_mul", spy)
+    dims = (64, 64, 3)
+    g = sbm(seed=4, n=300, d=dims[0])
+    config = ModelConfig(layer_dims=dims, strategy=strategy, rate=0.3)
+    params = init_params(dims, seed=2)
+    prop = build_propagation(g, config.propagation_mode)
+    key = "got"
+    got = logits_and_grads(
+        lambda t, layers: forward(t, g, prop, layers, config, "train", 3).logits,
+        g, params, config)
+    key = "want"
+    want = logits_and_grads(
+        lambda t, layers: reference_forward(t, g, prop, layers, config, "train", 3),
+        g, params, config)
+    assert masks["got"][0].flags.f_contiguous and not masks["got"][0].flags.c_contiguous
+    assert np.array_equal(masks["got"][0], masks["want"][1])   # the reference masks X too
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 @pytest.mark.parametrize("dims", ((3, 6, 2), (6, 2, 3), (4, 5, 5, 2), (3, 2)))
 @pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0), ("dropedge", 0.0),
                                             ("fixed_dropout", 0.3), ("dropnode", 0.3)))
