@@ -1,6 +1,8 @@
 """Graph containers, file loaders, synthetic generators, and propagation operators."""
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -247,16 +249,14 @@ class SplitSpec:
             if self.seed is None:
                 raise ValidationError("fraction split requires a shuffle seed")
             order = np.random.default_rng(self.seed).permutation(num_nodes)
-            counts = [int(f * num_nodes) for f in fr]
-            masks = []
-            start = 0
-            for c in counts:
-                m = np.zeros(num_nodes, dtype=bool)
-                m[order[start:start + c]] = True
-                masks.append(m)
-                start += c
-            return tuple(masks)
-        return tuple(_read_index_file(path, num_nodes) for path in self.index_files)
+            parts = np.split(order, np.cumsum([int(f * num_nodes) for f in fr]))
+            return tuple(np.isin(np.arange(num_nodes), part) for part in parts[:3])
+        masks = [_read_index_file(path, num_nodes) for path in self.index_files]
+        for (a, ma), (b, mb) in itertools.combinations(zip(self.index_files, masks), 2):
+            both = np.flatnonzero(ma & mb)
+            if both.size:
+                raise ValidationError(f"node {both[0]} is listed in both {a} and {b}")
+        return tuple(masks)
 
 
 def _data_lines(path: str):
@@ -290,6 +290,9 @@ def _read_numeric_csv(path: str) -> np.ndarray:
             row = [float(p) for p in line.split(",")]
         except ValueError:
             raise ParseError(f"{path}, line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, row)):   # float() parses nan and inf
+            text = next(p for p, x in zip(line.split(","), row) if not math.isfinite(x))
+            raise ParseError(f"{path}, line {lineno}: non-finite field {text.strip()!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:

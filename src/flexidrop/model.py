@@ -11,18 +11,16 @@ the small k_in x k_out weight, not on the N rows of the activations:
 
     H_l = P @ A_l @ (diag(p_l) W_l)
 
-The raw features X of layer 1 take no gradient, so layer 1 always
-computes (P @ A_1) @ W_1 and its backward has no sparse product and no
-product with W_1 transposed, whatever its width. Unmasked, P @ A_1 is
-P @ X, which the ``PropagationOperator`` computes once when it is built;
-a dropout mask drawn on X is applied and propagated outside the tape.
-
-From layer 2 on, a mask is applied to A_l first, and the two products
-are ordered by width: a layer that narrows (k_out < k_in) computes
-P @ (A_l @ W_l), so its sparse products, forward and backward, are k_out
-wide; any other layer computes (P @ A_l) @ W_l. The sparse products then
-cost O(|E| min(k_in, k_out)), the argument of Kipf & Welling
-(arXiv:1609.02907). Both orders give the same H_l up to float rounding.
+Every layer follows one rule. A mask is applied to A_l first, and the two
+products are ordered by width: a layer that narrows (k_out < k_in)
+computes P @ (A_l @ W_l), so its sparse products, forward and backward,
+are k_out wide; any other layer computes (P @ A_l) @ W_l. The sparse
+products then cost O(|E| min(k_in, k_out)), the argument of Kipf &
+Welling (arXiv:1609.02907). Both orders give the same H_l up to float
+rounding. Layer 1's input X is a constant leaf, masked like any other
+input. Only an unmasked layer 1 differs: P @ X is the same on every
+epoch, so the ``PropagationOperator`` computes it once when it is built,
+and the layer computes (P @ X) @ W_1 with no sparse product at all.
 """
 from __future__ import annotations
 
@@ -253,13 +251,15 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     that draws them; one that draws none (``train_forward_is_eval``)
     makes no generator and propagates with ``prop`` itself.
 
-    Layer 1 starts from ``prop.propagated``, the P X that ``prop`` holds,
-    so ``prop`` must have been built from the array ``graph.features``
+    Every layer orders its products by width (see the module docstring);
+    a ``fixed_dropout`` or ``dropnode`` mask on X is applied to a leaf
+    of X, as masks on later layers' inputs are. An unmasked layer 1
+    starts from ``prop.propagated``, the P X that ``prop`` holds, so
+    ``prop`` must have been built from the array ``graph.features``
     (``build_propagation(graph)``, or of any ``graph.with_edges`` copy);
     any other operator raises ValueError naming the shapes of its
-    features and the graph's. DropEdge's operator of each
-    train forward is built here, with its own P X. A mask drawn on X is
-    propagated here, off the tape: X takes no gradient.
+    features and the graph's. DropEdge's operator of each train forward
+    is built here, with its own P X.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,25 +291,20 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode,
                                       graph.features)
 
+    masked = draws and config.strategy != "dropedge"   # a mask on every layer's input
     preacts: list[Value] = []
     for li, layer in enumerate(layers):
-        a = tape.relu(h) if li > 0 else None
         w = layer.weight
-        k_in = w.shape[0]
         if config.strategy == "flexidrop":
             w = tape.row_broadcast_mul(w, layer.retention)
-        # in the memory order of the input it scales (Tape.matmul's rule sets it)
-        order = "F" if li > 0 and not a.data.flags.c_contiguous else "C"
-        mask = _draw_mask(rng, (graph.num_nodes, k_in), config, order) if draws else None
-        if li == 0:
-            # X takes no gradient, so P A_1 is a constant of this forward: the
-            # operator's P X, or the masked input propagated here, off the tape
-            pa = prop.propagated if mask is None else prop.matrix @ (graph.features * mask)
-            h = tape.matmul(tape.leaf(pa), w)
+        if li == 0 and not masked:   # X takes no gradient: P X is the operator's
+            h = tape.matmul(tape.leaf(prop.propagated), w)
         else:
-            if mask is not None:
-                a = tape.elementwise_mul(a, tape.leaf(mask))
-            if w.shape[1] < k_in:
+            a = tape.relu(h) if li > 0 else tape.leaf(graph.features)
+            if masked:   # in the memory order of the input it scales (Tape.matmul's rule sets it)
+                order = "C" if a.data.flags.c_contiguous else "F"
+                a = tape.elementwise_mul(a, tape.leaf(_draw_mask(rng, a.shape, config, order)))
+            if w.shape[1] < w.shape[0]:
                 h = tape.spmm(prop.matrix, tape.matmul(a, w), p_t=prop.transpose)
             else:
                 h = tape.matmul(tape.spmm(prop.matrix, a, p_t=prop.transpose), w)
@@ -320,15 +315,13 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
 
 
 def _draw_mask(rng: np.random.Generator, shape: tuple[int, int], config: ModelConfig,
-               order: str) -> np.ndarray | None:
-    """The scaled keep mask of a layer input of ``shape`` in memory ``order``, or None
-    for a strategy without one. The order does not change the draws."""
+               order: str) -> np.ndarray:
+    """The scaled ``fixed_dropout`` or ``dropnode`` keep mask of a layer input of
+    ``shape``, in memory ``order``. The order does not change the draws."""
     if config.strategy == "fixed_dropout":
         return np.asarray(rng.random(shape) >= config.rate, order=order) / (1.0 - config.rate)
-    if config.strategy == "dropnode":
-        rows = (rng.random(shape[0]) >= config.rate) / (1.0 - config.rate)
-        return np.broadcast_to(rows.reshape(-1, 1), shape).copy(order=order)
-    return None
+    rows = (rng.random(shape[0]) >= config.rate) / (1.0 - config.rate)
+    return np.broadcast_to(rows.reshape(-1, 1), shape).copy(order=order)
 
 
 def train_forward_is_eval(config: ModelConfig) -> bool:

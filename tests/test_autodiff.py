@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flexidrop.autodiff import EXP_CLAMP, GradCheckReport, Tape, Value, grad_check, sigmoid
 
@@ -431,14 +432,19 @@ LOGIT_ENTRIES = st.one_of(
 def masked_logits(draw):
     c = draw(st.integers(1, 12))
     n = draw(st.integers(1, 20))
-    logits = np.array(draw(st.lists(LOGIT_ENTRIES, min_size=n * c, max_size=n * c)))
-    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    logits = draw(hnp.arrays(np.float64, (n, c), elements=LOGIT_ENTRIES, fill=LOGIT_ENTRIES))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    mask = draw(hnp.arrays(np.bool_, n, elements=st.booleans()))
     mask[draw(st.integers(0, n - 1))] = True
-    return logits.reshape(n, c), labels, mask
+    return logits, labels, mask
 
 
 @settings(max_examples=200, deadline=None)
+@example((np.array([[1.0, 3.0, 3.0], [-3.0, -3.0, -3.0]]), np.array([2, 0]),
+          np.array([True, True])))   # tied rows
+@example((np.array([[1e300, -1e300, np.nextafter(1e300, 0.0)],
+                    [-1e300, np.nextafter(-1e300, 0.0), -1e300]]), np.array([1, 0]),
+          np.array([True, True])))   # the extremes of the shift
 @given(masked_logits())
 def test_softmax_cross_entropy_equals_the_row_wise_formula_bit_for_bit(case):
     logits, labels, mask = case

@@ -1,4 +1,6 @@
 """Graph containers, loaders, generators, and propagation operators."""
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -269,6 +271,20 @@ def test_load_graph_non_numeric_feature(tmp_path):
         load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
 
 
+@pytest.mark.parametrize("name, text, field", (
+    ("features.csv", "0.0,1.0\n# a comment\nnan,2.0\n", "nan"),
+    ("features.csv", "0.0,1.0\n# a comment\n3.0, -inf\n", "-inf"),
+    ("labels.csv", "0\n# a comment\ninf\n", "inf"),
+))
+def test_load_graph_names_the_file_line_of_a_non_finite_field(tmp_path, name, text, field):
+    # float() parses nan and inf; the comment makes the file line 3 for data row 2
+    paths = write_dataset(tmp_path, "0 1\n", [[0.0, 0.0], [0.0, 0.0]], [0, 0])
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{tmp_path / name}, line 3: "
+                                                   f"non-finite field {field!r}")):
+        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+
+
 def test_split_from_index_files(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n1 2\n2 3\n", [[0.0]] * 4, [0, 0, 1, 1])
     for name, idx in (("tr", [0, 1]), ("va", [2]), ("te", [3])):
@@ -279,6 +295,16 @@ def test_split_from_index_files(tmp_path):
     assert g.train_mask.tolist() == [True, True, False, False]
     assert g.val_mask.tolist() == [False, False, True, False]
     assert g.test_mask.tolist() == [False, False, False, True]
+
+
+def test_split_names_both_index_files_that_list_a_node(tmp_path):
+    paths = write_dataset(tmp_path, "0 1\n1 2\n2 3\n", [[0.0]] * 4, [0, 0, 1, 1])
+    for name, idx in (("tr", [0, 1]), ("va", [2]), ("te", [3, 1])):
+        (tmp_path / name).write_text("\n".join(str(i) for i in idx) + "\n")
+    split = SplitSpec.from_index_files(*(str(tmp_path / name) for name in ("tr", "va", "te")))
+    with pytest.raises(ValidationError, match=re.escape(
+            f"node 1 is listed in both {tmp_path / 'tr'} and {tmp_path / 'te'}")):
+        load_graph(*paths, split)
 
 
 def test_split_fractions_validation():

@@ -1,8 +1,9 @@
 """Evaluation metrics and the oversmoothing / robustness sweeps."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flexidrop.graphs import Graph, ValidationError, generate_sbm
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy, link_accuracy
@@ -42,14 +43,18 @@ def masked_logits(draw):
                       st.sampled_from([1e300, -1e300]))
     c = draw(st.integers(1, 12))
     n = draw(st.integers(1, 20))
-    logits = np.array(draw(st.lists(entry, min_size=n * c, max_size=n * c))).reshape(n, c)
-    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    logits = draw(hnp.arrays(np.float64, (n, c), elements=entry, fill=entry))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    mask = draw(hnp.arrays(np.bool_, n, elements=st.booleans()))
     mask[draw(st.integers(0, n - 1))] = True
     return logits, labels, mask
 
 
 @settings(max_examples=200, deadline=None)
+@example((np.array([[1.0, 3.0, 3.0], [-3.0, -3.0, -3.0]]), np.array([2, 0]),
+          np.array([True, True])))   # ties: the first maximum is class 1, then class 0
+@example((np.array([[1e300, -1e300], [-1e300, 1e300], [-1e300, -1e300]]), np.array([0, 0, 1]),
+          np.array([True, False, True])))   # the extremes
 @given(masked_logits())
 def test_accuracy_takes_the_first_class_holding_the_row_max(case):
     logits, labels, mask = case

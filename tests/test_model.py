@@ -479,9 +479,10 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
 
 
 @pytest.mark.parametrize("strategy", ("fixed_dropout", "dropnode"))
-@pytest.mark.parametrize("dims", ((3, 6, 2), (6, 2, 3), (5, 2)))   # layer 1 widens, narrows
+@pytest.mark.parametrize("dims", ((3, 6, 2), (6, 2, 3), (5, 2), (2, 5), (40, 4)))
 def test_a_masked_layer_1_matches_the_reference(strategy, dims):
-    # the mask on X is drawn and propagated off the tape; the reference records both
+    # a masked layer 1 follows the width rule: (P (X m)) W where it widens, as the
+    # reference computes it, and P ((X m) W) where it narrows
     g = sbm(seed=3, n=16, d=dims[0])
     config = ModelConfig(layer_dims=dims, strategy=strategy, rate=0.3)
     params = init_params(dims, seed=5)
@@ -494,7 +495,7 @@ def test_a_masked_layer_1_matches_the_reference(strategy, dims):
             lambda t, layers: reference_forward(t, g, prop, layers, config, "train", seed),
             g, params, config)
         for a, b in zip(got, want):
-            if len(dims) == 2:   # one layer: (P (X m)) W either way, the same arithmetic
+            if len(dims) == 2 and dims[1] >= dims[0]:   # one layer, the reference's order
                 assert np.array_equal(a, b)
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -502,7 +503,8 @@ def test_a_masked_layer_1_matches_the_reference(strategy, dims):
 @pytest.mark.parametrize("strategy", ("fixed_dropout", "dropnode"))
 def test_a_mask_on_a_column_major_input_is_the_row_major_draw(monkeypatch, strategy):
     # layer 1's 300x64 @ 64x64 product is above the small-matrix size, so it comes
-    # back column-major and layer 2's mask is drawn column-major: same draws
+    # back column-major and layer 2's mask is drawn column-major: same draws.
+    # Layer 1's mask, on the row-major X, is drawn row-major
     masks = {}
     real = Tape.elementwise_mul
 
@@ -524,8 +526,10 @@ def test_a_mask_on_a_column_major_input_is_the_row_major_draw(monkeypatch, strat
     want = logits_and_grads(
         lambda t, layers: reference_forward(t, g, prop, layers, config, "train", 3),
         g, params, config)
-    assert masks["got"][0].flags.f_contiguous and not masks["got"][0].flags.c_contiguous
-    assert np.array_equal(masks["got"][0], masks["want"][1])   # the reference masks X too
+    assert masks["got"][0].flags.c_contiguous
+    assert masks["got"][1].flags.f_contiguous and not masks["got"][1].flags.c_contiguous
+    for got_mask, want_mask in zip(masks["got"][:2], masks["want"][:2]):
+        assert np.array_equal(got_mask, want_mask)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -535,19 +539,22 @@ def test_a_mask_on_a_column_major_input_is_the_row_major_draw(monkeypatch, strat
                                             ("fixed_dropout", 0.3), ("dropnode", 0.3)))
 def test_a_train_forward_makes_one_spmm_per_layer_after_the_first(monkeypatch, dims,
                                                                    strategy, rate):
-    # layer 1 starts from the operator's P X, or from a masked X propagated off the tape
-    calls = []
+    # an unmasked layer 1 starts from the operator's P X and records no sparse product;
+    # every other layer, a masked layer 1 included, records one, of its narrower width
+    widths = []
     real = Tape.spmm
 
     def counted(self, p, x, *, p_t):
-        calls.append(x.shape)
+        widths.append(x.shape[1])
         return real(self, p, x, p_t=p_t)
 
     monkeypatch.setattr(Tape, "spmm", counted)
     g = sbm(seed=2, n=12, d=dims[0])
     config = ModelConfig(layer_dims=dims, strategy=strategy, rate=rate)
     run_forward(g, init_params(dims, seed=1), config, mode="train", seed=4)
-    assert len(calls) == config.num_layers - 1
+    masked = strategy in ("fixed_dropout", "dropnode")
+    assert widths == [min(k_in, k_out) for li, (k_in, k_out) in enumerate(zip(dims, dims[1:]))
+                      if li > 0 or masked]
 
 
 def test_forward_refuses_an_operator_built_from_other_features():
