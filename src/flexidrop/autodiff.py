@@ -22,7 +22,8 @@ the gradients of the leaves in ``wrt`` and stores none, so two roots'
 gradients never mix.
 
 A Value's array may be row- or column-major: ``matmul`` forms a tall
-product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster.
+product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster,
+unless it is skinny (see ``_dot``).
 The backward of ``relu`` and of ``elementwise_mul``, which see hidden
 activations, multiply in their upstream gradient's order, copying an
 operand whose order differs, since numpy multiplies mixed orders several
@@ -45,13 +46,35 @@ EXP_CLAMP = 50.0
 # column-major
 SMALL_PRODUCT = 10**6
 
+# a product with at most this many result columns is skinny: the packed kernel
+# forms it slower than the small-matrix kernel forms its row blocks
+SKINNY_COLUMNS = 4
+
+# pair_dot gathers and multiplies about this many entries of h's rows at a time
+PAIR_BLOCK = 2**15
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a tall one (more rows than columns) above SMALL_PRODUCT comes back column-major."""
-    m, n = a.shape[0], b.shape[1]
-    if m > n and m * n * a.shape[1] > SMALL_PRODUCT:
-        return (b.T @ a.T).T
-    return a @ b
+    """a @ b; a tall one (more rows than columns) above SMALL_PRODUCT comes back column-major.
+
+    A skinny one above SMALL_PRODUCT with no fewer rows than its inner
+    dimension is formed instead in row blocks of at most SMALL_PRODUCT
+    multiply-adds, each by the small-matrix kernel, into one row-major
+    result, faster than the packed kernel forms the whole. Its rows may
+    round differently from the column-major product's, by ~1e-16
+    relative, as they do for a row-major ``a`` or an inner dimension
+    above 256.
+    """
+    m, k, n = a.shape[0], a.shape[1], b.shape[1]
+    if m * n * k <= SMALL_PRODUCT:
+        return a @ b
+    if n <= SKINNY_COLUMNS and m >= k:
+        out = np.empty((m, n))
+        rows = max(1, SMALL_PRODUCT // (n * k))
+        for s in range(0, m, rows):
+            np.matmul(a[s:s + rows], b, out=out[s:s + rows])
+        return out
+    return (b.T @ a.T).T if m > n else a @ b
 
 
 def _order(a: np.ndarray) -> str:
@@ -262,24 +285,43 @@ class Tape:
         """Inner products <h[u_j], h[v_j]> of the rows of h (N, k), as an (m, 1) column.
 
         ``pairs`` is a raw (m, 2) integer array that never takes gradients.
-        With B holding g_j at (u_j, v_j), the gradient of h is (B + B^T) h,
-        one sparse product over 2m entries.
+        The forward takes the pairs in blocks of max(2, PAIR_BLOCK // k): it
+        gathers a block's rows of h[u] and h[v], multiplies them in place
+        and row-sums them with a product by a ones column into its part of
+        the output, so it makes no (m, k) temporary. Each row's sum is the
+        one a single product over all m pairs gives, since the last block
+        takes a lone last pair: numpy forms a one-row product as a dot
+        product, which sums in another order. With B holding g_j at
+        (u_j, v_j), the gradient of h is (B + B^T) h, one sparse product
+        over 2m entries; B's index arrays are formed here, once, and the
+        backward fills in only g.
         """
         h = self._own(h, "h", "pair_dot")
-        n = h.shape[0]
+        n, k = h.shape
         # numpy would wrap a negative index to a row from the end
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError(f"pair_dot: pair indices must lie in [0, {n})")
+        m = pairs.shape[0]
         u, v = pairs[:, 0], pairs[:, 1]
         hd = np.ascontiguousarray(h.data)   # a column-major h's rows are strided
-        sh = _slot(h)
+        out, ones = np.empty((m, 1)), np.ones((k, 1))
+        step, s = max(2, PAIR_BLOCK // max(k, 1)), 0
+        for e in (*range(step, m - 1, step), m):
+            rows = np.take(hd, u[s:e], axis=0)
+            rows *= np.take(hd, v[s:e], axis=0)
+            np.matmul(rows, ones, out=out[s:e])
+            s = e
+        sh, backward = _slot(h), None
+        if sh is not None:
+            # the index type scipy would convert B's indices to
+            coords = np.empty((2, 2 * m), dtype=np.int32 if n <= 2**31 - 1 else np.int64)
+            coords[0, :m] = coords[1, m:] = u
+            coords[0, m:] = coords[1, :m] = v
 
-        def backward(g, adj):
-            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-            b = sp.coo_matrix((np.tile(g.ravel(), 2), (rows, cols)), shape=(n, n))
-            Tape._acc(adj, sh, b @ hd)
-        prods = np.take(hd, u, axis=0) * np.take(hd, v, axis=0)
-        return self._record(prods @ np.ones((h.shape[1], 1)), "pair_dot", (h,), backward)
+            def backward(g, adj):
+                b = sp.coo_matrix((np.tile(g.ravel(), 2), (coords[0], coords[1])), shape=(n, n))
+                Tape._acc(adj, sh, b @ hd)
+        return self._record(out, "pair_dot", (h,), backward)
 
     def relu(self, x: Value) -> Value:
         x = self._own(x, "x", "relu")

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flexidrop.autodiff import EXP_CLAMP, GradCheckReport, Tape, Value, grad_check, sigmoid
+from flexidrop.autodiff import (EXP_CLAMP, PAIR_BLOCK, GradCheckReport, Tape, Value,
+                                grad_check, sigmoid)
 
 
 def leaf(tape, data, requires_grad=True):
@@ -330,10 +331,11 @@ def test_cross_entropy_extreme_logits_stay_finite():
 
 # (m, k, n) of a (m, k) @ (k, n) product and the layout its result must have: a tall
 # product (m > n) of more than 10**6 multiply-adds comes back column-major ("F"),
-# every other one row-major ("C")
+# unless it is skinny (n <= 4, m >= k) and formed in row blocks; every other one
+# row-major ("C")
 PRODUCT_SHAPES = [
     ((2000, 128, 256), "F"),    # node2000_flexidrop's layer 1
-    ((2000, 256, 4), "F"),      # its A W_2
+    ((2000, 256, 4), "C"),      # its A W_2, skinny: row blocks of 976, 976 and 48 rows
     ((256, 2000, 4), "F"),      # its A^T g, as a forward product
     ((1001, 100, 10), "F"),     # just above the limit
     ((1000, 100, 10), "C"),     # on the limit
@@ -403,6 +405,55 @@ def test_pair_dot_of_a_column_major_h_is_the_row_major_one():
             tape.sum(tape.elementwise_mul(out, leaf(tape, w, False))), [hv])]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(results[:2], results[2:]))
 
+
+
+def pair_dot_cases():
+    # m around the block of B pairs the forward takes at a time, for each width k;
+    # B + 1 ends in a lone pair past a block boundary
+    for k in (1, 3, 32, 128):
+        b = max(2, PAIR_BLOCK // k)
+        for m in (1, b - 1, b, b + 1, 3 * b + 5):
+            for order in "CF":
+                yield pytest.param(m, k, order, id=f"m{m}-k{k}-{order}")
+
+
+@pytest.mark.parametrize("m, k, order", pair_dot_cases())
+def test_pair_dot_is_the_whole_gathered_product_bit_for_bit(m, k, order):
+    # the forward against one product of all m gathered rows, the backward against
+    # the COO product (B + B^T) h with its index arrays formed in the backward
+    rng = np.random.default_rng(m * k)
+    n = 300
+    h = np.asarray(rng.normal(size=(n, k)), order=order)
+    pairs, g = rng.integers(0, n, size=(m, 2)), rng.normal(size=(m, 1))
+    u, v = pairs[:, 0], pairs[:, 1]
+    tape = Tape()
+    hv = leaf(tape, h)
+    out = tape.pair_dot(hv, pairs)
+    (grad,) = tape.backward(tape.sum(tape.elementwise_mul(out, leaf(tape, g, False))), [hv])
+    want = (h[u] * h[v]) @ np.ones((k, 1))
+    b = sp.coo_matrix((np.tile(g.ravel(), 2), (np.concatenate([u, v]), np.concatenate([v, u]))),
+                      shape=(n, n))
+    want_grad = b @ np.ascontiguousarray(h)
+    assert out.data.shape == want.shape and out.data.tobytes() == want.tobytes()
+    assert grad.shape == want_grad.shape and grad.tobytes() == want_grad.tobytes()
+
+
+def test_pair_dot_forward_makes_no_temporary_of_all_the_pairs():
+    # link2000_dropedge's train scores: 11,050 pairs of 32-wide embeddings. One
+    # gathered (m, k) array is 2.8 MB; the blocks, the output and B's index arrays
+    # stay under 1 MiB
+    rng = np.random.default_rng(5)
+    h, pairs = rng.normal(size=(2000, 32)), rng.integers(0, 2000, size=(11050, 2))
+    tape = Tape()
+    hv = leaf(tape, h)
+    tracemalloc.start()
+    try:
+        out = tape.pair_dot(hv, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (11050, 1) and len(tape) == 1
+    assert peak <= 2**20, f"the forward peaked at {peak / 2**20:.2f} MiB"
 
 def old_softmax_cross_entropy(logits, labels, mask):
     """The row-wise formula, with the row max taken twice, and its gradient."""
