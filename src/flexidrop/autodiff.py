@@ -22,8 +22,7 @@ the gradients of the leaves in ``wrt`` and stores none, so two roots'
 gradients never mix.
 
 A Value's array may be row- or column-major: ``matmul`` forms a tall
-product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster,
-unless it is skinny (see ``_dot``).
+product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster.
 The backward of ``relu`` and of ``elementwise_mul``, which see hidden
 activations, multiply in their upstream gradient's order, copying an
 operand whose order differs, since numpy multiplies mixed orders several
@@ -46,35 +45,16 @@ EXP_CLAMP = 50.0
 # column-major
 SMALL_PRODUCT = 10**6
 
-# a product with at most this many result columns is skinny: the packed kernel
-# forms it slower than the small-matrix kernel forms its row blocks
-SKINNY_COLUMNS = 4
-
 # pair_dot gathers and multiplies about this many entries of h's rows at a time
 PAIR_BLOCK = 2**15
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b; a tall one (more rows than columns) above SMALL_PRODUCT comes back column-major.
-
-    A skinny one above SMALL_PRODUCT with no fewer rows than its inner
-    dimension is formed instead in row blocks of at most SMALL_PRODUCT
-    multiply-adds, each by the small-matrix kernel, into one row-major
-    result, faster than the packed kernel forms the whole. Its rows may
-    round differently from the column-major product's, by ~1e-16
-    relative, as they do for a row-major ``a`` or an inner dimension
-    above 256.
-    """
-    m, k, n = a.shape[0], a.shape[1], b.shape[1]
-    if m * n * k <= SMALL_PRODUCT:
-        return a @ b
-    if n <= SKINNY_COLUMNS and m >= k:
-        out = np.empty((m, n))
-        rows = max(1, SMALL_PRODUCT // (n * k))
-        for s in range(0, m, rows):
-            np.matmul(a[s:s + rows], b, out=out[s:s + rows])
-        return out
-    return (b.T @ a.T).T if m > n else a @ b
+    """a @ b; a tall one (more rows than columns) above SMALL_PRODUCT comes back column-major."""
+    m, n = a.shape[0], b.shape[1]
+    if m > n and m * n * a.shape[1] > SMALL_PRODUCT:
+        return (b.T @ a.T).T
+    return a @ b
 
 
 def _order(a: np.ndarray) -> str:

@@ -130,21 +130,12 @@ class PropagationOperator:
     unmasked input is X, which takes no gradient, so that propagation is
     the same in every forward with this operator. ``model.forward``
     refuses an operator whose ``features`` are not its graph's array.
-
-    An operator made by ``propagation_from_edges`` also records its
-    canonical ``edges`` and, for each stored entry of P in CSR order, the
-    row of ``edges`` it came from (``len(edges)`` for a self-loop), so
-    that ``thinned`` can build the operator of any subset of the edges
-    from P's pattern. Other operators, ``thinned``'s among them, record
-    neither.
     """
 
     mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
     transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
     features: np.ndarray      # X, (N, d)
-    edges: np.ndarray | None = None          # (E, 2) canonical edges P was built from
-    entry_edges: np.ndarray | None = None    # (nnz,) the edge of each entry, E for a self-loop
     propagated: np.ndarray = field(init=False)   # P X, (N, d), read-only
 
     def __post_init__(self):
@@ -162,10 +153,6 @@ class PropagationOperator:
         if self.transpose.shape != m.shape or self.transpose.nnz != m.nnz:
             raise ValidationError(f"propagation transpose has shape {self.transpose.shape} and "
                                   f"{self.transpose.nnz} entries, the matrix {m.shape} and {m.nnz}")
-        if (self.edges is None) != (self.entry_edges is None) or (
-                self.entry_edges is not None and self.entry_edges.shape != (m.nnz,)):
-            raise ValidationError("an operator records both its edges and one edge per stored "
-                                  f"entry ({m.nnz}), or neither")
         x = self.features
         if x.ndim != 2 or x.shape[0] != m.shape[0]:
             raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
@@ -189,26 +176,6 @@ class PropagationOperator:
         """
         return float(np.abs(self.matrix).sum(axis=1).max())
 
-    def thinned(self, keep: np.ndarray) -> "PropagationOperator":
-        """The operator of the edges ``edges[keep]``, of the same mode and features.
-
-        DropEdge builds one per training forward. It picks P's entries of
-        the kept edges and the self-loops, which stay in CSR order, and
-        renormalizes them: no sort, and the same indptr, indices and data,
-        transpose and P X, bit for bit, as
-        ``propagation_from_edges(N, edges[keep], mode, features)``.
-        """
-        if self.entry_edges is None:
-            raise ValidationError("this operator records no edges to thin; "
-                                  "build it with propagation_from_edges")
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (len(self.edges),):
-            raise ValidationError(f"keep mask of shape {keep.shape} for {len(self.edges)} edges")
-        entries = np.flatnonzero(np.append(keep, True)[self.entry_edges])
-        m, n = self.matrix, self.num_nodes
-        rows = np.repeat(np.arange(n), np.diff(m.indptr))
-        return _operator(n, rows[entries], m.indices[entries], self.mode, self.features)
-
 
 def build_propagation(graph: Graph, mode: str = "row_stochastic") -> PropagationOperator:
     """Build the normalized propagation operator for ``graph``, with P X of its features.
@@ -227,45 +194,33 @@ def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str,
     """``build_propagation`` for ``num_nodes`` nodes, an edge array and ``features``.
 
     ``edges`` must already be canonical, as ``Graph.edges`` and any row
-    subset of it are; it is not validated again. The CSR arrays are
-    assembled directly: both directions of every edge plus the
-    self-loops, put in row-major order by one argsort of their codes,
-    with degrees from a bincount of the rows. The argsort also gives
-    each stored entry's edge, which the operator records (see
-    ``PropagationOperator``). The transpose shares P's pattern and index
-    arrays; row-stochastic, its entries are ``(1/deg)[col]``. The
-    operator holds the propagation P X of ``features``.
+    subset of it are; it is not validated again. DropEdge calls this once
+    per training forward, so the CSR arrays are assembled directly: both
+    directions of every edge plus the self-loops, sorted once by their
+    row-major code, with degrees from a bincount of the rows. The
+    transpose shares P's pattern and index arrays; row-stochastic, its
+    entries are ``(1/deg)[col]``. The operator holds the propagation
+    P X of ``features`` (see ``PropagationOperator``).
     """
     if mode not in PROPAGATION_MODES:
         raise ValidationError(f"unknown propagation mode {mode!r}")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    e = edges.shape[0]
     loops = np.arange(num_nodes, dtype=np.int64)
-    codes = np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
-                            edges[:, 1] * num_nodes + edges[:, 0],
-                            loops * num_nodes + loops])
-    order = np.argsort(codes)
-    rows, cols = np.divmod(codes[order], num_nodes)
-    entry_edges = np.concatenate([np.arange(e), np.arange(e), np.full(num_nodes, e)])[order]
-    return _operator(num_nodes, rows, cols, mode, features, edges, entry_edges)
-
-
-def _operator(num_nodes: int, rows: np.ndarray, cols: np.ndarray, mode: str,
-              features: np.ndarray, edges: np.ndarray | None = None,
-              entry_edges: np.ndarray | None = None) -> PropagationOperator:
-    """The operator whose stored entries sit at (rows, cols), in row-major order,
-    every row holding its self-loop; the degrees are the row counts."""
+    codes = np.sort(np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
+                                    edges[:, 1] * num_nodes + edges[:, 0],
+                                    loops * num_nodes + loops]))
+    rows, cols = np.divmod(codes, num_nodes)
     deg = np.bincount(rows, minlength=num_nodes)
     indptr = np.concatenate([[0], np.cumsum(deg)])
     shape = (num_nodes, num_nodes)
     if mode == "symmetric":
         dinv = 1.0 / np.sqrt(deg)
-        mat = transpose = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=shape)
-    else:
-        inv = 1.0 / deg
-        mat = sp.csr_matrix((inv[rows], cols, indptr), shape=shape)
-        transpose = sp.csr_matrix((inv[cols], mat.indices, mat.indptr), shape=shape)
-    return PropagationOperator(mode, mat, transpose, features, edges, entry_edges)
+        mat = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=shape)
+        return PropagationOperator(mode=mode, matrix=mat, transpose=mat, features=features)
+    inv = 1.0 / deg
+    mat = sp.csr_matrix((inv[rows], cols, indptr), shape=shape)
+    transpose = sp.csr_matrix((inv[cols], mat.indices, mat.indptr), shape=shape)
+    return PropagationOperator(mode=mode, matrix=mat, transpose=transpose, features=features)
 
 
 @dataclass(frozen=True)

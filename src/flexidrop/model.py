@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .autodiff import Tape, Value, sigmoid
 from .graphs import (PROPAGATION_MODES, Graph, PropagationOperator, ValidationError,
-                     sample_absent_pairs)
+                     propagation_from_edges, sample_absent_pairs)
 from .graphs import build_propagation  # noqa: F401  (bench/spans.py traces calls at this binding)
 
 STRATEGIES = ("none", "flexidrop", "fixed_dropout", "dropnode", "dropedge")
@@ -258,11 +258,8 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     ``prop`` must have been built from the array ``graph.features``
     (``build_propagation(graph)``, or of any ``graph.with_edges`` copy);
     any other operator raises ValueError naming the shapes of its
-    features and the graph's. A DropEdge train forward draws its keep
-    mask over ``graph.edges`` and propagates with ``prop.thinned(keep)``,
-    which has its own P X, so ``prop`` must also have been built from
-    ``graph.edges``; one built from other edges, or from none, raises
-    ValueError naming both edge counts.
+    features and the graph's. DropEdge's operator of each train forward
+    is built here, with its own P X.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,14 +284,12 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     draws = mode == "train" and not train_forward_is_eval(config)
     rng = np.random.default_rng(seed) if draws else None
     if draws and config.strategy == "dropedge":
-        if prop.edges is None or not np.array_equal(prop.edges, graph.edges):
-            built = "no edge list" if prop.edges is None else f"{len(prop.edges)} edges"
-            raise ValueError(f"DropEdge thins the operator's edges, but it was built from "
-                             f"{built}, not from the graph's {graph.num_edges} edges; "
-                             "build it with build_propagation(graph)")
         # resample the operator once per forward pass: drop graph edges,
         # keep self-loops, renormalize in the configured mode
-        prop = prop.thinned(rng.random(graph.num_edges) >= config.rate)
+        keep = rng.random(graph.num_edges) >= config.rate
+        kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
+        prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode,
+                                      graph.features)
 
     masked = draws and config.strategy != "dropedge"   # a mask on every layer's input
     preacts: list[Value] = []

@@ -331,11 +331,10 @@ def test_cross_entropy_extreme_logits_stay_finite():
 
 # (m, k, n) of a (m, k) @ (k, n) product and the layout its result must have: a tall
 # product (m > n) of more than 10**6 multiply-adds comes back column-major ("F"),
-# unless it is skinny (n <= 4, m >= k) and formed in row blocks; every other one
-# row-major ("C")
+# every other one row-major ("C")
 PRODUCT_SHAPES = [
     ((2000, 128, 256), "F"),    # node2000_flexidrop's layer 1
-    ((2000, 256, 4), "C"),      # its A W_2, skinny: row blocks of 976, 976 and 48 rows
+    ((2000, 256, 4), "F"),      # its A W_2
     ((256, 2000, 4), "F"),      # its A^T g, as a forward product
     ((1001, 100, 10), "F"),     # just above the limit
     ((1000, 100, 10), "C"),     # on the limit
@@ -406,7 +405,6 @@ def test_pair_dot_of_a_column_major_h_is_the_row_major_one():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(results[:2], results[2:]))
 
 
-
 def pair_dot_cases():
     # m around the block of B pairs the forward takes at a time, for each width k;
     # B + 1 ends in a lone pair past a block boundary
@@ -454,6 +452,7 @@ def test_pair_dot_forward_makes_no_temporary_of_all_the_pairs():
         tracemalloc.stop()
     assert out.shape == (11050, 1) and len(tape) == 1
     assert peak <= 2**20, f"the forward peaked at {peak / 2**20:.2f} MiB"
+
 
 def old_softmax_cross_entropy(logits, labels, mask):
     """The row-wise formula, with the row max taken twice, and its gradient."""

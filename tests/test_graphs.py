@@ -12,7 +12,6 @@ from flexidrop.graphs import (Graph, ParseError, PropagationOperator, SplitSpec,
                               ValidationError, build_propagation, feature_inf_norm_max,
                               generate_sbm, inject_random_edges, load_graph,
                               propagation_from_edges, sample_absent_pairs)
-from flexidrop.training import _split_edges
 
 
 def tiny_graph(edges, n=4, d=2, classes=2):
@@ -176,65 +175,6 @@ def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
             if mode == "symmetric":
                 assert prop.transpose is prop.matrix
 
-
-
-def test_each_stored_entry_records_the_edge_it_came_from():
-    for n, edges in operator_cases():
-        prop = propagation_from_edges(n, edges, "row_stochastic", np.zeros((n, 1)))
-        m = prop.matrix
-        rows = np.repeat(np.arange(n), np.diff(m.indptr))
-        e = prop.entry_edges
-        loop = e == len(edges)
-        assert np.array_equal(prop.edges, edges) and e.shape == (m.nnz,)
-        assert np.array_equal(rows[loop], m.indices[loop]) and loop.sum() == n
-        ends = np.sort(np.column_stack([rows[~loop], m.indices[~loop]]), axis=1)
-        assert np.array_equal(ends, edges[e[~loop]])
-        assert np.array_equal(np.bincount(e[~loop], minlength=len(edges)), np.full(len(edges), 2))
-
-
-def thinning_cases():
-    """(graph, keep): keep-all, keep-none and two DropEdge draws on an SBM graph, a graph
-    with isolated nodes, and the message graph of the link split."""
-    from flexidrop.training import _split_edges
-    rng = np.random.default_rng(41)
-    full = generate_sbm(400, 4, 0.05, 0.005, 8, 0.1, seed=5)
-    graphs = (generate_sbm(60, 2, 0.2, 0.02, 4, 0.1, seed=3),
-              tiny_graph([[0, 1], [1, 2], [0, 2], [2, 3]], n=6, d=3),   # nodes 4, 5 isolated
-              full.with_edges(_split_edges(full, 0)[0]))
-    for g in graphs:
-        e = g.num_edges
-        for keep in (np.ones(e, bool), np.zeros(e, bool), rng.random(e) >= 0.5,
-                     rng.random(e) >= 0.5):
-            yield g, keep
-
-
-def test_a_thinned_operator_is_the_operator_of_the_kept_edges_bit_for_bit():
-    for g, keep in thinning_cases():
-        for mode in ("symmetric", "row_stochastic"):
-            got = build_propagation(g, mode).thinned(keep)
-            want = propagation_from_edges(g.num_nodes, g.edges[keep], mode, g.features)
-            assert got.mode == mode and got.features is g.features
-            for matrix in ("matrix", "transpose"):
-                for name in ("indptr", "indices", "data"):
-                    a, b = getattr(getattr(got, matrix), name), getattr(getattr(want, matrix), name)
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (mode, matrix, name)
-            assert (got.transpose is got.matrix) == (mode == "symmetric")
-            assert got.propagated.dtype == want.propagated.dtype
-            assert got.propagated.tobytes() == want.propagated.tobytes()
-
-
-def test_thinning_needs_the_recorded_edges_and_one_keep_flag_per_edge():
-    prop = build_propagation(tiny_graph([[0, 1], [1, 2]], n=3))
-    with pytest.raises(ValidationError, match=r"keep mask of shape \(3,\) for 2 edges"):
-        prop.thinned(np.ones(3, bool))
-    bare = PropagationOperator("row_stochastic", prop.matrix, prop.transpose, prop.features)
-    with pytest.raises(ValidationError, match="records no edges to thin"):
-        bare.thinned(np.ones(2, bool))
-    for edges, entry_edges in ((prop.edges, None), (None, prop.entry_edges),
-                               (prop.edges, prop.entry_edges[:-1])):
-        with pytest.raises(ValidationError, match="one edge per stored entry"):
-            PropagationOperator("row_stochastic", prop.matrix, prop.transpose, prop.features,
-                                edges, entry_edges)
 
 def test_propagation_operator_validates_row_sums():
     bad = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 1.0]]))

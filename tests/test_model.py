@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from flexidrop.autodiff import Tape, grad_check, sigmoid
 from flexidrop.bounds import BoundContext, complexity_regularizer
-from flexidrop.graphs import (Graph, PropagationOperator, ValidationError, build_propagation,
-                              generate_sbm, propagation_from_edges)
+from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
+                              propagation_from_edges)
 from flexidrop.model import (CHECKPOINT_FORMAT, FIXED_STRATEGIES, STRATEGIES, BoundLayer,
                              LayerParams, ModelConfig, NumericsError, RETENTION_LOGIT_INIT,
                              bind_layers, forward, init_params, link_loss, link_scores,
@@ -582,30 +582,6 @@ def test_forward_refuses_an_operator_built_from_other_features():
     with pytest.raises(ValueError, match=r"built from features of shape \(20, 3\)"):
         forward(Tape(), g, build_propagation(twin, "row_stochastic"), params, config)
 
-
-
-def test_a_dropedge_forward_refuses_an_operator_built_from_other_edges():
-    # the forward thins the operator it is handed, so that operator's edges must be the
-    # graph's; equal counts are not enough
-    g = sbm(seed=0, n=20, d=3)
-    config = ModelConfig(layer_dims=(3, 4, 2), strategy="dropedge", rate=0.5)
-    params = init_params(config.layer_dims, seed=0)
-    absent = sample_negative_edges(g, g.num_edges, seed=1)
-    other = g.with_edges(np.concatenate([g.edges[:-1], absent[:1]]))
-    assert other.num_edges == g.num_edges and other.features is g.features
-    e = g.num_edges
-    prop = build_propagation(other, config.propagation_mode)
-    with pytest.raises(ValueError, match=rf"built from {e} edges, not from the graph's {e} edges"):
-        forward(Tape(), g, prop, params, config, mode="train", seed=3)
-    bare = PropagationOperator(config.propagation_mode, prop.matrix, prop.transpose, g.features)
-    with pytest.raises(ValueError, match=rf"built from no edge list, not from the graph's {e} "):
-        forward(Tape(), g, bare, params, config, mode="train", seed=3)
-    # an eval forward does not thin, and an operator of an equal edge array is the graph's
-    forward(Tape(), g, prop, params, config, mode="eval")
-    same = build_propagation(g.with_edges(g.edges.copy()), config.propagation_mode)
-    out = forward(Tape(), g, same, params, config, mode="train", seed=3)
-    assert np.array_equal(out.logits.data,
-                          run_forward(g, params, config, mode="train", seed=3).logits.data)
 
 def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
     # layer 2 narrows 6 -> 2 and so multiplies by W before propagating
