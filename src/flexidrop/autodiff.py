@@ -18,8 +18,14 @@ collector. A closure holds no Value either, only its inputs' adjoint
 indices and the arrays its backward reads: ``relu``'s reads its input's
 sign mask, not the input, so that input is freed with its caller's last
 reference while the tape lives on. ``Tape.backward(root, wrt)`` returns
-the gradients of the leaves in ``wrt`` and stores none, so two roots'
-gradients never mix.
+the gradients of the leaves in ``wrt`` and stores none.
+
+One backward per tape: backward spends the tape, dropping each node, its
+closure and every array the closure holds, as soon as that node has run,
+so the arrays a finished node read are freed before the next node
+allocates its gradients. A second backward on a spent tape raises
+``ValueError``, as does recording a node on it; the gradients of two roots
+come from two tapes. ``len(tape)`` still counts the nodes recorded.
 
 A Value's array may be row- or column-major: ``matmul`` forms a tall
 product above ``SMALL_PRODUCT`` column-major, where OpenBLAS is faster.
@@ -45,8 +51,10 @@ EXP_CLAMP = 50.0
 # column-major
 SMALL_PRODUCT = 10**6
 
-# pair_dot gathers and multiplies about this many entries of h's rows at a time
+# pair_dot gathers and multiplies about PAIR_BLOCK entries of h's rows at a time,
+# in blocks of at most PAIR_ROWS pairs: narrow rows in longer blocks run slower
 PAIR_BLOCK = 2**15
+PAIR_ROWS = 2**12
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,11 +138,13 @@ class Tape:
 
     def __init__(self):
         self._count = 0                              # Values made so far
-        self._nodes: list[tuple[int, object]] = []   # (output index, backward fn)
+        self._recorded = 0                           # nodes recorded, spent or not
+        # (output index, backward fn), not yet run; None once backward has spent the tape
+        self._nodes: list[tuple[int, object]] | None = []
         self.argmax_trace: list[int] = []            # max_reduce choices, in op order
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._recorded
 
     # ---- construction helpers -------------------------------------------------
 
@@ -152,7 +162,11 @@ class Tape:
         rg = any(x.requires_grad for x in inputs)
         out = Value(data, rg, op, self)
         if rg:
+            if self._nodes is None:
+                raise ValueError(f"{op}: the tape is spent, its backward has run; "
+                                 "record on a new Tape")
             self._nodes.append((out._idx, backward))
+            self._recorded += 1
         return out
 
     @staticmethod
@@ -265,16 +279,16 @@ class Tape:
         """Inner products <h[u_j], h[v_j]> of the rows of h (N, k), as an (m, 1) column.
 
         ``pairs`` is a raw (m, 2) integer array that never takes gradients.
-        The forward takes the pairs in blocks of max(2, PAIR_BLOCK // k): it
-        gathers a block's rows of h[u] and h[v], multiplies them in place
-        and row-sums them with a product by a ones column into its part of
-        the output, so it makes no (m, k) temporary. Each row's sum is the
-        one a single product over all m pairs gives, since the last block
-        takes a lone last pair: numpy forms a one-row product as a dot
-        product, which sums in another order. With B holding g_j at
-        (u_j, v_j), the gradient of h is (B + B^T) h, one sparse product
-        over 2m entries; B's index arrays are formed here, once, and the
-        backward fills in only g.
+        The forward takes the pairs in blocks of max(2, min(PAIR_ROWS,
+        PAIR_BLOCK // k)): it gathers a block's rows of h[u] and h[v],
+        multiplies them in place and row-sums them with a product by a ones
+        column into its part of the output, so it makes no (m, k) temporary.
+        Each row's sum is the one a single product over all m pairs gives,
+        since the last block takes a lone last pair: numpy forms a one-row
+        product as a dot product, which sums in another order. With B
+        holding g_j at (u_j, v_j), the gradient of h is (B + B^T) h, one
+        sparse product over 2m entries; B's index arrays are formed here,
+        once, and the backward fills in only g.
         """
         h = self._own(h, "h", "pair_dot")
         n, k = h.shape
@@ -285,7 +299,7 @@ class Tape:
         u, v = pairs[:, 0], pairs[:, 1]
         hd = np.ascontiguousarray(h.data)   # a column-major h's rows are strided
         out, ones = np.empty((m, 1)), np.ones((k, 1))
-        step, s = max(2, PAIR_BLOCK // max(k, 1)), 0
+        step, s = max(2, min(PAIR_ROWS, PAIR_BLOCK // max(k, 1))), 0
         for e in (*range(step, m - 1, step), m):
             rows = np.take(hd, u[s:e], axis=0)
             rows *= np.take(hd, v[s:e], axis=0)
@@ -465,10 +479,15 @@ class Tape:
     def backward(self, root: Value, wrt: list[Value]) -> list[np.ndarray]:
         """d(root)/d(v), read-only, for each leaf v in ``wrt`` that requires grad.
 
-        Zeros where root does not depend on v. Nothing is stored, and each
-        node's adjoint is dropped once its backward has run. Gradients are
-        never added in place, so one array may be returned for several
+        Zeros where root does not depend on v. Nothing is stored. Gradients
+        are never added in place, so one array may be returned for several
         Values (``add`` hands its upstream gradient to both operands).
+
+        One backward per tape: it spends the tape. Each node, with its
+        closure and the arrays the closure holds, is dropped as soon as it
+        has run, and each node's adjoint once its backward has read it. A
+        second call raises ``ValueError``; take another root's gradients
+        on a tape of its own. ``len(self)`` is left as it was.
         """
         root = self._own(root, "root", "backward")
         if root.shape != (1, 1):
@@ -476,9 +495,15 @@ class Tape:
         for i, v in enumerate(wrt):
             if self._own(v, f"wrt[{i}]", "backward").op != "leaf" or not v.requires_grad:
                 raise ValueError(f"backward: wrt[{i}] must be a leaf that requires grad, got {v}")
+        if self._nodes is None:
+            raise ValueError("backward: the tape is spent, its backward has run; "
+                             "record the computation on a new Tape")
+        nodes, self._nodes = self._nodes, None
         adj: list[np.ndarray | None] = [None] * self._count
         adj[root._idx] = np.ones((1, 1))
-        for out_idx, fn in reversed(self._nodes):
+        while nodes:
+            # rebinding fn drops the node that ran last, with the arrays only it held
+            out_idx, fn = nodes.pop()
             g = adj[out_idx]
             if g is not None:
                 adj[out_idx] = None

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flexidrop.autodiff import (EXP_CLAMP, PAIR_BLOCK, GradCheckReport, Tape, Value,
-                                grad_check, sigmoid)
+from flexidrop.autodiff import (EXP_CLAMP, PAIR_BLOCK, PAIR_ROWS, GradCheckReport, Tape,
+                                Value, grad_check, sigmoid)
 
 
 def leaf(tape, data, requires_grad=True):
@@ -406,11 +406,14 @@ def test_pair_dot_of_a_column_major_h_is_the_row_major_one():
 
 
 def pair_dot_cases():
-    # m around the block of B pairs the forward takes at a time, for each width k;
-    # B + 1 ends in a lone pair past a block boundary
-    for k in (1, 3, 32, 128):
-        b = max(2, PAIR_BLOCK // k)
-        for m in (1, b - 1, b, b + 1, 3 * b + 5):
+    # m around the block of B pairs the forward takes at a time, for each width k,
+    # and around PAIR_BLOCK // k pairs where PAIR_ROWS caps B below that; B + 1 ends
+    # in a lone pair past a block boundary
+    for k in (1, 2, 3, 4, 32, 128):
+        ms = {1}
+        for b in {max(2, min(PAIR_ROWS, PAIR_BLOCK // k)), max(2, PAIR_BLOCK // k)}:
+            ms.update((b - 1, b, b + 1, 3 * b + 5))
+        for m in sorted(ms):
             for order in "CF":
                 yield pytest.param(m, k, order, id=f"m{m}-k{k}-{order}")
 
@@ -553,13 +556,17 @@ def test_shared_gradient_arrays_equal_fresh_accumulation(monkeypatch, name):
         a, b = (leaf(tape, rng.normal(size=(3, 3))) for _ in range(2))
         c = leaf(tape, rng.normal(size=(3, 3)), requires_grad=False)
         root = SHARED_GRADIENT_GRAPHS[name](tape, a, b, c)
-        # the second call must leave the arrays the first one returned as they were
-        return tape.backward(root, [a, b]) + tape.backward(root, [a, b])
+        return tape.backward(root, [a, b])
 
-    got = grads()
+    # a second tape's backward must leave the arrays the first one returned as they were
+    def twice():
+        first = grads()
+        return first + grads()
+
+    got = twice()
     with monkeypatch.context() as m:
         m.setattr(Tape, "_acc", staticmethod(reference_acc))
-        want = grads()
+        want = twice()
     assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -577,25 +584,71 @@ def test_returned_grads_share_storage_and_are_read_only():
     assert gb[0, 0] == 1.0
 
 
-def test_two_roots_on_one_tape_get_their_own_gradients():
-    # nothing is stored between calls: a second backward, from the same root or
-    # another, returns exactly what a fresh tape would
-    def build():
-        tape = Tape()
-        rng = np.random.default_rng(8)
-        w, z = leaf(tape, rng.normal(size=(4, 3))), leaf(tape, rng.normal(size=(4, 1)))
-        h = tape.row_broadcast_mul(w, tape.sigmoid(z))
-        return tape, w, z, tape.mean(tape.relu(h)), tape.max_reduce(tape.column_l2_norms(h))
+def build_loss_and_regularizer(roots=("loss", "reg")):
+    """A weight w (4, 3), retention logits z (4, 1), and the named roots on one tape."""
+    tape = Tape()
+    rng = np.random.default_rng(8)
+    w, z = leaf(tape, rng.normal(size=(4, 3))), leaf(tape, rng.normal(size=(4, 1)))
+    h = tape.row_broadcast_mul(w, tape.sigmoid(z))
+    make = {"loss": lambda: tape.mean(tape.relu(h)),
+            "reg": lambda: tape.max_reduce(tape.column_l2_norms(h))}
+    return tape, w, z, {name: make[name]() for name in roots}
 
-    tape, w, z, loss, reg = build()
-    first = tape.backward(loss, [w, z])
-    assert [g.tobytes() for g in tape.backward(loss, [w, z])] == [g.tobytes() for g in first]
-    tape2, w2, z2, _, reg2 = build()
-    want = tape2.backward(reg2, [w2, z2])
-    assert [g.tobytes() for g in tape.backward(reg, [w, z])] == [g.tobytes() for g in want]
+
+def test_two_roots_on_two_tapes_get_their_own_gradients():
+    # a root's gradients do not depend on what else its tape recorded: each of two
+    # roots recorded together, taken on a tape of its own, repeats byte for byte the
+    # gradients of a tape that recorded it alone
+    def grads(root, roots):
+        tape, w, z, out = build_loss_and_regularizer(roots)
+        return [g.tobytes() for g in tape.backward(out[root], [w, z])]
+
+    for root in ("loss", "reg"):
+        alone = grads(root, (root,))
+        assert grads(root, ("loss", "reg")) == alone
+        assert grads(root, ("loss", "reg")) == alone   # the same root on a second tape
+    assert grads("loss", ("loss",)) != grads("reg", ("reg",))
     # a leaf the root does not reach gets zeros of its shape
+    tape, w, z, _ = build_loss_and_regularizer(())
     (gz,) = tape.backward(tape.sum(w), [z])
     assert gz.shape == (4, 1) and not gz.any()
+
+
+def test_a_spent_tape_refuses_a_second_backward_and_new_nodes():
+    tape, w, z, out = build_loss_and_regularizer()
+    recorded = len(tape)
+    assert recorded == 6   # sigmoid, row_broadcast_mul, relu, mean, column_l2_norms, max_reduce
+    tape.backward(out["loss"], [w, z])
+    assert len(tape) == recorded   # backward spends the nodes, not their count
+    for root in (out["loss"], out["reg"]):
+        with pytest.raises(ValueError, match="tape is spent"):
+            tape.backward(root, [w, z])
+    with pytest.raises(ValueError, match="relu: the tape is spent"):
+        tape.relu(w)
+    # a node that takes no gradient records nothing, and values stay readable
+    assert tape.relu(tape.leaf([[-1.0]])).item() == 0.0 and len(tape) == recorded
+    assert out["reg"].item() > 0.0
+
+
+def test_backward_drops_each_node_once_it_has_run(monkeypatch):
+    # while a node's backward runs, every node that ran before it, its closure
+    # and the arrays only that closure held, is already gone
+    tape = Tape()
+    x = leaf(tape, np.random.default_rng(2).normal(size=(3, 3)))
+    root = tape.sum(chain(tape, x))
+    closures = [weakref.ref(fn) for _, fn in tape._nodes]
+    alive = []
+    real_acc = Tape._acc
+
+    def acc(adj, slot, g):
+        alive.append(sum(ref() is not None for ref in closures))
+        real_acc(adj, slot, g)
+
+    monkeypatch.setattr(Tape, "_acc", staticmethod(acc))
+    (grad,) = tape.backward(root, [x])
+    assert grad.any() and len(tape) == len(closures) == 41
+    assert alive == list(range(41, 0, -1))
+    assert all(ref() is None for ref in closures)
 
 
 def test_backward_takes_only_leaves_that_require_grad():

@@ -1,5 +1,6 @@
 """Adam optimizer, the training loop, and grid sweeps."""
 import gc
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -122,6 +123,25 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
     finally:
         gc.enable()
     assert alive == [0] * 5
+
+
+def test_an_n2000_epoch_frees_each_backward_node_as_it_runs():
+    # a 2000-node 128-256-4 flexidrop model: each 2000x256 float array is 3.9 MiB.
+    # Were the backward to keep each node it has run, relu's backward would find
+    # three of them live besides its sign mask (A_2, still held by the finished
+    # layer-2 matmul's closure, relu's upstream gradient and its own), a 16.4 MiB
+    # peak; freed as it runs, the backward peaks no higher than the forward
+    graph = generate_sbm(2000, 4, 0.01, 0.001, 128, 0.1, seed=0)
+    config = ModelConfig(layer_dims=(128, 256, 4), strategy="flexidrop")
+    tracemalloc.start()
+    try:
+        result = train(graph, config, TrainConfig(epochs=2, learning_rate=0.01,
+                                                  reg_lambda=0.01, seed=0, eval_every=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.record.rows) == 1
+    assert peak <= 13.5 * 2**20, f"train() peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---- Adam --------------------------------------------------------------------------
