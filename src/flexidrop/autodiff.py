@@ -51,10 +51,8 @@ EXP_CLAMP = 50.0
 # column-major
 SMALL_PRODUCT = 10**6
 
-# pair_dot gathers and multiplies about PAIR_BLOCK entries of h's rows at a time,
-# in blocks of at most PAIR_ROWS pairs: narrow rows in longer blocks run slower
+# pair_dot gathers and multiplies about this many entries of h's rows at a time
 PAIR_BLOCK = 2**15
-PAIR_ROWS = 2**12
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,16 +277,16 @@ class Tape:
         """Inner products <h[u_j], h[v_j]> of the rows of h (N, k), as an (m, 1) column.
 
         ``pairs`` is a raw (m, 2) integer array that never takes gradients.
-        The forward takes the pairs in blocks of max(2, min(PAIR_ROWS,
-        PAIR_BLOCK // k)): it gathers a block's rows of h[u] and h[v],
-        multiplies them in place and row-sums them with a product by a ones
-        column into its part of the output, so it makes no (m, k) temporary.
-        Each row's sum is the one a single product over all m pairs gives,
-        since the last block takes a lone last pair: numpy forms a one-row
-        product as a dot product, which sums in another order. With B
-        holding g_j at (u_j, v_j), the gradient of h is (B + B^T) h, one
-        sparse product over 2m entries; B's index arrays are formed here,
-        once, and the backward fills in only g.
+        The forward takes the pairs in blocks of max(2, PAIR_BLOCK // k): it
+        gathers a block's rows of h[u] and h[v], multiplies them in place
+        and row-sums them with a product by a ones column into its part of
+        the output, so it makes no (m, k) temporary. Each row's sum is the
+        one a single product over all m pairs gives, since the last block
+        takes a lone last pair: numpy forms a one-row product as a dot
+        product, which sums in another order. With B holding g_j at
+        (u_j, v_j), the gradient of h is (B + B^T) h, one sparse product
+        over 2m entries; B's index arrays are formed here, once, and the
+        backward fills in only g.
         """
         h = self._own(h, "h", "pair_dot")
         n, k = h.shape
@@ -299,7 +297,7 @@ class Tape:
         u, v = pairs[:, 0], pairs[:, 1]
         hd = np.ascontiguousarray(h.data)   # a column-major h's rows are strided
         out, ones = np.empty((m, 1)), np.ones((k, 1))
-        step, s = max(2, min(PAIR_ROWS, PAIR_BLOCK // max(k, 1))), 0
+        step, s = max(2, PAIR_BLOCK // max(k, 1)), 0
         for e in (*range(step, m - 1, step), m):
             rows = np.take(hd, u[s:e], axis=0)
             rows *= np.take(hd, v[s:e], axis=0)
