@@ -195,10 +195,12 @@ class Tape:
     def spmm(self, p, x: Value, *, p_t) -> Value:
         """Sparse @ dense. The sparse operands are raw matrices and never take gradients.
 
-        ``p_t`` is ``p``'s transpose as a CSR matrix, built by the caller
-        once for all the products with ``p`` (``PropagationOperator``
-        carries one). Backward multiplies by it: a CSR product, with no
-        transposed view constructed per call.
+        ``p_t`` is ``p``'s transpose, in any sparse format, formed by the
+        caller once for all the products with ``p`` (``PropagationOperator``
+        carries ``matrix.T``, a CSC view of P's arrays). Backward multiplies
+        by it, so no transpose is formed per call. Only its shape is
+        checked: a ``p_t`` that is not ``p``'s transpose gives wrong
+        gradients.
         """
         if not (sp.issparse(p) and sp.issparse(p_t)):
             raise TypeError("spmm: p and p_t must be scipy sparse matrices")

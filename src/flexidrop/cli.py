@@ -260,7 +260,7 @@ def _gradcheck_instance(seed: int) -> list:
         s = tape.add(m, tape.relu(m))
         s = tape.sub(s, tape.scalar_mul(0.5, m))
         e = tape.elementwise_mul(s, tape.sigmoid(s))
-        ce = tape.softmax_cross_entropy(tape.spmm(spm, e, p_t=spm.T.tocsr()), labels,
+        ce = tape.softmax_cross_entropy(tape.spmm(spm, e, p_t=spm.T), labels,
                                         np.ones(3, dtype=bool))
         r = tape.row_broadcast_mul(tape.exp(tape.scalar_mul(0.1, b)), tape.log(v))
         norms = tape.column_l2_norms(e)

@@ -101,15 +101,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Binary symmetric adjacency without self-loops."""
-        n, edges = self.num_nodes, self.edges
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        a = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-        a.sort_indices()
-        return a
-
     def with_edges(self, edges: np.ndarray) -> "Graph":
         """Copy of this graph with a different edge set."""
         return Graph(self.features, self.labels, edges, self.num_classes,
@@ -118,12 +109,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """Normalized message-passing matrix P, self-loops included, its transpose, and P X.
+    """Normalized message-passing matrix P, self-loops included, with P^T and P X.
 
-    Both matrices are CSR. The transpose is what a backward pass
-    multiplies by, so it is built once with P, never per product. A+I is
-    symmetric, so P^T has P's sparsity pattern; a symmetric P is its own
-    transpose.
+    ``transpose`` is ``matrix.T``, formed here once: a view that shares
+    P's data, indices and indptr (CSC when P is CSR). A backward pass
+    multiplies by it, and a row-stochastic P is not its own transpose, so
+    P^T is derived from P rather than taken from the caller.
 
     ``features`` is the (N, d) input X the operator was built for, and
     ``propagated`` is P X, computed here once and read-only: layer 1's
@@ -134,8 +125,8 @@ class PropagationOperator:
 
     mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
-    transpose: sp.csr_matrix  # P^T, the same shape and stored-entry count
     features: np.ndarray      # X, (N, d)
+    transpose: sp.csc_matrix = field(init=False)   # P^T = matrix.T, sharing its arrays
     propagated: np.ndarray = field(init=False)   # P X, (N, d), read-only
 
     def __post_init__(self):
@@ -150,20 +141,14 @@ class PropagationOperator:
             sums = m @ np.ones(m.shape[1])   # a CSR product; m.sum(axis=1) costs ~5x more
             if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise ValidationError("row-stochastic operator rows must sum to 1")
-        if self.transpose.shape != m.shape or self.transpose.nnz != m.nnz:
-            raise ValidationError(f"propagation transpose has shape {self.transpose.shape} and "
-                                  f"{self.transpose.nnz} entries, the matrix {m.shape} and {m.nnz}")
         x = self.features
         if x.ndim != 2 or x.shape[0] != m.shape[0]:
             raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
                                   "propagation matrix")
         px = np.asarray(m @ x)
         px.setflags(write=False)
+        object.__setattr__(self, "transpose", m.T)
         object.__setattr__(self, "propagated", px)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.matrix.shape[0]
 
     def max_row_norm(self) -> float:
         """Largest l1 norm over rows; the operator constant the bounds need.
@@ -186,41 +171,36 @@ def build_propagation(graph: Graph, mode: str = "row_stochastic") -> Propagation
     mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
     mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
     """
-    return propagation_from_edges(graph.num_nodes, graph.edges, mode, graph.features)
+    return propagation_from_edges(graph.edges, mode, graph.features)
 
 
-def propagation_from_edges(num_nodes: int, edges: np.ndarray, mode: str,
+def propagation_from_edges(edges: np.ndarray, mode: str,
                            features: np.ndarray) -> PropagationOperator:
-    """``build_propagation`` for ``num_nodes`` nodes, an edge array and ``features``.
+    """``build_propagation`` for an edge array and ``features``, whose rows give N.
 
     ``edges`` must already be canonical, as ``Graph.edges`` and any row
     subset of it are; it is not validated again. DropEdge calls this once
     per training forward, so the CSR arrays are assembled directly: both
     directions of every edge plus the self-loops, sorted once by their
     row-major code, with degrees from a bincount of the rows. The
-    transpose shares P's pattern and index arrays; row-stochastic, its
-    entries are ``(1/deg)[col]``. The operator holds the propagation
-    P X of ``features`` (see ``PropagationOperator``).
+    operator holds P^T as a view of P and the propagation P X of
+    ``features`` (see ``PropagationOperator``).
     """
-    if mode not in PROPAGATION_MODES:
-        raise ValidationError(f"unknown propagation mode {mode!r}")
+    n = features.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    loops = np.arange(num_nodes, dtype=np.int64)
-    codes = np.sort(np.concatenate([edges[:, 0] * num_nodes + edges[:, 1],
-                                    edges[:, 1] * num_nodes + edges[:, 0],
-                                    loops * num_nodes + loops]))
-    rows, cols = np.divmod(codes, num_nodes)
-    deg = np.bincount(rows, minlength=num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    shape = (num_nodes, num_nodes)
+    loops = np.arange(n, dtype=np.int64)
+    codes = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                    edges[:, 1] * n + edges[:, 0],
+                                    loops * n + loops]))
+    rows, cols = np.divmod(codes, n)
+    deg = np.bincount(rows, minlength=n)
     if mode == "symmetric":
         dinv = 1.0 / np.sqrt(deg)
-        mat = sp.csr_matrix((dinv[rows] * dinv[cols], cols, indptr), shape=shape)
-        return PropagationOperator(mode=mode, matrix=mat, transpose=mat, features=features)
-    inv = 1.0 / deg
-    mat = sp.csr_matrix((inv[rows], cols, indptr), shape=shape)
-    transpose = sp.csr_matrix((inv[cols], mat.indices, mat.indptr), shape=shape)
-    return PropagationOperator(mode=mode, matrix=mat, transpose=transpose, features=features)
+        data = dinv[rows] * dinv[cols]
+    else:
+        data = (1.0 / deg)[rows]
+    mat = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(deg)])), shape=(n, n))
+    return PropagationOperator(mode=mode, matrix=mat, features=features)
 
 
 @dataclass(frozen=True)

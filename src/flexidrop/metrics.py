@@ -39,12 +39,13 @@ def dirichlet_energy(embeddings: np.ndarray, graph: Graph) -> float:
     return float(2.0 * (diffs ** 2).sum() / graph.num_nodes)
 
 
-def link_accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
+def link_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Share of pairs whose prediction (an edge when score >= 0.5) matches the label."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if scores.shape != labels.shape or scores.size == 0:
         raise ValidationError("link_accuracy: scores and labels must be equal-length and non-empty")
-    return float(((scores >= threshold) == (labels > 0.5)).mean())
+    return float(((scores >= 0.5) == (labels > 0.5)).mean())
 
 
 def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:

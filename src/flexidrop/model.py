@@ -257,9 +257,9 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     starts from ``prop.propagated``, the P X that ``prop`` holds, so
     ``prop`` must have been built from the array ``graph.features``
     (``build_propagation(graph)``, or of any ``graph.with_edges`` copy);
-    any other operator raises ValueError naming the shapes of its
-    features and the graph's. DropEdge's operator of each train forward
-    is built here, with its own P X.
+    any other operator, one of another size included, raises ValueError
+    naming the shapes of its features and the graph's. DropEdge's
+    operator of each train forward is built here, with its own P X.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -269,8 +269,6 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     if prop.mode != config.propagation_mode:
         raise ValueError(f"operator mode {prop.mode!r} != model propagation_mode "
                          f"{config.propagation_mode!r}")
-    if prop.num_nodes != graph.num_nodes:
-        raise ValueError(f"operator has {prop.num_nodes} nodes, graph has {graph.num_nodes}")
     if prop.features is not graph.features:   # a Graph's features are one read-only array
         raise ValueError(f"the operator's P X was built from features of shape "
                          f"{prop.features.shape}, not from the graph's features of shape "
@@ -288,8 +286,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         # keep self-loops, renormalize in the configured mode
         keep = rng.random(graph.num_edges) >= config.rate
         kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
-        prop = propagation_from_edges(graph.num_nodes, kept, config.propagation_mode,
-                                      graph.features)
+        prop = propagation_from_edges(kept, config.propagation_mode, graph.features)
 
     masked = draws and config.strategy != "dropedge"   # a mask on every layer's input
     preacts: list[Value] = []

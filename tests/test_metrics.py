@@ -129,7 +129,8 @@ def test_link_accuracy_threshold():
     scores = np.array([0.9, 0.4, 0.6, 0.1])
     labels = np.array([1, 1, 0, 0])
     assert link_accuracy(scores, labels) == pytest.approx(0.5)
-    assert link_accuracy(scores, labels, threshold=0.05) == pytest.approx(0.5)
+    # a score of exactly 0.5 counts as a predicted edge
+    assert link_accuracy(np.array([0.5, 0.5]), np.array([1, 0])) == pytest.approx(0.5)
 
 
 def test_auc_perfect_and_random():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from flexidrop.autodiff import Tape, grad_check, sigmoid
 from flexidrop.bounds import BoundContext, complexity_regularizer
-from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
-                              propagation_from_edges)
+from flexidrop.graphs import (Graph, PropagationOperator, ValidationError, build_propagation,
+                              generate_sbm, propagation_from_edges)
 from flexidrop.model import (CHECKPOINT_FORMAT, FIXED_STRATEGIES, STRATEGIES, BoundLayer,
                              LayerParams, ModelConfig, NumericsError, RETENTION_LOGIT_INIT,
                              bind_layers, forward, init_params, link_loss, link_scores,
@@ -181,7 +181,9 @@ def test_forward_rejects_wrong_feature_dim():
 @pytest.mark.parametrize("n, mode, message", (
     # a symmetric eval operator, while train-mode DropEdge would rebuild a row-stochastic one
     (20, "symmetric", "operator mode 'symmetric' != model propagation_mode 'row_stochastic'"),
-    (22, "row_stochastic", "operator has 22 nodes, graph has 20"),
+    # an operator of another size: its features are not the graph's
+    (22, "row_stochastic", r"features of shape \(22, 3\), not from the graph's features of "
+                           r"shape \(20, 3\)"),
 ))
 def test_forward_rejects_an_operator_that_does_not_match(n, mode, message):
     g = sbm(seed=0, d=3)
@@ -404,8 +406,8 @@ def reference_forward(tape, graph, prop, layers, config, mode, seed):
     p_matrix = prop.matrix
     if config.strategy == "dropedge" and mode == "train":
         keep = rng.random(graph.num_edges) >= config.rate
-        p_matrix = propagation_from_edges(graph.num_nodes, graph.edges[keep],
-                                          config.propagation_mode, graph.features).matrix
+        p_matrix = propagation_from_edges(graph.edges[keep], config.propagation_mode,
+                                          graph.features).matrix
     h = tape.leaf(graph.features)
     for li, layer in enumerate(layers):
         a = h if li == 0 else tape.relu(h)
@@ -476,6 +478,23 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
         a = h if li == 0 else np.maximum(h, 0.0)
         h = (pmat @ (a * sigmoid(p.retention_logits)[None, :])) @ p.weight
         assert np.abs(pre.data - h).max() <= 1e-12 * np.abs(h).max()
+
+
+def test_an_operator_built_from_p_alone_gives_build_propagations_gradients():
+    # a row-stochastic P is not its own transpose: an operator given P alone must
+    # still take layer 2's backward through P^T
+    g = generate_sbm(30, 2, 0.3, 0.05, 3, 0.1, seed=4)
+    config = ModelConfig(layer_dims=(3, 4, 2), strategy="none")
+    params = init_params(config.layer_dims, seed=0)
+    built = build_propagation(g)
+    direct = PropagationOperator(mode="row_stochastic", matrix=built.matrix, features=g.features)
+
+    def grads(prop):
+        return logits_and_grads(
+            lambda t, layers: forward(t, g, prop, layers, config, "train").logits,
+            g, params, config)
+    for a, b in zip(grads(direct), grads(built)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("strategy", ("fixed_dropout", "dropnode"))
