@@ -5,6 +5,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -117,17 +118,19 @@ class PropagationOperator:
     P^T is derived from P rather than taken from the caller.
 
     ``features`` is the (N, d) input X the operator was built for, and
-    ``propagated`` is P X, computed here once and read-only: layer 1's
-    unmasked input is X, which takes no gradient, so that propagation is
-    the same in every forward with this operator. ``model.forward``
-    refuses an operator whose ``features`` are not its graph's array.
+    ``propagated`` is P X, computed on its first read, then kept and
+    read-only: layer 1's unmasked input is X, which takes no gradient, so
+    that propagation is the same in every forward with this operator. A
+    train forward that masks X or rebuilds the operator (DropEdge) does
+    not read it, so under those strategies the run's operator forms it at
+    the first eval forward. ``model.forward`` refuses an operator whose
+    ``features`` are not its graph's array.
     """
 
     mode: str                 # one of PROPAGATION_MODES
     matrix: sp.csr_matrix     # (N, N), stored entries all > 0
     features: np.ndarray      # X, (N, d)
     transpose: sp.csc_matrix = field(init=False)   # P^T = matrix.T, sharing its arrays
-    propagated: np.ndarray = field(init=False)   # P X, (N, d), read-only
 
     def __post_init__(self):
         if self.mode not in PROPAGATION_MODES:
@@ -145,10 +148,14 @@ class PropagationOperator:
         if x.ndim != 2 or x.shape[0] != m.shape[0]:
             raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
                                   "propagation matrix")
-        px = np.asarray(m @ x)
-        px.setflags(write=False)
         object.__setattr__(self, "transpose", m.T)
-        object.__setattr__(self, "propagated", px)
+
+    @cached_property
+    def propagated(self) -> np.ndarray:
+        """P X, (N, d), read-only."""
+        px = np.asarray(self.matrix @ self.features)
+        px.setflags(write=False)
+        return px
 
     def max_row_norm(self) -> float:
         """Largest l1 norm over rows; the operator constant the bounds need.
@@ -183,8 +190,8 @@ def propagation_from_edges(edges: np.ndarray, mode: str,
     per training forward, so the CSR arrays are assembled directly: both
     directions of every edge plus the self-loops, sorted once by their
     row-major code, with degrees from a bincount of the rows. The
-    operator holds P^T as a view of P and the propagation P X of
-    ``features`` (see ``PropagationOperator``).
+    operator holds P^T as a view of P and forms the propagation P X of
+    ``features`` on its first read (see ``PropagationOperator``).
     """
     n = features.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

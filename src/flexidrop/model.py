@@ -254,12 +254,13 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     Every layer orders its products by width (see the module docstring);
     a ``fixed_dropout`` or ``dropnode`` mask on X is applied to a leaf
     of X, as masks on later layers' inputs are. An unmasked layer 1
-    starts from ``prop.propagated``, the P X that ``prop`` holds, so
-    ``prop`` must have been built from the array ``graph.features``
-    (``build_propagation(graph)``, or of any ``graph.with_edges`` copy);
-    any other operator, one of another size included, raises ValueError
-    naming the shapes of its features and the graph's. DropEdge's
-    operator of each train forward is built here, with its own P X.
+    starts from ``prop.propagated``, the P X that ``prop`` forms on its
+    first read and keeps, so ``prop`` must have been built from the array
+    ``graph.features`` (``build_propagation(graph)``, or of any
+    ``graph.with_edges`` copy); any other operator, one of another size
+    included, raises ValueError naming the shapes of its features and the
+    graph's. DropEdge's operator of each train forward is built here and
+    forms its own P X.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")

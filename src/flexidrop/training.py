@@ -305,6 +305,10 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}
+        # nothing this epoch made outlives it into the next epoch's forward
+        del tape, layers, out, loss, objective, reg, grad
+        if link_task:
+            del negs, probs, labels
 
     last = record.rows[-1] if record.rows else {}
     # reversed: a tie in validation accuracy goes to the later epoch

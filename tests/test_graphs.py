@@ -195,6 +195,29 @@ def test_propagation_operator_derives_its_transpose():
                             features=np.zeros((2, 1)))
 
 
+def test_propagation_forms_p_x_on_first_read_and_keeps_it(monkeypatch):
+    g = generate_sbm(40, 2, 0.3, 0.05, 3, 0.1, seed=3)
+    products = []
+    real = sp.csr_matrix.__matmul__
+
+    def spy(self, other):
+        if other is g.features:
+            products.append(self.shape)
+        return real(self, other)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy)
+    for mode in ("symmetric", "row_stochastic"):
+        prop = build_propagation(g, mode)
+        assert products == []
+        px = prop.propagated
+        assert products == [(40, 40)]
+        assert px.tobytes() == np.asarray(real(prop.matrix, g.features)).tobytes()
+        assert not px.flags.writeable
+        assert prop.propagated is px
+        assert products == [(40, 40)]
+        products.clear()
+
+
 def test_propagation_entries_positive():
     g = generate_sbm(20, 2, 0.5, 0.1, 2, 0.0, seed=0)
     for mode in ("symmetric", "row_stochastic"):

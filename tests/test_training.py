@@ -100,21 +100,40 @@ def test_train_frees_every_tape_without_the_cyclic_collector(monkeypatch, strate
                                                   ("dropedge", 0.3, "link_prediction")))
 def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate, task):
     # while epoch t+1's train forward runs, nothing holds epoch t's hidden
-    # preactivations (every layer's but the last), nor their memory
+    # preactivations (every layer's but the last), its logits, nor, for links,
+    # its pair-score column and negatives, nor their memory
     held, alive = [], []
     real_forward = training.forward
+    real_negatives = training.sample_negative_edges
+    real_loss = training.link_loss
+
+    def hold(name, array):
+        held.extend((name, weakref.ref(a)) for a in (array, array.base) if a is not None)
 
     def spy(*args, **kwargs):
         if kwargs["mode"] == "train":
-            alive.append(sum(ref() is not None for ref in held))
+            alive.append(sorted({name for name, ref in held if ref() is not None}))
             held.clear()
         result = real_forward(*args, **kwargs)
         if kwargs["mode"] == "train":
-            held.extend(weakref.ref(a) for h in result.preactivations[:-1]
-                        for a in (h.data, h.data.base) if a is not None)
+            for h in result.preactivations[:-1]:
+                hold("hidden preactivation", h.data)
+            hold("logits", result.logits.data)
         return result
 
+    def spy_negatives(*args):
+        negs = real_negatives(*args)
+        if alive:   # an epoch's; the splits' evaluation negatives live for the whole run
+            hold("negatives", negs)
+        return negs
+
+    def spy_loss(tape, probs, labels):
+        hold("pair scores", probs.data)
+        return real_loss(tape, probs, labels)
+
     monkeypatch.setattr(training, "forward", spy)
+    monkeypatch.setattr(training, "sample_negative_edges", spy_negatives)
+    monkeypatch.setattr(training, "link_loss", spy_loss)
     dims = (4, 16, 2) if task == "node_classification" else (4, 16, 8)
     gc.disable()
     try:
@@ -122,7 +141,7 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
                                                 task=task), quick(5))
     finally:
         gc.enable()
-    assert alive == [0] * 5
+    assert alive == [[]] * 5
 
 
 def test_an_n2000_epoch_frees_each_backward_node_as_it_runs():
@@ -142,6 +161,26 @@ def test_an_n2000_epoch_frees_each_backward_node_as_it_runs():
         tracemalloc.stop()
     assert len(result.record.rows) == 1
     assert peak <= 13.5 * 2**20, f"train() peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_an_n2000_dropedge_epoch_holds_only_its_own_arrays():
+    # a 2000-node 128-64-32 DropEdge link model: each train forward propagates X
+    # with its own operator, so the run operator's P X (2000x128, 1.95 MiB) is not
+    # formed before the eval forward, and epoch t's logits, pair scores, labels and
+    # negatives are gone before epoch t+1's forward; were both kept, it would peak
+    # at 9.2 MiB
+    graph = generate_sbm(2000, 4, 0.01, 0.001, 128, 0.1, seed=0)
+    config = ModelConfig(layer_dims=(128, 64, 32), strategy="dropedge", rate=0.5,
+                         task="link_prediction")
+    tracemalloc.start()
+    try:
+        result = train(graph, config, TrainConfig(epochs=2, learning_rate=0.01,
+                                                  reg_lambda=0.5, seed=0, eval_every=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.record.rows) == 1
+    assert peak <= 7.5 * 2**20, f"train() peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---- Adam --------------------------------------------------------------------------
@@ -259,8 +298,41 @@ def test_the_features_are_propagated_once_per_operator(monkeypatch, task, strate
     epochs = 4
     train(g, ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate, task=task),
           quick(epochs, reg_lambda=0.1))
-    # the run's operator once, then each train forward's own operator under DropEdge
+    # at most once per operator, on first read: the run's operator once, then each
+    # train forward's own operator under DropEdge
     assert len(products) == 1 + per_forward * epochs
+
+
+def test_a_dropedge_run_propagates_its_operator_only_in_the_eval_forward(monkeypatch):
+    # each train forward reads its own draw's P X; the run's operator forms its P X
+    # only when the one eval forward (after the last epoch) reads it
+    g = sanity_graph()
+    run_ops, events = [], []
+    real_build, real_forward = training.build_propagation, training.forward
+    real_product = sp.csr_matrix.__matmul__
+
+    def build(*args, **kwargs):
+        run_ops.append(None)   # a product made while it is built is the run operator's
+        run_ops[-1] = real_build(*args, **kwargs)
+        return run_ops[-1]
+
+    def spy_forward(*args, **kwargs):
+        events.append(kwargs["mode"])
+        return real_forward(*args, **kwargs)
+
+    def spy_product(self, other):
+        if other is g.features:
+            run = any(op is None or self is op.matrix for op in run_ops)
+            events.append("run P X" if run else "draw P X")
+        return real_product(self, other)
+
+    monkeypatch.setattr(training, "build_propagation", build)
+    monkeypatch.setattr(training, "forward", spy_forward)
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", spy_product)
+    train(g, ModelConfig(layer_dims=(4, 8, 8), strategy="dropedge", rate=0.5,
+                         task="link_prediction"), quick(4, eval_every=64))
+    assert len(run_ops) == 1
+    assert events == ["train", "draw P X"] * 4 + ["eval", "run P X"]
 
 
 # ---- train loop basics -------------------------------------------------------------
