@@ -537,7 +537,8 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
     Values and be deterministic. Relative error uses the denominator
     max(1, |analytic|, |numeric|). Entries whose +-h evaluations disagree
     on a max_reduce argmax sit on a subgradient tie and are excluded
-    rather than failed; a NaN anywhere fails with its location.
+    rather than failed; a non-finite (NaN or infinite) analytic or numeric
+    value fails with its location.
     """
     params = [np.asarray(p, dtype=np.float64) for p in params]
 
@@ -563,7 +564,7 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
             f_minus, trace_minus = eval_at(work)
             a = float(analytic[pi].ravel()[ei])
             num = (f_plus - f_minus) / (2.0 * h)
-            if np.isnan(a) or np.isnan(num):
+            if not (np.isfinite(a) and np.isfinite(num)):
                 report.failures.append((pi, ei, a, num, float("nan")))
                 report.passed = False
                 continue

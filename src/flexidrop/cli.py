@@ -281,8 +281,8 @@ def _gradcheck_instance(seed: int) -> list:
     def model_loss(tape, leaves):
         k = len(params)
         layers = [BoundLayer(leaves[i], leaves[k + i]) for i in range(k)]
-        out = forward(tape, graph, prop, layers, config, mode="train", seed=0)
-        loss = tape.softmax_cross_entropy(out.logits, graph.labels, graph.train_mask)
+        logits = forward(tape, prop, layers, config, mode="train", seed=0)
+        loss = tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask)
         reg = complexity_regularizer(tape, ctx, layers)
         return tape.add(loss, tape.scalar_mul(0.5, reg))
 

@@ -110,45 +110,67 @@ class Graph:
 
 @dataclass(frozen=True)
 class PropagationOperator:
-    """Normalized message-passing matrix P, self-loops included, with P^T and P X.
+    """Normalized message-passing matrix P over ``edges`` plus self-loops, with P^T and P X.
 
-    ``transpose`` is ``matrix.T``, formed here once: a view that shares
-    P's data, indices and indptr (CSC when P is CSR). A backward pass
-    multiplies by it, and a row-stochastic P is not its own transpose, so
-    P^T is derived from P rather than taken from the caller.
+    Self-loops are always added before normalization, so every row has
+    degree >= 1 and isolated nodes stay well defined:
 
-    ``features`` is the (N, d) input X the operator was built for, and
-    ``propagated`` is P X, computed on its first read, then kept and
-    read-only: layer 1's unmasked input is X, which takes no gradient, so
-    that propagation is the same in every forward with this operator. A
-    train forward that masks X or rebuilds the operator (DropEdge) does
-    not read it, so under those strategies the run's operator forms it at
-    the first eval forward. ``model.forward`` refuses an operator whose
-    ``features`` are not its graph's array.
+    mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
+    mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
+
+    ``edges`` must be canonical, as ``Graph.edges`` and any row subset of
+    it are: int64 of shape (E, 2), u < v on every row, rows strictly
+    increasing, every endpoint in [0, N), where N is the number of rows
+    of ``features``; anything else raises ValidationError. DropEdge builds
+    one per training forward, so the CSR ``matrix`` is assembled directly:
+    both directions of every edge plus the self-loops, sorted once by
+    their row-major code, with degrees from a bincount of the rows.
+    ``transpose`` is ``matrix.T``: a CSC view that shares P's data,
+    indices and indptr, which a backward pass multiplies by (a
+    row-stochastic P is not its own transpose).
+
+    ``features`` is the (N, d) input X, and ``propagated`` is P X,
+    computed on its first read, then kept and read-only: layer 1's
+    unmasked input is X, which takes no gradient, so that propagation is
+    the same in every forward with this operator. A train forward that
+    masks X or rebuilds the operator (DropEdge) does not read it.
     """
 
     mode: str                 # one of PROPAGATION_MODES
-    matrix: sp.csr_matrix     # (N, N), stored entries all > 0
+    edges: np.ndarray         # (E, 2) int64, canonical
     features: np.ndarray      # X, (N, d)
+    matrix: sp.csr_matrix = field(init=False)      # (N, N)
     transpose: sp.csc_matrix = field(init=False)   # P^T = matrix.T, sharing its arrays
 
     def __post_init__(self):
         if self.mode not in PROPAGATION_MODES:
             raise ValidationError(f"unknown propagation mode {self.mode!r}")
-        m = self.matrix
-        if m.shape[0] != m.shape[1]:
-            raise ValidationError("propagation matrix must be square")
-        if m.nnz and m.data.min() <= 0.0:
-            raise ValidationError("propagation matrix has non-positive stored entries")
-        if self.mode == "row_stochastic":
-            sums = m @ np.ones(m.shape[1])   # a CSR product; m.sum(axis=1) costs ~5x more
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise ValidationError("row-stochastic operator rows must sum to 1")
-        x = self.features
-        if x.ndim != 2 or x.shape[0] != m.shape[0]:
-            raise ValidationError(f"features of shape {x.shape} for a {m.shape[0]}-node "
-                                  "propagation matrix")
-        object.__setattr__(self, "transpose", m.T)
+        if self.features.ndim != 2:
+            raise ValidationError(f"features must be 2-D, got shape {self.features.shape}")
+        edges = self.edges
+        if edges.dtype != np.int64 or edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValidationError(f"edges must be int64 of shape (E, 2), got {edges.dtype} "
+                                  f"of shape {edges.shape}")
+        n = self.features.shape[0]
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValidationError(f"an edge endpoint lies outside [0, {n})")
+        if np.any(edges[:, 0] >= edges[:, 1]):
+            raise ValidationError("every edge (u, v) must have u < v")
+        uv = edges[:, 0] * n + edges[:, 1]   # row-major codes
+        if np.any(uv[1:] <= uv[:-1]):
+            raise ValidationError("edges must be distinct and sorted by (u, v)")
+        loops = np.arange(n, dtype=np.int64)
+        codes = np.sort(np.concatenate([uv, edges[:, 1] * n + edges[:, 0], loops * n + loops]))
+        rows, cols = np.divmod(codes, n)
+        deg = np.bincount(rows, minlength=n)
+        if self.mode == "symmetric":
+            dinv = 1.0 / np.sqrt(deg)
+            data = dinv[rows] * dinv[cols]
+        else:
+            data = (1.0 / deg)[rows]
+        mat = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(deg)])), shape=(n, n))
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "transpose", mat.T)
 
     @cached_property
     def propagated(self) -> np.ndarray:
@@ -170,44 +192,8 @@ class PropagationOperator:
 
 
 def build_propagation(graph: Graph, mode: str = "row_stochastic") -> PropagationOperator:
-    """Build the normalized propagation operator for ``graph``, with P X of its features.
-
-    Self-loops are always added before normalization, so every row has
-    degree >= 1 and isolated nodes stay well defined.
-
-    mode "symmetric":       D^{-1/2} (A + I) D^{-1/2}
-    mode "row_stochastic":  D^{-1} (A + I), rows sum to exactly 1
-    """
-    return propagation_from_edges(graph.edges, mode, graph.features)
-
-
-def propagation_from_edges(edges: np.ndarray, mode: str,
-                           features: np.ndarray) -> PropagationOperator:
-    """``build_propagation`` for an edge array and ``features``, whose rows give N.
-
-    ``edges`` must already be canonical, as ``Graph.edges`` and any row
-    subset of it are; it is not validated again. DropEdge calls this once
-    per training forward, so the CSR arrays are assembled directly: both
-    directions of every edge plus the self-loops, sorted once by their
-    row-major code, with degrees from a bincount of the rows. The
-    operator holds P^T as a view of P and forms the propagation P X of
-    ``features`` on its first read (see ``PropagationOperator``).
-    """
-    n = features.shape[0]
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    loops = np.arange(n, dtype=np.int64)
-    codes = np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1],
-                                    edges[:, 1] * n + edges[:, 0],
-                                    loops * n + loops]))
-    rows, cols = np.divmod(codes, n)
-    deg = np.bincount(rows, minlength=n)
-    if mode == "symmetric":
-        dinv = 1.0 / np.sqrt(deg)
-        data = dinv[rows] * dinv[cols]
-    else:
-        data = (1.0 / deg)[rows]
-    mat = sp.csr_matrix((data, cols, np.concatenate([[0], np.cumsum(deg)])), shape=(n, n))
-    return PropagationOperator(mode=mode, matrix=mat, features=features)
+    """The ``PropagationOperator`` of ``graph``'s edges and features in ``mode``."""
+    return PropagationOperator(mode, graph.edges, graph.features)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ products then cost O(|E| min(k_in, k_out)), the argument of Kipf &
 Welling (arXiv:1609.02907). Both orders give the same H_l up to float
 rounding. Layer 1's input X is a constant leaf, masked like any other
 input. Only an unmasked layer 1 differs: P @ X is the same on every
-epoch, so the ``PropagationOperator`` computes it once when it is built,
-and the layer computes (P @ X) @ W_1 with no sparse product at all.
+epoch, so the ``PropagationOperator`` forms it on its first read and
+keeps it, and the layer computes (P @ X) @ W_1 with no sparse product.
 """
 from __future__ import annotations
 
@@ -32,11 +32,10 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .autodiff import Tape, Value, sigmoid
 from .graphs import (PROPAGATION_MODES, Graph, PropagationOperator, ValidationError,
-                     propagation_from_edges, sample_absent_pairs)
+                     sample_absent_pairs)
 from .graphs import build_propagation  # noqa: F401  (bench/spans.py traces calls at this binding)
 
 STRATEGIES = ("none", "flexidrop", "fixed_dropout", "dropnode", "dropedge")
@@ -223,13 +222,6 @@ def bind_layers(tape: Tape, params: list[LayerParams], *, trainable: bool) -> li
     return layers
 
 
-@dataclass
-class ForwardResult:
-    preactivations: list[Value]   # one per layer, final entry is the logits
-    logits: Value
-    operator: sp.csr_matrix       # the propagation matrix actually applied
-
-
 def _check_params(params: list[LayerParams], config: ModelConfig) -> None:
     dims = config.layer_dims
     if len(params) != config.num_layers:
@@ -240,10 +232,10 @@ def _check_params(params: list[LayerParams], config: ModelConfig) -> None:
                 f"layer {i} weight shape {p.weight.shape} != {(dims[i], dims[i + 1])}")
 
 
-def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
+def forward(tape: Tape, prop: PropagationOperator,
             params: list[LayerParams] | list[BoundLayer], config: ModelConfig,
-            mode: str = "eval", seed: int = 0) -> ForwardResult:
-    """Run the model, returning per-layer pre-activation embeddings and logits.
+            *, mode: str = "eval", seed: int = 0) -> Value:
+    """Run the model on ``prop``'s features X, returning the logits.
 
     mode "train" applies the configured dropout strategy, "eval" disables
     the randomized strategies. Retention scaling is deterministic and
@@ -255,25 +247,17 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     a ``fixed_dropout`` or ``dropnode`` mask on X is applied to a leaf
     of X, as masks on later layers' inputs are. An unmasked layer 1
     starts from ``prop.propagated``, the P X that ``prop`` forms on its
-    first read and keeps, so ``prop`` must have been built from the array
-    ``graph.features`` (``build_propagation(graph)``, or of any
-    ``graph.with_edges`` copy); any other operator, one of another size
-    included, raises ValueError naming the shapes of its features and the
-    graph's. DropEdge's operator of each train forward is built here and
-    forms its own P X.
+    first read and keeps. DropEdge's train forward builds its own
+    operator from the edges of ``prop`` it keeps, which forms its own P X.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    if graph.feature_dim != config.layer_dims[0]:
-        raise ValueError(
-            f"graph feature dim {graph.feature_dim} != layer_dims[0] {config.layer_dims[0]}")
+    x = prop.features
+    if x.shape[1] != config.layer_dims[0]:
+        raise ValueError(f"feature dim {x.shape[1]} != layer_dims[0] {config.layer_dims[0]}")
     if prop.mode != config.propagation_mode:
         raise ValueError(f"operator mode {prop.mode!r} != model propagation_mode "
                          f"{config.propagation_mode!r}")
-    if prop.features is not graph.features:   # a Graph's features are one read-only array
-        raise ValueError(f"the operator's P X was built from features of shape "
-                         f"{prop.features.shape}, not from the graph's features of shape "
-                         f"{graph.features.shape}; build it with build_propagation(graph)")
     if isinstance(params[0], BoundLayer):
         layers = params
     else:
@@ -285,12 +269,10 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
     if draws and config.strategy == "dropedge":
         # resample the operator once per forward pass: drop graph edges,
         # keep self-loops, renormalize in the configured mode
-        keep = rng.random(graph.num_edges) >= config.rate
-        kept = np.take(graph.edges, np.flatnonzero(keep), axis=0)
-        prop = propagation_from_edges(kept, config.propagation_mode, graph.features)
+        keep = rng.random(len(prop.edges)) >= config.rate
+        prop = PropagationOperator(prop.mode, np.take(prop.edges, np.flatnonzero(keep), axis=0), x)
 
     masked = draws and config.strategy != "dropedge"   # a mask on every layer's input
-    preacts: list[Value] = []
     for li, layer in enumerate(layers):
         w = layer.weight
         if config.strategy == "flexidrop":
@@ -298,7 +280,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
         if li == 0 and not masked:   # X takes no gradient: P X is the operator's
             h = tape.matmul(tape.leaf(prop.propagated), w)
         else:
-            a = tape.relu(h) if li > 0 else tape.leaf(graph.features)
+            a = tape.relu(h) if li > 0 else tape.leaf(x)
             if masked:   # in the memory order of the input it scales (Tape.matmul's rule sets it)
                 order = "C" if a.data.flags.c_contiguous else "F"
                 a = tape.elementwise_mul(a, tape.leaf(_draw_mask(rng, a.shape, config, order)))
@@ -308,8 +290,7 @@ def forward(tape: Tape, graph: Graph, prop: PropagationOperator,
                 h = tape.matmul(tape.spmm(prop.matrix, a, p_t=prop.transpose), w)
         if not np.isfinite(h.data).all():
             raise NumericsError(f"non-finite value at layer {li + 1}")
-        preacts.append(h)
-    return ForwardResult(preacts, preacts[-1], prop.matrix)
+    return h
 
 
 def _draw_mask(rng: np.random.Generator, shape: tuple[int, int], config: ModelConfig,

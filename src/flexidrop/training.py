@@ -198,16 +198,13 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         train_pos, val_pos, test_pos = _split_edges(graph, _epoch_seed(cfg.seed, 0, 3))
         if min(len(train_pos), len(val_pos), len(test_pos)) == 0:
             raise ValueError("link_prediction needs enough edges for a train/val/test split")
-        # messages may only pass over training edges
-        message_graph = graph.with_edges(train_pos)
         eval_negs = {name: sample_negative_edges(graph, len(pos), _epoch_seed(cfg.seed, 0, 4 + i))
                      for i, (name, pos) in enumerate(
                          (("train", train_pos), ("val", val_pos), ("test", test_pos)))}
         eval_pos = {"train": train_pos, "val": val_pos, "test": test_pos}
-    else:
-        message_graph = graph
-
-    prop = build_propagation(message_graph, model_config.propagation_mode)
+    # messages may only pass over training edges
+    prop = build_propagation(graph.with_edges(train_pos) if link_task else graph,
+                             model_config.propagation_mode)
 
     # one vector for all parameters, laid out [W_1, z_1, W_2, z_2, ...], stepped
     # in place by one Adam update per epoch; params are views of it
@@ -254,8 +251,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     for epoch in range(1, cfg.epochs + 2):
         try:
             if epoch > cfg.epochs or (pending and not reuse):
-                logits = forward(Tape(), message_graph, prop, params, model_config,
-                                 mode="eval").logits.data
+                logits = forward(Tape(), prop, params, model_config, mode="eval").data
                 scores = score(logits)
                 bound = multilayer_bound(ctx, params)
                 if pending:
@@ -265,10 +261,9 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 break
             tape = Tape()
             layers = bind_layers(tape, params, trainable=True)
-            # a forward that draws no mask takes no seed; only the logits are kept, so no
-            # hidden preactivation outlives the forward into the backward and the next epoch
-            out = forward(tape, message_graph, prop, layers, model_config, mode="train",
-                          seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1)).logits
+            # a forward that draws no mask takes no seed
+            out = forward(tape, prop, layers, model_config, mode="train",
+                          seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
             if link_task:
                 negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
                 probs, labels = link_scores(tape, out, train_pos, negs)

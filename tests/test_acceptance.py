@@ -215,8 +215,7 @@ def test_acceptance_4_mean_field_exactness():
             q = np.prod(np.where(r > 0, probs, 1.0 - probs))
             expected += q * (pmat @ (graph.features * r) @ params[0].weight)
 
-        tape = Tape()
-        got = forward(tape, graph, prop, params, cfg, mode="train").logits.data
+        got = forward(Tape(), prop, params, cfg, mode="train").data
         worst = max(worst, np.abs(got - expected).max())
     ok = worst <= 1e-12
     verdict(4, ok, f"single linear layer d=8, 2^8 exhaustive masks x 3 graphs, "

@@ -867,6 +867,23 @@ def test_grad_check_reports_nan_as_failure():
     assert any("nan" in str(fail).lower() for fail in report.failures)
 
 
+def test_grad_check_fails_an_infinite_numeric_derivative():
+    # f(x) = c x with c just under the float maximum: f(1 + h) overflows to inf, so the
+    # central difference is inf against a finite analytic c; inf / inf used to give a
+    # NaN relative error, which compares false to tol and passed
+    c = np.finfo(np.float64).max / (1 + 0.5e-5)
+
+    def f(tape, leaves):
+        return tape.scalar_mul(c, tape.sum(leaves[0]))
+
+    with np.errstate(over="ignore"):
+        report = grad_check(f, [np.array([[1.0]])])
+    assert not report.passed
+    assert report.entries_checked == 0
+    assert [(pi, ei, a) for pi, ei, a, _, _ in report.failures] == [(0, 0, c)]
+    assert report.failures[0][3] == np.inf
+
+
 def test_grad_check_multiple_params():
     rng = np.random.default_rng(3)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flexidrop.graphs import (Graph, ParseError, PropagationOperator, SplitSpec,
                               ValidationError, build_propagation, feature_inf_norm_max,
                               generate_sbm, inject_random_edges, load_graph,
-                              propagation_from_edges, sample_absent_pairs)
+                              sample_absent_pairs)
 
 
 def tiny_graph(edges, n=4, d=2, classes=2):
@@ -159,7 +159,7 @@ def operator_cases():
 def test_propagation_from_edges_gives_the_coo_construction_bit_for_bit():
     for n, edges in operator_cases():
         for mode in ("symmetric", "row_stochastic"):
-            got = propagation_from_edges(edges, mode, np.zeros((n, 1))).matrix
+            got = PropagationOperator(mode, edges, np.zeros((n, 1))).matrix
             want = coo_propagation(n, edges, mode)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -171,7 +171,7 @@ def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
     rng = np.random.default_rng(32)
     for n, edges in operator_cases():
         for mode in ("symmetric", "row_stochastic"):
-            prop = propagation_from_edges(edges, mode, np.zeros((n, 1)))
+            prop = PropagationOperator(mode, edges, np.zeros((n, 1)))
             for name in ("data", "indices", "indptr"):
                 assert np.shares_memory(getattr(prop.transpose, name),
                                         getattr(prop.matrix, name)), (n, mode, name)
@@ -182,17 +182,29 @@ def test_propagation_transpose_is_the_matrix_transpose_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (n, mode, width, order)
 
 
-def test_propagation_operator_validates_row_sums():
-    bad = sp.csr_matrix(np.array([[0.5, 0.2], [0.0, 1.0]]))
-    with pytest.raises(ValidationError, match="sum to 1"):
-        PropagationOperator(mode="row_stochastic", matrix=bad, features=np.zeros((2, 1)))
+@pytest.mark.parametrize("edges, message", (
+    pytest.param(np.array([[0, 1, 2]]), r"int64 of shape \(E, 2\)", id="bad shape"),
+    pytest.param(np.array([[0, 1]], dtype=np.int32), r"int64 of shape \(E, 2\)", id="int32"),
+    pytest.param(np.array([[-1, 2]]), r"outside \[0, 4\)", id="negative"),
+    pytest.param(np.array([[0, 1], [2, 4]]), r"outside \[0, 4\)", id="endpoint N"),
+    pytest.param(np.array([[0, 1], [2, 1]]), "u < v", id="u > v"),
+    pytest.param(np.array([[0, 1], [2, 2]]), "u < v", id="self-loop"),
+    pytest.param(np.array([[1, 2], [0, 3]]), "distinct and sorted", id="unsorted"),
+    pytest.param(np.array([[0, 1], [1, 3], [1, 3]]), "distinct and sorted", id="repeated"),
+))
+def test_propagation_operator_rejects_malformed_edges(edges, message):
+    for mode in ("symmetric", "row_stochastic"):
+        with pytest.raises(ValidationError, match=message):
+            PropagationOperator(mode, edges, np.zeros((4, 1)))
 
 
 def test_propagation_operator_derives_its_transpose():
-    good = sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    with pytest.raises(TypeError, match="transpose"):
-        PropagationOperator(mode="row_stochastic", matrix=good, transpose=good,
-                            features=np.zeros((2, 1)))
+    # P and P^T are built from the edges; neither is taken from the caller
+    edges = np.array([[0, 1]])
+    good = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    for name in ("matrix", "transpose"):
+        with pytest.raises(TypeError, match=name):
+            PropagationOperator("row_stochastic", edges, np.zeros((2, 1)), **{name: good})
 
 
 def test_propagation_forms_p_x_on_first_read_and_keeps_it(monkeypatch):

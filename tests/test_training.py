@@ -102,8 +102,8 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
     # while epoch t+1's train forward runs, nothing holds epoch t's hidden
     # preactivations (every layer's but the last), its logits, nor, for links,
     # its pair-score column and negatives, nor their memory
-    held, alive = [], []
-    real_forward = training.forward
+    held, alive, in_train = [], [], []
+    real_forward, real_relu = training.forward, Tape.relu
     real_negatives = training.sample_negative_edges
     real_loss = training.link_loss
 
@@ -114,12 +114,17 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
         if kwargs["mode"] == "train":
             alive.append(sorted({name for name, ref in held if ref() is not None}))
             held.clear()
-        result = real_forward(*args, **kwargs)
+        in_train.append(kwargs["mode"] == "train")
+        logits = real_forward(*args, **kwargs)
+        in_train.pop()
         if kwargs["mode"] == "train":
-            for h in result.preactivations[:-1]:
-                hold("hidden preactivation", h.data)
-            hold("logits", result.logits.data)
-        return result
+            hold("logits", logits.data)
+        return logits
+
+    def spy_relu(self, x):   # a later layer's relu reads the preactivation before it
+        if in_train and in_train[-1]:
+            hold("hidden preactivation", x.data)
+        return real_relu(self, x)
 
     def spy_negatives(*args):
         negs = real_negatives(*args)
@@ -132,6 +137,7 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
         return real_loss(tape, probs, labels)
 
     monkeypatch.setattr(training, "forward", spy)
+    monkeypatch.setattr(Tape, "relu", spy_relu)
     monkeypatch.setattr(training, "sample_negative_edges", spy_negatives)
     monkeypatch.setattr(training, "link_loss", spy_loss)
     dims = (4, 16, 2) if task == "node_classification" else (4, 16, 8)
@@ -142,6 +148,7 @@ def test_no_hidden_preactivation_outlives_its_epoch(monkeypatch, strategy, rate,
     finally:
         gc.enable()
     assert alive == [[]] * 5
+    assert {name for name, _ in held} >= {"hidden preactivation", "logits"}
 
 
 def test_an_n2000_epoch_frees_each_backward_node_as_it_runs():
@@ -835,8 +842,8 @@ def test_run_cell_matches_a_fresh_eval_forward(strategy, rate, propagation, frac
     tc = quick(epochs, reg_lambda=0.1, eval_every=2)
     row = run_cell(graph, cfg, tc, strategy=strategy, seed=0)
     res = train(graph, cfg, tc)
-    logits = forward(Tape(), graph, build_propagation(graph, propagation), res.params, cfg,
-                     mode="eval").logits.data
+    logits = forward(Tape(), build_propagation(graph, propagation), res.params, cfg,
+                     mode="eval").data
     assert row == {"strategy": strategy, "seed": 0,
                    "test_accuracy": accuracy(logits, graph.labels, graph.test_mask),
                    "val_accuracy": accuracy(logits, graph.labels, graph.val_mask),
@@ -854,10 +861,9 @@ def test_link_final_test_auc_matches_a_fresh_eval_forward(strategy, rate):
     # rebuild train()'s edge split and test negatives, then score a second forward
     train_pos, _, test_pos = _split_edges(g, _epoch_seed(2, 0, 3))
     test_negs = sample_negative_edges(g, len(test_pos), _epoch_seed(2, 0, 6))
-    message_graph = g.with_edges(train_pos)
     tape = Tape()
-    logits = forward(tape, message_graph, build_propagation(message_graph, "symmetric"),
-                     res.params, cfg, mode="eval").logits
+    logits = forward(tape, build_propagation(g.with_edges(train_pos), "symmetric"),
+                     res.params, cfg, mode="eval")
     probs, labels = link_scores(tape, logits, test_pos, test_negs)
     assert res.record.summary["final_test_auc"] == auc_score(probs.data, labels)
     assert np.array_equal(res.final_logits, logits.data)
