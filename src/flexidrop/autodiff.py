@@ -10,18 +10,27 @@ upstream gradient g_j at (u_j, v_j). Every other op raises at
 construction time on mismatched shapes. A Value belongs to exactly one
 Tape for its whole life.
 
+A node is ``(out_idx, input_slots, vjp)``: the index of its output's
+adjoint, one adjoint index per input (None for an input that takes no
+gradient), and a closure. ``vjp(g)`` maps the output's gradient g to a
+tuple of one gradient per input, None where that gradient is not needed,
+and touches no adjoint: ``Tape.backward`` alone accumulates them. Each op
+decides at record time which arrays its vjp captures, so it computes no
+gradient an input does not take and holds no array only such a gradient
+would read.
+
 Nothing a tape records refers back to the tape: a Value holds it by weak
-reference and no backward closure holds it. The tape keeps only the
-backward closures, so an eval tape holds no intermediate arrays, and a
-tape is freed with its caller's last reference, not by the cyclic
-collector. A closure holds no Value either, only its inputs' adjoint
-indices and the arrays its backward reads: ``relu``'s reads its input's
-sign mask, not the input, so that input is freed with its caller's last
-reference while the tape lives on. ``Tape.backward(root, wrt)`` returns
-the gradients of the leaves in ``wrt`` and stores none.
+reference and no vjp holds it. The tape keeps only its nodes, which are
+recorded only for ops that take a gradient, so an eval tape holds no
+intermediate arrays, and a tape is freed with its caller's last
+reference, not by the cyclic collector. A vjp holds no Value either, only
+the arrays it reads: ``relu``'s reads its input's sign mask, not the
+input, so that input is freed with its caller's last reference while the
+tape lives on. ``Tape.backward(root, wrt)`` returns the gradients of the
+leaves in ``wrt`` and stores none.
 
 One backward per tape: backward spends the tape, dropping each node, its
-closure and every array the closure holds, as soon as that node has run,
+vjp and every array the vjp holds, as soon as that node has run,
 so the arrays a finished node read are freed before the next node
 allocates its gradients. A second backward on a spent tape raises
 ``ValueError``, as does recording a node on it; the gradients of two roots
@@ -71,11 +80,6 @@ def _order(a: np.ndarray) -> str:
 def _in_order_of(x: np.ndarray, like: np.ndarray) -> np.ndarray:
     """x in like's memory order, copied if it differs: numpy multiplies mixed orders 2-9x slower."""
     return np.asarray(x, order=_order(like))
-
-
-def _slot(v: "Value") -> int | None:
-    """The index of v's adjoint in backward, or None when v takes no gradient."""
-    return v._idx if v.requires_grad else None
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -137,8 +141,8 @@ class Tape:
     def __init__(self):
         self._count = 0                              # Values made so far
         self._recorded = 0                           # nodes recorded, spent or not
-        # (output index, backward fn), not yet run; None once backward has spent the tape
-        self._nodes: list[tuple[int, object]] | None = []
+        # (output index, input indices, vjp), not yet run; None once backward has spent the tape
+        self._nodes: list[tuple[int, tuple[int | None, ...], object]] | None = []
         self.argmax_trace: list[int] = []            # max_reduce choices, in op order
 
     def __len__(self) -> int:
@@ -156,23 +160,18 @@ class Tape:
             raise ValueError(f"{op}: argument {arg!r} belongs to a different tape")
         return v
 
-    def _record(self, data: np.ndarray, op: str, inputs: tuple[Value, ...], backward) -> Value:
-        rg = any(x.requires_grad for x in inputs)
+    def _record(self, data: np.ndarray, op: str, inputs: tuple[Value, ...], vjp) -> Value:
+        # a list comprehension and count(), not generators: this runs for every op, eval ones too
+        slots = tuple([x._idx if x.requires_grad else None for x in inputs])
+        rg = slots.count(None) < len(slots)
         out = Value(data, rg, op, self)
         if rg:
             if self._nodes is None:
                 raise ValueError(f"{op}: the tape is spent, its backward has run; "
                                  "record on a new Tape")
-            self._nodes.append((out._idx, backward))
+            self._nodes.append((out._idx, slots, vjp))
             self._recorded += 1
         return out
-
-    @staticmethod
-    def _acc(adj: list, slot: int | None, g: np.ndarray) -> None:
-        # out of place: ``g`` may also have been handed to another parent
-        if slot is not None:
-            prev = adj[slot]
-            adj[slot] = g if prev is None else prev + g
 
     # ---- op set ---------------------------------------------------------------
 
@@ -181,16 +180,10 @@ class Tape:
         b = self._own(b, "b", "matmul")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-        sa, sb = _slot(a), _slot(b)
         ad = a.data if b.requires_grad else None   # read for b's gradient only
         bd = b.data if a.requires_grad else None
-
-        def backward(g, adj):
-            if sa is not None:
-                Tape._acc(adj, sa, _dot(g, bd.T))
-            if sb is not None:
-                Tape._acc(adj, sb, _dot(ad.T, g))
-        return self._record(_dot(a.data, b.data), "matmul", (a, b), backward)
+        return self._record(_dot(a.data, b.data), "matmul", (a, b), lambda g: (
+            None if bd is None else _dot(g, bd.T), None if ad is None else _dot(ad.T, g)))
 
     def spmm(self, p, x: Value, *, p_t) -> Value:
         """Sparse @ dense. The sparse operands are raw matrices and never take gradients.
@@ -209,11 +202,8 @@ class Tape:
             raise ValueError(f"spmm: inner dimensions differ, {p.shape} @ {x.shape}")
         if p_t.shape != p.shape[::-1]:
             raise ValueError(f"spmm: p_t has shape {p_t.shape}, p {p.shape}")
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, np.asarray(p_t @ g))
-        return self._record(np.asarray(p @ x.data), "spmm", (x,), backward)
+        return self._record(np.asarray(p @ x.data), "spmm", (x,),
+                            lambda g: (np.asarray(p_t @ g),))
 
     def _same_shape_binary(self, a: Value, b: Value, op: str):
         a = self._own(a, "a", op)
@@ -224,34 +214,19 @@ class Tape:
 
     def add(self, a: Value, b: Value) -> Value:
         a, b = self._same_shape_binary(a, b, "add")
-        sa, sb = _slot(a), _slot(b)
-
-        def backward(g, adj):
-            Tape._acc(adj, sa, g)
-            Tape._acc(adj, sb, g)
-        return self._record(a.data + b.data, "add", (a, b), backward)
+        return self._record(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
     def sub(self, a: Value, b: Value) -> Value:
         a, b = self._same_shape_binary(a, b, "sub")
-        sa, sb = _slot(a), _slot(b)
-
-        def backward(g, adj):
-            Tape._acc(adj, sa, g)
-            Tape._acc(adj, sb, -g)
-        return self._record(a.data - b.data, "sub", (a, b), backward)
+        return self._record(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
     def elementwise_mul(self, a: Value, b: Value) -> Value:
         a, b = self._same_shape_binary(a, b, "elementwise_mul")
-        sa, sb = _slot(a), _slot(b)
         ad = a.data if b.requires_grad else None   # read for b's gradient only
         bd = b.data if a.requires_grad else None
-
-        def backward(g, adj):
-            if sa is not None:
-                Tape._acc(adj, sa, g * _in_order_of(bd, g))
-            if sb is not None:
-                Tape._acc(adj, sb, g * _in_order_of(ad, g))
-        return self._record(a.data * b.data, "elementwise_mul", (a, b), backward)
+        return self._record(a.data * b.data, "elementwise_mul", (a, b), lambda g: (
+            None if bd is None else g * _in_order_of(bd, g),
+            None if ad is None else g * _in_order_of(ad, g)))
 
     def row_broadcast_mul(self, x: Value, v: Value) -> Value:
         """Multiply row i of x (k, m) by entry i of the column vector v (k, 1).
@@ -264,16 +239,11 @@ class Tape:
         if v.shape != (x.shape[0], 1):
             raise ValueError(
                 f"row_broadcast_mul: vector must be ({x.shape[0]}, 1), got {v.shape}")
-        sx, sv = _slot(x), _slot(v)
         xd = x.data if v.requires_grad else None   # read for v's gradient only
         vd = v.data if x.requires_grad else None
-
-        def backward(g, adj):
-            if sx is not None:
-                Tape._acc(adj, sx, g * vd)
-            if sv is not None:
-                Tape._acc(adj, sv, (g * xd).sum(axis=1, keepdims=True))
-        return self._record(x.data * v.data, "row_broadcast_mul", (x, v), backward)
+        return self._record(x.data * v.data, "row_broadcast_mul", (x, v), lambda g: (
+            None if vd is None else g * vd,
+            None if xd is None else (g * xd).sum(axis=1, keepdims=True)))
 
     def pair_dot(self, h: Value, pairs: np.ndarray) -> Value:
         """Inner products <h[u_j], h[v_j]> of the rows of h (N, k), as an (m, 1) column.
@@ -305,35 +275,28 @@ class Tape:
             rows *= np.take(hd, v[s:e], axis=0)
             np.matmul(rows, ones, out=out[s:e])
             s = e
-        sh, backward = _slot(h), None
-        if sh is not None:
+        vjp = None
+        if h.requires_grad:
             # the index type scipy would convert B's indices to
             coords = np.empty((2, 2 * m), dtype=np.int32 if n <= 2**31 - 1 else np.int64)
             coords[0, :m] = coords[1, m:] = u
             coords[0, m:] = coords[1, :m] = v
 
-            def backward(g, adj):
+            def vjp(g):
                 b = sp.coo_matrix((np.tile(g.ravel(), 2), (coords[0], coords[1])), shape=(n, n))
-                Tape._acc(adj, sh, b @ hd)
-        return self._record(out, "pair_dot", (h,), backward)
+                return (b @ hd,)
+        return self._record(out, "pair_dot", (h,), vjp)
 
     def relu(self, x: Value) -> Value:
         x = self._own(x, "x", "relu")
         mask = x.data > 0.0
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, g * _in_order_of(mask, g))
-        return self._record(np.maximum(x.data, 0.0), "relu", (x,), backward)
+        return self._record(np.maximum(x.data, 0.0), "relu", (x,),
+                            lambda g: (g * _in_order_of(mask, g),))
 
     def sigmoid(self, x: Value) -> Value:
         x = self._own(x, "x", "sigmoid")
         out = sigmoid(x.data)
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, g * out * (1.0 - out))
-        return self._record(out, "sigmoid", (x,), backward)
+        return self._record(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
 
     def log(self, x: Value) -> Value:
         """Natural log of the input clamped into [exp(-50), exp(50)]."""
@@ -341,11 +304,7 @@ class Tape:
         lo, hi = np.exp(-EXP_CLAMP), np.exp(EXP_CLAMP)
         clamped = np.clip(x.data, lo, hi)
         inside = (x.data >= lo) & (x.data <= hi)
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, g * inside / clamped)
-        return self._record(np.log(clamped), "log", (x,), backward)
+        return self._record(np.log(clamped), "log", (x,), lambda g: (g * inside / clamped,))
 
     def exp(self, x: Value) -> Value:
         """Exponential of the input clamped into [-50, 50]."""
@@ -353,28 +312,20 @@ class Tape:
         clamped = np.clip(x.data, -EXP_CLAMP, EXP_CLAMP)
         inside = np.abs(x.data) <= EXP_CLAMP
         out = np.exp(clamped)
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, g * inside * out)
-        return self._record(out, "exp", (x,), backward)
+        return self._record(out, "exp", (x,), lambda g: (g * inside * out,))
 
     def sum(self, x: Value) -> Value:
         x = self._own(x, "x", "sum")
-        sx, shape, order = _slot(x), x.shape, _order(x.data)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, np.full(shape, g[0, 0], order=order))
-        return self._record(np.array([[x.data.sum()]]), "sum", (x,), backward)
+        shape, order = x.shape, _order(x.data)
+        return self._record(np.array([[x.data.sum()]]), "sum", (x,),
+                            lambda g: (np.full(shape, g[0, 0], order=order),))
 
     def mean(self, x: Value) -> Value:
         x = self._own(x, "x", "mean")
         inv = 1.0 / x.data.size
-        sx, shape, order = _slot(x), x.shape, _order(x.data)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, np.full(shape, g[0, 0] * inv, order=order))
-        return self._record(np.array([[x.data.mean()]]), "mean", (x,), backward)
+        shape, order = x.shape, _order(x.data)
+        return self._record(np.array([[x.data.mean()]]), "mean", (x,),
+                            lambda g: (np.full(shape, g[0, 0] * inv, order=order),))
 
     def column_l2_norms(self, w: Value) -> Value:
         """Euclidean norm of each column of w (d, k), returned as a (k, 1) vector.
@@ -384,12 +335,11 @@ class Tape:
         w = self._own(w, "w", "column_l2_norms")
         wd = w.data
         norms = np.sqrt((wd ** 2).sum(axis=0))
-        sw = _slot(w)
 
-        def backward(g, adj):
+        def vjp(g):
             scale = np.where(norms > 0.0, g.ravel() / np.where(norms > 0.0, norms, 1.0), 0.0)
-            Tape._acc(adj, sw, wd * scale[None, :])
-        return self._record(norms.reshape(-1, 1), "column_l2_norms", (w,), backward)
+            return (wd * scale[None, :],)
+        return self._record(norms.reshape(-1, 1), "column_l2_norms", (w,), vjp)
 
     def max_reduce(self, v: Value) -> Value:
         """Maximum entry of a column vector; ties route the gradient to the lowest index."""
@@ -398,13 +348,13 @@ class Tape:
             raise ValueError(f"max_reduce: expected a column vector, got {v.shape}")
         idx = int(np.argmax(v.data.ravel()))
         self.argmax_trace.append(idx)
-        sv, shape = _slot(v), v.shape
+        shape = v.shape
 
-        def backward(g, adj):
+        def vjp(g):
             gv = np.zeros(shape)
             gv[idx, 0] = g[0, 0]
-            Tape._acc(adj, sv, gv)
-        return self._record(np.array([[v.data[idx, 0]]]), "max_reduce", (v,), backward)
+            return (gv,)
+        return self._record(np.array([[v.data[idx, 0]]]), "max_reduce", (v,), vjp)
 
     def product_reduce(self, v: Value) -> Value:
         """Product of the entries of a column vector.
@@ -422,20 +372,13 @@ class Tape:
         if k > 1:
             prefix[1:] = np.cumprod(flat[:-1])
             suffix[:-1] = np.cumprod(flat[::-1][:-1])[::-1]
-        sv = _slot(v)
-
-        def backward(g, adj):
-            Tape._acc(adj, sv, (g[0, 0] * prefix * suffix).reshape(-1, 1))
-        return self._record(np.array([[flat.prod() if k else 1.0]]), "product_reduce", (v,), backward)
+        return self._record(np.array([[flat.prod() if k else 1.0]]), "product_reduce", (v,),
+                            lambda g: ((g[0, 0] * prefix * suffix).reshape(-1, 1),))
 
     def scalar_mul(self, c: float, x: Value) -> Value:
         x = self._own(x, "x", "scalar_mul")
         c = float(c)
-        sx = _slot(x)
-
-        def backward(g, adj):
-            Tape._acc(adj, sx, c * g)
-        return self._record(c * x.data, "scalar_mul", (x,), backward)
+        return self._record(c * x.data, "scalar_mul", (x,), lambda g: (c * g,))
 
     def softmax_cross_entropy(self, logits: Value, labels: np.ndarray,
                               mask: np.ndarray) -> Value:
@@ -463,31 +406,35 @@ class Tape:
         lse = np.log(denom).ravel() + top
         losses = lse - z[np.arange(idx.size), labels[idx]]
         m = idx.size
-        sl, order = _slot(logits), _order(logits.data)
+        order = _order(logits.data)
 
-        def backward(g, adj):
+        def vjp(g):
             grad = np.zeros((n, c), order=order)
             delta = probs.copy()
             delta[np.arange(idx.size), labels[idx]] -= 1.0
             grad[idx] = delta * (g[0, 0] / m)
-            Tape._acc(adj, sl, grad)
+            return (grad,)
         return self._record(np.array([[losses.mean()]]), "softmax_cross_entropy",
-                            (logits,), backward)
+                            (logits,), vjp)
 
     # ---- reverse pass ---------------------------------------------------------
 
     def backward(self, root: Value, wrt: list[Value]) -> list[np.ndarray]:
         """d(root)/d(v), read-only, for each leaf v in ``wrt`` that requires grad.
 
-        Zeros where root does not depend on v. Nothing is stored. Gradients
-        are never added in place, so one array may be returned for several
-        Values (``add`` hands its upstream gradient to both operands).
+        Zeros where root does not depend on v. Nothing is stored. This is
+        the one place adjoints are read and written: nodes run in reverse
+        order of recording, each one's vjp maps its output's adjoint to
+        its inputs' gradients, and each gradient is added to its input's
+        adjoint in input order. Gradients are never added in place, so one
+        array may be returned for several Values (``add`` hands its
+        upstream gradient to both operands).
 
-        One backward per tape: it spends the tape. Each node, with its
-        closure and the arrays the closure holds, is dropped as soon as it
-        has run, and each node's adjoint once its backward has read it. A
-        second call raises ``ValueError``; take another root's gradients
-        on a tape of its own. ``len(self)`` is left as it was.
+        One backward per tape: it spends the tape. Each node, with its vjp
+        and the arrays the vjp holds, is dropped as soon as it has run,
+        and each node's adjoint once its vjp has read it. A second call
+        raises ``ValueError``; take another root's gradients on a tape of
+        its own. ``len(self)`` is left as it was.
         """
         root = self._own(root, "root", "backward")
         if root.shape != (1, 1):
@@ -502,12 +449,17 @@ class Tape:
         adj: list[np.ndarray | None] = [None] * self._count
         adj[root._idx] = np.ones((1, 1))
         while nodes:
-            # rebinding fn drops the node that ran last, with the arrays only it held
-            out_idx, fn = nodes.pop()
+            # rebinding vjp drops the node that ran last, with the arrays only it held
+            out_idx, slots, vjp = nodes.pop()
             g = adj[out_idx]
-            if g is not None:
-                adj[out_idx] = None
-                fn(g, adj)
+            if g is None:
+                continue
+            adj[out_idx] = None
+            # out of place: add hands one array to both its inputs
+            for slot, grad in zip(slots, vjp(g), strict=True):
+                if slot is not None:
+                    adj[slot] = grad if adj[slot] is None else adj[slot] + grad
+            del grad   # adj keeps what is still needed; free the rest before the next node
         grads = [np.zeros(v.shape) if adj[v._idx] is None else adj[v._idx] for v in wrt]
         for g in grads:
             g.setflags(write=False)

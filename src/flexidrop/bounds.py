@@ -185,8 +185,9 @@ def bound_report(ctx: BoundContext, params: list[LayerParams], propagation_mode:
     if not bound_valid(propagation_mode):
         warnings.warn("the layerwise bound assumes a row-stochastic propagation "
                       "operator; symmetric normalization voids its guarantee")
+    # Tape.column_l2_norms' expressions: each factor equals the regularizer's to the bit
     col_norms = [float(np.sqrt((p.weight ** 2).sum(axis=0)).max()) for p in params]
-    p_norms = [float(np.linalg.norm(p)) for p in retention_probabilities(params)]
+    p_norms = [float(np.sqrt((p ** 2).sum())) for p in retention_probabilities(params)]
     return {
         "prefactor": complexity_prefactor(ctx),
         "layer_weight_col_norm_max": col_norms,

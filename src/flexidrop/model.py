@@ -243,6 +243,11 @@ def forward(tape: Tape, prop: PropagationOperator,
     that draws them; one that draws none (``train_forward_is_eval``)
     makes no generator and propagates with ``prop`` itself.
 
+    Plain ``LayerParams`` go on the tape as constants in either mode: no
+    caller could reach their leaves to take a gradient, so the tape
+    records no node for them. To train, pass ``bind_layers(...,
+    trainable=True)``'s layers and take gradients of their leaves.
+
     Every layer orders its products by width (see the module docstring);
     a ``fixed_dropout`` or ``dropnode`` mask on X is applied to a leaf
     of X, as masks on later layers' inputs are. An unmasked layer 1
@@ -262,7 +267,7 @@ def forward(tape: Tape, prop: PropagationOperator,
         layers = params
     else:
         _check_params(params, config)
-        layers = bind_layers(tape, params, trainable=(mode == "train"))
+        layers = bind_layers(tape, params, trainable=False)
 
     draws = mode == "train" and not train_forward_is_eval(config)
     rng = np.random.default_rng(seed) if draws else None

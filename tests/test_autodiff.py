@@ -525,13 +525,18 @@ def test_value_reuse_accumulates_gradient():
     assert grad[0, 0] == 2.0
 
 
-def reference_acc(adj, slot, g):
-    """Gradient accumulation into a fresh zeros array per Value, added in place."""
-    if slot is None:
-        return
-    if adj[slot] is None:
-        adj[slot] = np.zeros_like(g)
-    adj[slot] += g
+def record_with_vjp(wrap):
+    """A ``Tape._record`` that records ``wrap(op, vjp)`` in place of each op's vjp."""
+    real = Tape._record
+
+    def record(self, data, op, inputs, vjp):
+        return real(self, data, op, inputs, vjp and wrap(op, vjp))
+    return record
+
+
+def copied_outputs(op, vjp):
+    """vjp with each gradient it returns copied, so no array is handed to two inputs."""
+    return lambda g: tuple(None if x is None else x.copy() for x in vjp(g))
 
 
 # a, b take gradients and c does not; in each graph ``add`` hands one upstream
@@ -557,7 +562,7 @@ def test_shared_gradient_arrays_equal_fresh_accumulation(monkeypatch, name):
 
     got = grads()
     with monkeypatch.context() as m:
-        m.setattr(Tape, "_acc", staticmethod(reference_acc))
+        m.setattr(Tape, "_record", record_with_vjp(copied_outputs))
         want = grads()
     assert len(got) == len(want) == 2
     for g, w in zip(got, want):
@@ -622,20 +627,22 @@ def test_a_spent_tape_refuses_a_second_backward_and_new_nodes():
 
 
 def test_backward_drops_each_node_once_it_has_run(monkeypatch):
-    # while a node's backward runs, every node that ran before it, its closure
-    # and the arrays only that closure held, is already gone
+    # while a node's vjp runs, every node that ran before it, its vjp and the
+    # arrays only that vjp held, is already gone
+    closures, alive = [], []
+
+    def counted(op, vjp):
+        closures.append(weakref.ref(vjp))
+
+        def run(g):
+            alive.append(sum(ref() is not None for ref in closures))
+            return vjp(g)
+        return run
+
+    monkeypatch.setattr(Tape, "_record", record_with_vjp(counted))
     tape = Tape()
     x = leaf(tape, np.random.default_rng(2).normal(size=(3, 3)))
     root = tape.sum(chain(tape, x))
-    closures = [weakref.ref(fn) for _, fn in tape._nodes]
-    alive = []
-    real_acc = Tape._acc
-
-    def acc(adj, slot, g):
-        alive.append(sum(ref() is not None for ref in closures))
-        real_acc(adj, slot, g)
-
-    monkeypatch.setattr(Tape, "_acc", staticmethod(acc))
     (grad,) = tape.backward(root, [x])
     assert grad.any() and len(tape) == len(closures) == 41
     assert alive == list(range(41, 0, -1))
@@ -843,6 +850,28 @@ def test_grad_check_passes_smooth_function():
     assert report.entries_checked == 6
     assert report.max_rel_error < 1e-6
     assert report.failures == []
+
+
+def test_grad_check_fails_a_wrong_vjp(monkeypatch):
+    # sigmoid's vjp doubled: every entry's analytic gradient is twice the finite
+    # difference, so each entry of each param fails with its location
+    rng = np.random.default_rng(4)
+    params = [rng.normal(size=(3, 2)), rng.normal(size=(2, 2))]
+
+    def f(tape, leaves):
+        return tape.mean(tape.sigmoid(tape.matmul(*leaves)))
+
+    def doubled(op, vjp):
+        return (lambda g: tuple(2.0 * x for x in vjp(g))) if op == "sigmoid" else vjp
+
+    assert grad_check(f, params).passed
+    monkeypatch.setattr(Tape, "_record", record_with_vjp(doubled))
+    report = grad_check(f, params)
+    assert not report.passed and report.entries_checked == 10
+    assert [(pi, ei) for pi, ei, *_ in report.failures] == [
+        (0, e) for e in range(6)] + [(1, e) for e in range(4)]
+    for _, _, a, num, err in report.failures:
+        assert err > 1e-4 and a == pytest.approx(2.0 * num, rel=1e-6)
 
 
 def test_grad_check_excludes_near_ties_in_max_reduce():

@@ -335,3 +335,22 @@ def test_bound_report_contents_and_warning():
     assert symmetric["bound_valid"] is False
     assert symmetric["complexity_bound"] == report["complexity_bound"]
 
+
+def test_bound_report_factors_are_the_regularizers_to_the_bit():
+    # each reported per-layer factor is the one the bound multiplies, not a norm that
+    # sums in another order (np.linalg.norm differs in the last bit for about a third
+    # of random retention vectors)
+    rng = np.random.default_rng(11)
+    dims = [int(k) for k in rng.integers(2, 1500, size=9)]
+    params = [LayerParams(rng.normal(size=(dims[i], dims[i + 1])), rng.normal(size=dims[i]))
+              for i in range(len(dims) - 1)]
+    ctx = BoundContext(num_layers=len(params), num_classes=dims[-1], feature_dim=dims[0],
+                       num_nodes=100, feature_inf_max=1.0)
+    report = bound_report(ctx, params, propagation_mode="row_stochastic")
+    tape = Tape()
+    layers = bind_layers(tape, params, trainable=False)
+    assert report["layer_retention_norm"] == [
+        tape.column_l2_norms(layer.retention).item() for layer in layers]
+    assert report["layer_weight_col_norm_max"] == [
+        tape.max_reduce(tape.column_l2_norms(layer.weight)).item() for layer in layers]
+

@@ -11,7 +11,7 @@ from flexidrop import training
 from flexidrop.bounds import BoundContext, complexity_prefactor
 from flexidrop.cli import SWEPT_KEYS, run
 from flexidrop.graphs import SplitSpec, generate_sbm, load_graph
-from flexidrop.model import ModelConfig
+from flexidrop.model import ModelConfig, init_params, load_checkpoint
 from flexidrop.training import train
 
 
@@ -392,6 +392,27 @@ def test_train_reports_whether_the_bound_holds(tmp_path, propagation, valid):
                 "--propagation", propagation, "--epochs", "2"]) == 0
     for name in ("summary.json", "bound_report.json"):
         assert json.loads((out / name).read_text())["bound_valid"] is valid, name
+
+
+def test_train_abort_writes_the_last_finite_checkpoint(tmp_path):
+    # lambda 1e308 overflows the regularizer term to inf: the first epoch's loss is not
+    # finite, so no step is taken and the checkpoint holds the initial parameters
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run(["train", "--strategy", "flexidrop", "--lambda", "1e308", "--epochs", "3",
+                    "--out", str(out)])
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["type"] == "TrainingAborted" and error["epoch"] == 1
+    lines = (out / "run.csv").read_text().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("epoch,train_loss,")
+    params, config, manifest = load_checkpoint(out / "last_finite")
+    assert manifest["extra"] == {"aborted_epoch": 1}
+    assert config.strategy == "flexidrop"
+    for got, want in zip(params, init_params(config.layer_dims, 0), strict=True):
+        assert np.array_equal(got.weight, want.weight)
+        assert np.array_equal(got.retention_logits, want.retention_logits)
+    assert not (out / "model.npz").exists()
 
 
 def test_train_default_dataset_needs_no_config(tmp_path):

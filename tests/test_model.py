@@ -265,6 +265,24 @@ def test_flexidrop_eval_equals_train_mode():
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0),
+                                            ("fixed_dropout", 0.3), ("dropedge", 0.3)))
+def test_a_forward_of_plain_params_records_no_node(strategy, rate):
+    # no caller can reach the leaves of plain LayerParams, so even a train forward
+    # binds them as constants; its logits are those of trainable bound layers
+    g = sbm(seed=6, n=20, d=4)
+    cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate)
+    params = init_params(cfg.layer_dims, seed=3)
+    prop = build_propagation(g, cfg.propagation_mode)
+    plain_tape, bound_tape = Tape(), Tape()
+    plain = forward(plain_tape, prop, params, cfg, mode="train", seed=2)
+    layers = bind_layers(bound_tape, params, trainable=True)
+    bound = forward(bound_tape, prop, layers, cfg, mode="train", seed=2)
+    assert len(plain_tape) == 0 and not plain.requires_grad
+    assert len(bound_tape) > 0
+    assert plain.data.tobytes() == bound.data.tobytes()
+
+
 def test_train_forward_is_eval_exactly_where_the_predicate_holds():
     # training completes a logged row from the next epoch's train forward only where
     # the predicate holds, so there the two modes must agree bit for bit; elsewhere a
