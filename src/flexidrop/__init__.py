@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .autodiff import GradCheckReport, Tape, Value, grad_check
 from .bounds import (BoundContext, bound_report, complexity_prefactor,
-                     complexity_regularizer, empirical_rademacher_exact,
-                     empirical_rademacher_mc, generalization_bound, multilayer_bound,
+                     complexity_regularizer, generalization_bound, multilayer_bound,
                      single_layer_bound)
 from .graphs import (Graph, ParseError, PropagationOperator, SplitSpec, ValidationError,
                      build_propagation, feature_inf_norm_max, generate_sbm,
@@ -27,8 +26,7 @@ __all__ = [
     "retention_probabilities", "link_scores", "link_loss", "sample_negative_edges",
     "save_checkpoint", "load_checkpoint",
     "BoundContext", "complexity_prefactor", "single_layer_bound", "multilayer_bound",
-    "complexity_regularizer", "generalization_bound", "empirical_rademacher_mc",
-    "empirical_rademacher_exact", "bound_report",
+    "complexity_regularizer", "generalization_bound", "bound_report",
     "TrainConfig", "TrainResult", "TrainingAborted", "AdamState", "RunRecord",
     "adam_step", "train", "run_cell", "grid_search", "depth_dims", "oversmoothing_profile",
     "robustness_sweep",

@@ -468,11 +468,14 @@ class Tape:
 
 @dataclass
 class GradCheckReport:
-    passed: bool
-    max_rel_error: float
-    entries_checked: int
+    max_rel_error: float = 0.0
+    entries_checked: int = 0
     failures: list = field(default_factory=list)   # (param, entry, analytic, numeric, err)
     excluded: list = field(default_factory=list)   # (param, entry, reason)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -504,7 +507,7 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
         out = f(t, [t.leaf(p) for p in point])
         return out.item(), list(t.argmax_trace)
 
-    report = GradCheckReport(passed=True, max_rel_error=0.0, entries_checked=0)
+    report = GradCheckReport()
     for pi, p in enumerate(params):
         flat = p.ravel()
         for ei in range(flat.size):
@@ -518,7 +521,6 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
             num = (f_plus - f_minus) / (2.0 * h)
             if not (np.isfinite(a) and np.isfinite(num)):
                 report.failures.append((pi, ei, a, num, float("nan")))
-                report.passed = False
                 continue
             if trace_plus != trace_minus or trace_plus != base_trace:
                 report.excluded.append((pi, ei, "max_reduce tie crossed"))
@@ -529,5 +531,4 @@ def grad_check(f, params: list[np.ndarray], h: float = 1e-5,
                 report.max_rel_error = err
             if err > tol:
                 report.failures.append((pi, ei, a, num, err))
-                report.passed = False
     return report

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Value
 from .graphs import Graph, feature_inf_norm_max
 from .model import BoundLayer, LayerParams, bind_layers, retention_probabilities
-
-MC_CHUNK = 128   # Monte-Carlo sign draws per seed derived from the caller's
-
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -118,59 +115,6 @@ def generalization_bound(empirical_risk: float, rademacher: float,
         math.log(2.0 / delta) / num_samples)
 
 
-def _sup_means(signs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """For each sign row eps, sup over hypotheses of (1/N) sum_u eps_u h(x_u)."""
-    n = outputs.shape[1]
-    return (signs @ outputs.T).max(axis=1) / n
-
-
-def empirical_rademacher_mc(outputs: np.ndarray, num_draws: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate of the empirical Rademacher complexity.
-
-    ``outputs[h, u]`` is hypothesis h evaluated at sample u; the estimate
-    is a lower bound for the complexity of any class containing those
-    hypotheses. Draws are generated in chunks of ``MC_CHUNK`` with seeds
-    derived from ``seed``. Returns (mean, standard error).
-    """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.shape[0] < 1:
-        raise ValueError("outputs must be (num_hypotheses, num_samples)")
-    if num_draws < 2:
-        raise ValueError("need at least 2 draws for a standard error")
-    n = outputs.shape[1]
-    seeds = np.random.SeedSequence(seed).spawn(math.ceil(num_draws / MC_CHUNK))
-    vals = []
-    remaining = num_draws
-    for ss in seeds:
-        take = min(MC_CHUNK, remaining)
-        signs = np.random.default_rng(ss).integers(0, 2, size=(take, n)) * 2.0 - 1.0
-        vals.append(_sup_means(signs, outputs))
-        remaining -= take
-    vals = np.concatenate(vals)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(num_draws))
-
-
-def empirical_rademacher_exact(outputs: np.ndarray) -> float:
-    """Exact empirical Rademacher complexity by enumerating all sign vectors.
-
-    Feasible only for small samples; refuses more than 20 points.
-    """
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if outputs.ndim != 2 or outputs.shape[0] < 1:
-        raise ValueError("outputs must be (num_hypotheses, num_samples)")
-    n = outputs.shape[1]
-    if n > 20:
-        raise ValueError(f"exact enumeration of 2^{n} sign vectors is not feasible")
-    total = 0.0
-    count = 1 << n
-    bits = np.arange(n, dtype=np.int64)
-    for start in range(0, count, 65536):
-        block = np.arange(start, min(start + 65536, count), dtype=np.int64)
-        signs = (((block[:, None] >> bits[None, :]) & 1) * 2.0 - 1.0)
-        total += _sup_means(signs, outputs).sum()
-    return total / count
-
-
 def bound_valid(propagation_mode: str) -> bool:
     """Whether the layerwise bound's row-stochastic assumption holds under ``propagation_mode``."""
     return propagation_mode == "row_stochastic"
@@ -194,9 +138,5 @@ def bound_report(ctx: BoundContext, params: list[LayerParams], propagation_mode:
         "layer_retention_norm": p_norms,
         "complexity_bound": multilayer_bound(ctx, params),
         "bound_valid": bound_valid(propagation_mode),
-        "num_layers": ctx.num_layers,
-        "num_classes": ctx.num_classes,
-        "feature_dim": ctx.feature_dim,
-        "num_nodes": ctx.num_nodes,
-        "feature_inf_max": ctx.feature_inf_max,
+        **asdict(ctx),
     }

@@ -77,10 +77,10 @@ def load_dataset(spec: dict) -> Graph:
     if "index_files" in split_spec:
         if len(split_spec) > 1:
             raise ValidationError("dataset split: 'index_files' takes no 'fractions' or 'seed'")
-        split = SplitSpec.from_index_files(*split_spec["index_files"])
+        split = SplitSpec(index_files=tuple(split_spec["index_files"]))
     else:
-        split = SplitSpec.from_fractions(*split_spec.get("fractions", (0.6, 0.2, 0.2)),
-                                         seed=split_spec.get("seed", 0))
+        split = SplitSpec(fractions=tuple(split_spec.get("fractions", (0.6, 0.2, 0.2))),
+                          seed=split_spec.get("seed", 0))
     return load_graph(spec["edges"], spec["features"], spec["labels"], split)
 
 
@@ -306,10 +306,7 @@ def cmd_sbm(args) -> int:
     graph = generate_sbm(**{key: getattr(args, key) for key in DEFAULT_DATASET if key != "kind"})
     out = _output_dir(args, "sbm")
     _write_manifest(out, "sbm", vars(args))
-    with open(out / "edges.txt", "w") as fh:
-        fh.write("# u v\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+    np.savetxt(out / "edges.txt", graph.edges, fmt="%d", header="u v")
     np.savetxt(out / "features.csv", graph.features, delimiter=",", fmt="%.17g")
     np.savetxt(out / "labels.csv", graph.labels.reshape(-1, 1), delimiter=",", fmt="%d")
     for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),

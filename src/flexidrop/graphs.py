@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -101,11 +101,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def with_edges(self, edges: np.ndarray) -> "Graph":
-        """Copy of this graph with a different edge set."""
-        return Graph(self.features, self.labels, edges, self.num_classes,
-                     self.train_mask, self.val_mask, self.test_mask)
 
 
 @dataclass(frozen=True)
@@ -204,19 +199,13 @@ class SplitSpec:
     seed: int | None = None
     index_files: tuple[str, str, str] | None = None
 
-    @classmethod
-    def from_fractions(cls, train: float, val: float, test: float, seed: int) -> "SplitSpec":
-        return cls(fractions=(train, val, test), seed=seed)
-
-    @classmethod
-    def from_index_files(cls, train: str, val: str, test: str) -> "SplitSpec":
-        return cls(index_files=(train, val, test))
-
     def resolve(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if (self.fractions is None) == (self.index_files is None):
             raise ValidationError("split spec needs fractions or index files, not both")
         if self.fractions is not None:
             fr = self.fractions
+            if len(fr) != 3:
+                raise ValidationError(f"split needs 3 fractions, got {len(fr)}")
             if any(f < 0 for f in fr) or sum(fr) > 1.0 + 1e-12:
                 raise ValidationError("split fractions must be non-negative and sum to <= 1")
             if self.seed is None:
@@ -362,7 +351,7 @@ def generate_sbm(num_nodes: int, num_blocks: int, p_in: float, p_out: float,
     features[np.arange(num_nodes), labels] = 1.0
     features += noise_scale * rng.standard_normal((num_nodes, feature_dim))
 
-    split = SplitSpec.from_fractions(*split_fractions, seed=int(rng.integers(2**31)))
+    split = SplitSpec(fractions=tuple(split_fractions), seed=int(rng.integers(2**31)))
     train_m, val_m, test_m = split.resolve(num_nodes)
     return Graph(features, labels, edges, num_blocks, train_m, val_m, test_m)
 
@@ -448,7 +437,7 @@ def inject_random_edges(graph: Graph, fraction: float, seed: int) -> Graph:
     if count == 0:
         return graph
     new = sample_absent_pairs(graph, count, np.random.default_rng(seed))
-    return graph.with_edges(np.concatenate([graph.edges, new], axis=0))
+    return replace(graph, edges=np.concatenate([graph.edges, new], axis=0))
 
 
 def feature_inf_norm_max(graph: Graph) -> float:

@@ -338,11 +338,10 @@ def link_scores(tape: Tape, embeddings: Value, pos_edges: np.ndarray,
 
 def link_loss(tape: Tape, probs: Value, labels: np.ndarray) -> Value:
     """Mean binary cross-entropy; the log clamp keeps extreme scores finite."""
-    y = tape.leaf(labels.reshape(-1, 1))
-    ones = tape.leaf(np.ones_like(labels, dtype=np.float64).reshape(-1, 1))
-    hit = tape.elementwise_mul(y, tape.log(probs))
-    miss = tape.elementwise_mul(tape.sub(ones, y), tape.log(tape.sub(ones, probs)))
-    return tape.scalar_mul(-1.0, tape.mean(tape.add(hit, miss)))
+    y = labels.reshape(-1, 1)
+    # the probability each label picks: p where y = 1, 1 - p where y = 0
+    picked = tape.add(tape.leaf(1.0 - y), tape.elementwise_mul(tape.leaf(2.0 * y - 1.0), probs))
+    return tape.scalar_mul(-1.0, tape.mean(tape.log(picked)))
 
 
 def sample_negative_edges(graph: Graph, count: int, seed: int) -> np.ndarray:

@@ -203,7 +203,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                          (("train", train_pos), ("val", val_pos), ("test", test_pos)))}
         eval_pos = {"train": train_pos, "val": val_pos, "test": test_pos}
     # messages may only pass over training edges
-    prop = build_propagation(graph.with_edges(train_pos) if link_task else graph,
+    prop = build_propagation(replace(graph, edges=train_pos) if link_task else graph,
                              model_config.propagation_mode)
 
     # one vector for all parameters, laid out [W_1, z_1, W_2, z_2, ...], stepped
@@ -261,9 +261,11 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 break
             tape = Tape()
             layers = bind_layers(tape, params, trainable=True)
-            # a forward that draws no mask takes no seed
-            out = forward(tape, prop, layers, model_config, mode="train",
-                          seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
+            # numpy need not warn of what forward and the objective check abort on
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a forward that draws no mask takes no seed
+                out = forward(tape, prop, layers, model_config, mode="train",
+                              seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
             if link_task:
                 negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
                 probs, labels = link_scores(tape, out, train_pos, negs)
@@ -272,8 +274,9 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 loss = tape.softmax_cross_entropy(out, graph.labels, graph.train_mask)
             objective, reg = loss, None
             if flexi and cfg.reg_lambda > 0.0:
-                reg = complexity_regularizer(tape, ctx, layers)
-                objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    reg = complexity_regularizer(tape, ctx, layers)
+                    objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
             if pending:
                 # flexidrop's p = logistic(z) of params_t is on this tape already
                 log_row(pending, score(out.data),
@@ -288,8 +291,9 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
         # z off the loss path (every strategy but flexidrop) gets a zero gradient,
         # and Adam's step from zero moments leaves it exactly as it was
-        grad = np.concatenate([g.ravel() for g in tape.backward(objective, [
-            v for layer in layers for v in (layer.weight, layer.retention_logits)])])
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            grad = np.concatenate([g.ravel() for g in tape.backward(objective, [
+                v for layer in layers for v in (layer.weight, layer.retention_logits)])])
         # a backward can overflow under a finite objective; Adam would spread it
         if not np.isfinite(grad).all():
             j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))

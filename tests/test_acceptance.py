@@ -17,14 +17,14 @@ import pytest
 import mpmath as mp
 
 from flexidrop.autodiff import Tape, sigmoid
-from flexidrop.bounds import (BoundContext, complexity_prefactor, empirical_rademacher_exact,
-                              empirical_rademacher_mc, generalization_bound, multilayer_bound,
-                              single_layer_bound)
+from flexidrop.bounds import (BoundContext, complexity_prefactor, generalization_bound,
+                              multilayer_bound, single_layer_bound)
 from flexidrop.cli import _gradcheck_instance, run as cli_run
 from flexidrop.graphs import SplitSpec, build_propagation, generate_sbm, load_graph
 from flexidrop.model import LayerParams, ModelConfig, forward, init_params
 from flexidrop.training import (TrainConfig, depth_dims, oversmoothing_profile, robustness_sweep,
                                 train)
+from oracles import empirical_rademacher_exact, empirical_rademacher_mc
 
 mp.mp.dps = 50
 
@@ -271,9 +271,9 @@ def test_acceptance_6_citation_graph_direction():
 
     idx = [root / f"{name}_idx.txt" for name in ("train", "val", "test")]
     if all(p.exists() for p in idx):
-        split = SplitSpec.from_index_files(*(str(p) for p in idx))
+        split = SplitSpec(index_files=tuple(str(p) for p in idx))
     else:
-        split = SplitSpec.from_fractions(0.6, 0.2, 0.2, seed=0)
+        split = SplitSpec(fractions=(0.6, 0.2, 0.2), seed=0)
     graph = load_graph(str(needed[0]), str(needed[1]), str(needed[2]), split)
 
     dims = (graph.feature_dim, 64, graph.num_classes)

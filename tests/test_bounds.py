@@ -13,11 +13,11 @@ import mpmath as mp
 
 from flexidrop.autodiff import Tape, grad_check
 from flexidrop.bounds import (BoundContext, bound_report, complexity_prefactor,
-                              complexity_regularizer, empirical_rademacher_exact,
-                              empirical_rademacher_mc, generalization_bound,
+                              complexity_regularizer, generalization_bound,
                               multilayer_bound, single_layer_bound)
 from flexidrop.model import (BoundLayer, LayerParams, ModelConfig, bind_layers,
                              init_params)
+from oracles import empirical_rademacher_exact, empirical_rademacher_mc
 
 mp.mp.dps = 50
 

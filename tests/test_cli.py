@@ -2,6 +2,7 @@
 import csv
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from flexidrop import training
 from flexidrop.bounds import BoundContext, complexity_prefactor
-from flexidrop.cli import SWEPT_KEYS, run
+from flexidrop.autodiff import Tape
+from flexidrop.cli import SWEPT_KEYS, load_dataset, run
 from flexidrop.graphs import SplitSpec, generate_sbm, load_graph
 from flexidrop.model import ModelConfig, init_params, load_checkpoint
 from flexidrop.training import train
@@ -153,6 +155,7 @@ def test_bad_config_entry_reports_error_json(tmp_path, capsys, section, entries,
     ("model", {"hidden_dims": ["8"]}, "hidden_dims"),
     ("model", {"output_dim": "32"}, "output_dim"),
     ("model", {"output_dim": 3.0}, "output_dim"),
+    ("dataset", {"kind": "csv"}, "csv"),   # an unknown kind
 ))
 def test_bad_dataset_or_width_entry_reports_error_json(tmp_path, section, entries, key):
     cfg = small_config(tmp_path, **{section: entries})
@@ -220,6 +223,23 @@ def test_unknown_config_section_reports_error_json(tmp_path):
     out = tmp_path / "o"
     assert run(["train", "--config", cfg, "--out", str(out)]) == 1
     assert "'datset'" in json.loads((out / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("split, fractions, seed", (
+    ({"fractions": [0.5, 0.3, 0.1], "seed": 3}, (0.5, 0.3, 0.1), 3),
+    (None, (0.6, 0.2, 0.2), 0),   # no split: 60/20/20 shuffled with seed 0
+))
+def test_files_dataset_fraction_split_is_the_split_specs(tmp_path, split, fractions, seed):
+    data = tmp_path / "data"
+    assert run(["sbm", "--num-nodes", "30", "--feature-dim", "4", "--out", str(data)]) == 0
+    spec = {"kind": "files", "edges": str(data / "edges.txt"),
+            "features": str(data / "features.csv"), "labels": str(data / "labels.csv")}
+    if split is not None:
+        spec["split"] = split
+    graph = load_dataset(spec)
+    want = SplitSpec(fractions=fractions, seed=seed).resolve(30)
+    for got, mask in zip((graph.train_mask, graph.val_mask, graph.test_mask), want, strict=True):
+        assert np.array_equal(got, mask)
 
 
 def test_files_dataset_missing_keys_is_clean_error(tmp_path, capsys):
@@ -397,10 +417,13 @@ def test_train_reports_whether_the_bound_holds(tmp_path, propagation, valid):
 def test_train_abort_writes_the_last_finite_checkpoint(tmp_path):
     # lambda 1e308 overflows the regularizer term to inf: the first epoch's loss is not
     # finite, so no step is taken and the checkpoint holds the initial parameters
+    # the abort line is the one report of the overflow: no RuntimeWarning comes before it
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run(["train", "--strategy", "flexidrop", "--lambda", "1e308", "--epochs", "3",
                     "--out", str(out)])
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 1
     error = json.loads((out / "error.json").read_text())
     assert error["type"] == "TrainingAborted" and error["epoch"] == 1
@@ -574,7 +597,32 @@ def test_gradcheck_command_passes(capsys):
     assert "all 2 instances passed" in out
 
 
+def test_gradcheck_command_fails_on_a_wrong_vjp(monkeypatch, capsys):
+    # sigmoid's vjp doubled, as in test_autodiff's wrong-VJP test
+    real = Tape._record
+
+    def record(self, data, op, inputs, vjp):
+        doubled = vjp and (lambda g: tuple(2.0 * x for x in vjp(g)))
+        return real(self, data, op, inputs, doubled if op == "sigmoid" else vjp)
+
+    monkeypatch.setattr(Tape, "_record", record)
+    assert run(["gradcheck", "--instances", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "instance 0: FAIL" in captured.out.splitlines()
+    assert "gradient check failed" in captured.err
+
+
 # ---- sbm dataset emission -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("p_in", (0.4, 1e-9))   # 1e-9: a graph without edges
+def test_sbm_writes_one_edge_per_line_under_a_header(tmp_path, p_in):
+    out = tmp_path / "data"
+    assert run(["sbm", "--num-nodes", "30", "--num-blocks", "2", "--p-in", str(p_in),
+                "--p-out", "0", "--feature-dim", "4", "--seed", "11", "--out", str(out)]) == 0
+    edges = generate_sbm(30, 2, p_in, 0.0, 4, 0.1, seed=11).edges
+    assert (out / "edges.txt").read_text() == "# u v\n" + "".join(
+        f"{u} {v}\n" for u, v in edges)
 
 
 def test_sbm_roundtrips_through_loader(tmp_path):
@@ -582,9 +630,8 @@ def test_sbm_roundtrips_through_loader(tmp_path):
     assert run(["sbm", "--num-nodes", "30", "--num-blocks", "2", "--p-in", "0.4",
                 "--p-out", "0.1", "--feature-dim", "4", "--noise-scale", "0.3",
                 "--seed", "11", "--out", str(out)]) == 0
-    split = SplitSpec.from_index_files(str(out / "train_idx.txt"),
-                                       str(out / "val_idx.txt"),
-                                       str(out / "test_idx.txt"))
+    split = SplitSpec(index_files=tuple(str(out / f"{s}_idx.txt")
+                                        for s in ("train", "val", "test")))
     loaded = load_graph(str(out / "edges.txt"), str(out / "features.csv"),
                         str(out / "labels.csv"), split)
     reference = generate_sbm(30, 2, 0.4, 0.1, 4, 0.3, seed=11)

@@ -261,7 +261,7 @@ def write_dataset(tmp_path, edge_text, features, labels):
 def test_load_graph_roundtrip(tmp_path):
     feats = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
     paths = write_dataset(tmp_path, "# comment line\n0 1\n1 2\n", feats, [0, 1, 0])
-    g = load_graph(*paths, SplitSpec.from_fractions(0.34, 0.33, 0.33, seed=0))
+    g = load_graph(*paths, SplitSpec(fractions=(0.34, 0.33, 0.33), seed=0))
     assert g.num_nodes == 3
     assert g.feature_dim == 2
     assert g.num_classes == 2
@@ -271,40 +271,40 @@ def test_load_graph_roundtrip(tmp_path):
 
 def test_load_graph_collapses_duplicate_and_reversed_edges(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n1 0\n0 1\n", [[0.0], [0.0]], [0, 0])
-    g = load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+    g = load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
     assert g.edges.tolist() == [[0, 1]]
 
 
 def test_load_graph_drops_self_loop_with_warning(tmp_path):
     paths = write_dataset(tmp_path, "0 0\n0 1\n", [[0.0], [0.0]], [0, 0])
     with pytest.warns(UserWarning, match="line 1.*self-loop"):
-        g = load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        g = load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
     assert g.edges.tolist() == [[0, 1]]
 
 
 def test_load_graph_parse_error_names_line(tmp_path):
     paths = write_dataset(tmp_path, "0 1\nnot an edge\n", [[0.0], [0.0]], [0, 0])
     with pytest.raises(ParseError, match="line 2"):
-        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
 
 
 def test_load_graph_rejects_edge_beyond_node_count(tmp_path):
     paths = write_dataset(tmp_path, "0 7\n", [[0.0], [0.0]], [0, 0])
     with pytest.raises(ValidationError, match="line 1.*node id >= 2"):
-        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
 
 
 def test_load_graph_label_count_mismatch(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n", [[0.0], [0.0]], [0, 0, 1])
     with pytest.raises(ValidationError, match="3 labels for 2 feature rows"):
-        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
 
 
 def test_load_graph_non_numeric_feature(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n", [[0.0], [0.0]], [0, 0])
     (tmp_path / "features.csv").write_text("0.0,1.0\nx,2.0\n")
     with pytest.raises(ParseError, match="line 2"):
-        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
 
 
 @pytest.mark.parametrize("name, text, field", (
@@ -318,15 +318,15 @@ def test_load_graph_names_the_file_line_of_a_non_finite_field(tmp_path, name, te
     (tmp_path / name).write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{tmp_path / name}, line 3: "
                                                    f"non-finite field {field!r}")):
-        load_graph(*paths, SplitSpec.from_fractions(0.5, 0.0, 0.5, seed=0))
+        load_graph(*paths, SplitSpec(fractions=(0.5, 0.0, 0.5), seed=0))
 
 
 def test_split_from_index_files(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n1 2\n2 3\n", [[0.0]] * 4, [0, 0, 1, 1])
     for name, idx in (("tr", [0, 1]), ("va", [2]), ("te", [3])):
         (tmp_path / name).write_text("\n".join(str(i) for i in idx) + "\n")
-    split = SplitSpec.from_index_files(str(tmp_path / "tr"), str(tmp_path / "va"),
-                                       str(tmp_path / "te"))
+    split = SplitSpec(index_files=(str(tmp_path / "tr"), str(tmp_path / "va"),
+                                   str(tmp_path / "te")))
     g = load_graph(*paths, split)
     assert g.train_mask.tolist() == [True, True, False, False]
     assert g.val_mask.tolist() == [False, False, True, False]
@@ -337,7 +337,7 @@ def test_split_names_both_index_files_that_list_a_node(tmp_path):
     paths = write_dataset(tmp_path, "0 1\n1 2\n2 3\n", [[0.0]] * 4, [0, 0, 1, 1])
     for name, idx in (("tr", [0, 1]), ("va", [2]), ("te", [3, 1])):
         (tmp_path / name).write_text("\n".join(str(i) for i in idx) + "\n")
-    split = SplitSpec.from_index_files(*(str(tmp_path / name) for name in ("tr", "va", "te")))
+    split = SplitSpec(index_files=tuple(str(tmp_path / name) for name in ("tr", "va", "te")))
     with pytest.raises(ValidationError, match=re.escape(
             f"node 1 is listed in both {tmp_path / 'tr'} and {tmp_path / 'te'}")):
         load_graph(*paths, split)
@@ -345,11 +345,18 @@ def test_split_names_both_index_files_that_list_a_node(tmp_path):
 
 def test_split_fractions_validation():
     with pytest.raises(ValidationError, match="sum"):
-        SplitSpec.from_fractions(0.8, 0.3, 0.3, seed=0).resolve(10)
+        SplitSpec(fractions=(0.8, 0.3, 0.3), seed=0).resolve(10)
+
+
+def test_split_needs_three_fractions():
+    with pytest.raises(ValidationError, match="3 fractions, got 2"):
+        SplitSpec(fractions=(0.5, 0.5), seed=0).resolve(10)
+    with pytest.raises(ValidationError, match="3 fractions, got 4"):
+        generate_sbm(8, 2, 0.5, 0.1, 2, 0.1, seed=0, split_fractions=(0.4, 0.2, 0.2, 0.2))
 
 
 def test_split_fraction_masks_disjoint_and_sized():
-    tr, va, te = SplitSpec.from_fractions(0.6, 0.2, 0.2, seed=5).resolve(100)
+    tr, va, te = SplitSpec(fractions=(0.6, 0.2, 0.2), seed=5).resolve(100)
     assert tr.sum() == 60 and va.sum() == 20 and te.sum() == 20
     assert not (tr & va).any() and not (tr & te).any() and not (va & te).any()
 
@@ -404,7 +411,7 @@ def reference_generate_sbm(num_nodes, num_blocks, p_in, p_out, feature_dim, nois
     features = np.zeros((num_nodes, feature_dim))
     features[np.arange(num_nodes), labels] = 1.0
     features += noise_scale * rng.standard_normal((num_nodes, feature_dim))
-    split = SplitSpec.from_fractions(*split_fractions, seed=int(rng.integers(2**31)))
+    split = SplitSpec(fractions=tuple(split_fractions), seed=int(rng.integers(2**31)))
     return Graph(features, labels, edges, num_blocks, *split.resolve(num_nodes))
 
 

@@ -420,7 +420,7 @@ def test_dropedge_eval_mode_is_identity_and_train_removes_edges(monkeypatch):
             run_forward(g, params, mcfg, mode="train", seed=seed)
             (got,) = [op.matrix for op in built]
             keep = np.random.default_rng(seed).random(g.num_edges) >= cfg.rate
-            want = build_propagation(g.with_edges(g.edges[keep]), mode).matrix
+            want = build_propagation(replace(g, edges=g.edges[keep]), mode).matrix
             for attr in ("indptr", "indices", "data"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
@@ -678,6 +678,33 @@ def test_link_loss_prefers_correct_ranking():
     probs, labels = link_scores(tape, emb, np.array([[0, 1]]), np.array([[2, 3]]))
     good = link_loss(tape, probs, labels).item()
     assert good < loss_for(1.0) or good < np.log(2.0)
+
+
+def two_log_link_loss(tape, probs, labels):
+    """Reference: the log of p and of 1 - p for every pair, one of them multiplied by zero."""
+    y = tape.leaf(labels.reshape(-1, 1))
+    ones = tape.leaf(np.ones((labels.size, 1)))
+    hit = tape.elementwise_mul(y, tape.log(probs))
+    miss = tape.elementwise_mul(tape.sub(ones, y), tape.log(tape.sub(ones, probs)))
+    return tape.scalar_mul(-1.0, tape.mean(tape.add(hit, miss)))
+
+
+@pytest.mark.parametrize("m, scale", ((1, 1.0), (7, 40.0), (3000, 800.0), (3000, 3.0)))
+def test_link_loss_equals_the_two_log_cross_entropy_bit_for_bit(m, scale):
+    # scale 800 saturates the sigmoid, so the log clamp decides some entries
+    rng = np.random.default_rng(m)
+    scores = rng.normal(scale=scale, size=(m, 1))
+    labels = (rng.random(m) < 0.5).astype(np.float64)
+    results = []
+    for loss_fn in (link_loss, two_log_link_loss):
+        tape = Tape()
+        s = tape.leaf(scores, requires_grad=True)
+        loss = loss_fn(tape, tape.sigmoid(s), labels)
+        results.append((loss.item(), len(tape), tape.backward(loss, [s])[0]))
+    (got, nodes, grad), (want, _, want_grad) = results
+    assert got == want
+    assert np.array_equal(grad, want_grad)   # equal up to the sign of zero entries
+    assert nodes == 6   # sigmoid, then one each of elementwise_mul, add, log, mean, scalar_mul
 
 
 def test_sample_negative_edges_avoids_existing():

@@ -2,7 +2,7 @@
 import gc
 import tracemalloc
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -862,7 +862,7 @@ def test_link_final_test_auc_matches_a_fresh_eval_forward(strategy, rate):
     train_pos, _, test_pos = _split_edges(g, _epoch_seed(2, 0, 3))
     test_negs = sample_negative_edges(g, len(test_pos), _epoch_seed(2, 0, 6))
     tape = Tape()
-    logits = forward(tape, build_propagation(g.with_edges(train_pos), "symmetric"),
+    logits = forward(tape, build_propagation(replace(g, edges=train_pos), "symmetric"),
                      res.params, cfg, mode="eval")
     probs, labels = link_scores(tape, logits, test_pos, test_negs)
     assert res.record.summary["final_test_auc"] == auc_score(probs.data, labels)
