@@ -7,7 +7,8 @@ The central quantity is the layerwise complexity bound
 with prefactor M = 2^L * C * sqrt(2 * ln(2 d) / N) * max_u ||x_u||_inf,
 where L is the depth, C the number of classes, d the feature dimension
 and N the number of nodes. All logarithms here are natural. The bound's
-derivation assumes a row-stochastic propagation operator.
+derivation assumes a row-stochastic propagation operator. A layer without
+retention logits (any strategy but flexidrop) is scored at p_l = 1: sqrt(k_in).
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Value
+from .autodiff import Tape, Value, sigmoid
 from .graphs import Graph, feature_inf_norm_max
-from .model import BoundLayer, LayerParams, bind_layers, retention_probabilities
+from .model import BoundLayer, LayerParams, bind_layers
 
 @dataclass(frozen=True)
 class BoundContext:
@@ -83,8 +84,10 @@ def complexity_regularizer(tape: Tape, ctx: BoundContext,
     total: Value | None = None
     for layer in layers:
         col_max = tape.max_reduce(tape.column_l2_norms(layer.weight))
-        p_norm = tape.column_l2_norms(layer.retention)   # (k,1) column -> its single norm
-        factor = tape.elementwise_mul(col_max, p_norm)
+        if layer.retention_logits is None:   # ||1||_2 over the k_in inputs
+            factor = tape.scalar_mul(math.sqrt(layer.weight.shape[0]), col_max)
+        else:   # the (k,1) column of p -> its single norm
+            factor = tape.elementwise_mul(col_max, tape.column_l2_norms(layer.retention))
         total = factor if total is None else tape.elementwise_mul(total, factor)
     return tape.scalar_mul(complexity_prefactor(ctx), total)
 
@@ -131,7 +134,8 @@ def bound_report(ctx: BoundContext, params: list[LayerParams], propagation_mode:
                       "operator; symmetric normalization voids its guarantee")
     # Tape.column_l2_norms' expressions: each factor equals the regularizer's to the bit
     col_norms = [float(np.sqrt((p.weight ** 2).sum(axis=0)).max()) for p in params]
-    p_norms = [float(np.sqrt((p ** 2).sum())) for p in retention_probabilities(params)]
+    p_norms = [math.sqrt(p.weight.shape[0]) if p.retention_logits is None
+               else float(np.sqrt((sigmoid(p.retention_logits) ** 2).sum())) for p in params]
     return {
         "prefactor": complexity_prefactor(ctx),
         "layer_weight_col_norm_max": col_norms,

@@ -274,7 +274,7 @@ def _gradcheck_instance(seed: int) -> list:
     graph = generate_sbm(12, 2, 0.6, 0.2, 3, 0.1, seed)
     prop = build_propagation(graph, "row_stochastic")
     config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop")
-    params = init_params(config.layer_dims, seed)
+    params = init_params(config, seed)
     ctx = BoundContext.from_graph(graph, 2)
     shapes = [p.weight for p in params] + [p.retention_logits for p in params]
 

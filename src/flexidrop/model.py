@@ -49,20 +49,20 @@ class NumericsError(ArithmeticError):
 
 @dataclass
 class LayerParams:
-    """One layer: a dense weight and per-input-column retention logits."""
+    """One layer: a dense weight and, under flexidrop alone, per-input-column retention logits."""
 
-    weight: np.ndarray            # (k_in, k_out)
-    retention_logits: np.ndarray  # (k_in,)
+    weight: np.ndarray                          # (k_in, k_out)
+    retention_logits: np.ndarray | None = None  # (k_in,)
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.retention_logits = np.asarray(self.retention_logits, dtype=np.float64).ravel()
         if self.weight.ndim != 2:
             raise ValueError(f"weight must be 2-D, got shape {self.weight.shape}")
-        if self.retention_logits.shape[0] != self.weight.shape[0]:
-            raise ValueError(
-                f"retention logits length {self.retention_logits.shape[0]} "
-                f"must match weight input width {self.weight.shape[0]}")
+        if self.retention_logits is not None:
+            self.retention_logits = np.asarray(self.retention_logits, dtype=np.float64).ravel()
+            if self.retention_logits.shape[0] != self.weight.shape[0]:
+                raise ValueError(f"retention logits length {self.retention_logits.shape[0]} "
+                                 f"must match weight input width {self.weight.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -174,34 +174,34 @@ def checked_keys(name: str, d: dict, types: dict[str, str], required=()) -> dict
 RETENTION_LOGIT_INIT = 2.0   # logistic(2) ~ 0.88, a gentle initial dropout
 
 
-def init_params(layer_dims, seed: int) -> list[LayerParams]:
-    """Glorot-uniform weights and constant retention logits, reproducible by seed."""
+def init_params(config: ModelConfig, seed: int) -> list[LayerParams]:
+    """Seeded Glorot-uniform weights and, under flexidrop alone, constant retention logits."""
     rng = np.random.default_rng(seed)
     params = []
-    dims = list(layer_dims)
+    dims = config.layer_dims
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        z = np.full(fan_in, RETENTION_LOGIT_INIT)
+        z = np.full(fan_in, RETENTION_LOGIT_INIT) if config.strategy == "flexidrop" else None
         params.append(LayerParams(w, z))
     return params
 
 
 def retention_probabilities(params: list[LayerParams]) -> list[np.ndarray]:
-    """Per-layer retention probabilities logistic(z), each strictly inside (0, 1)."""
-    return [sigmoid(p.retention_logits) for p in params]
+    """Retention probabilities logistic(z) of the layers that carry z, each inside (0, 1)."""
+    return [sigmoid(p.retention_logits) for p in params if p.retention_logits is not None]
 
 
 @dataclass
 class BoundLayer:
-    """Layer parameters bound to a tape: weight and retention-logit leaves.
+    """Layer parameters bound to a tape: the weight leaf and, under flexidrop, the z leaf.
 
     The retention probabilities p = logistic(z) go on the tape on their
-    first read, so a strategy that never scales by p records no node for them.
+    first read; ``retention_logits`` is None where the params carry no z.
     """
 
     weight: Value
-    retention_logits: Value
+    retention_logits: Value | None
 
     @cached_property
     def retention(self) -> Value:
@@ -209,20 +209,17 @@ class BoundLayer:
 
 
 def bind_layers(tape: Tape, params: list[LayerParams], *, trainable: bool) -> list[BoundLayer]:
-    """Put each layer's weight and retention logits on ``tape`` as leaves.
+    """Put each layer's weight and, where it has them, retention logits on ``tape`` as leaves.
 
-    ``trainable`` makes both leaves require gradients; the strategies
-    that do not scale by p simply leave z off the loss path.
+    ``trainable`` makes the leaves require gradients.
     """
-    layers = []
-    for p in params:
-        w = tape.leaf(p.weight, requires_grad=trainable)
-        z = tape.leaf(p.retention_logits.reshape(-1, 1), requires_grad=trainable)
-        layers.append(BoundLayer(w, z))
-    return layers
+    return [BoundLayer(tape.leaf(p.weight, requires_grad=trainable),
+                       None if p.retention_logits is None
+                       else tape.leaf(p.retention_logits.reshape(-1, 1), requires_grad=trainable))
+            for p in params]
 
 
-def _check_params(params: list[LayerParams], config: ModelConfig) -> None:
+def _check_params(params: list[LayerParams] | list[BoundLayer], config: ModelConfig) -> None:
     dims = config.layer_dims
     if len(params) != config.num_layers:
         raise ValueError(f"{len(params)} layers of parameters for {config.num_layers} layers")
@@ -230,6 +227,9 @@ def _check_params(params: list[LayerParams], config: ModelConfig) -> None:
         if p.weight.shape != (dims[i], dims[i + 1]):
             raise ValueError(
                 f"layer {i} weight shape {p.weight.shape} != {(dims[i], dims[i + 1])}")
+        if (p.retention_logits is not None) != (config.strategy == "flexidrop"):
+            wants = "needs" if p.retention_logits is None else "takes no"
+            raise ValueError(f"layer {i}: strategy {config.strategy!r} {wants} retention logits")
 
 
 def forward(tape: Tape, prop: PropagationOperator,
@@ -263,11 +263,9 @@ def forward(tape: Tape, prop: PropagationOperator,
     if prop.mode != config.propagation_mode:
         raise ValueError(f"operator mode {prop.mode!r} != model propagation_mode "
                          f"{config.propagation_mode!r}")
-    if isinstance(params[0], BoundLayer):
-        layers = params
-    else:
-        _check_params(params, config)
-        layers = bind_layers(tape, params, trainable=False)
+    _check_params(params, config)
+    layers = (params if isinstance(params[0], BoundLayer)
+              else bind_layers(tape, params, trainable=False))
 
     draws = mode == "train" and not train_forward_is_eval(config)
     rng = np.random.default_rng(seed) if draws else None
@@ -349,7 +347,7 @@ def sample_negative_edges(graph: Graph, count: int, seed: int) -> np.ndarray:
     return sample_absent_pairs(graph, count, np.random.default_rng(seed))
 
 
-CHECKPOINT_FORMAT = 3   # 3: the config's layer_dims alone states the array shapes
+CHECKPOINT_FORMAT = 4   # 4: retention logits are stored under flexidrop alone
 
 
 def save_checkpoint(path: str | Path, params: list[LayerParams],
@@ -358,7 +356,8 @@ def save_checkpoint(path: str | Path, params: list[LayerParams],
     path = Path(path)
     _check_params(params, config)
     np.savez(path.with_suffix(".npz"), **{k: a for i, p in enumerate(params) for k, a in (
-        (f"weight_{i}", p.weight), (f"retention_logits_{i}", p.retention_logits))})
+        (f"weight_{i}", p.weight), (f"retention_logits_{i}", p.retention_logits))
+        if a is not None})
     manifest = {"format_version": CHECKPOINT_FORMAT, "config": config.to_dict()}
     if extra:
         manifest["extra"] = extra
@@ -368,8 +367,8 @@ def save_checkpoint(path: str | Path, params: list[LayerParams],
 def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, dict]:
     """The params, config and manifest at ``path``; bad input raises ValueError naming its file.
 
-    The ``.npz`` must hold exactly each layer's ``weight_i`` and ``retention_logits_i``,
-    of the shapes the config's layer_dims give.
+    The ``.npz`` must hold exactly each layer's ``weight_i`` and, under flexidrop
+    alone, its ``retention_logits_i``, of the shapes the config's layer_dims give.
     """
     path = Path(path)
     try:
@@ -382,8 +381,9 @@ def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, d
     except ValueError as exc:
         raise ValueError(f"{path.with_suffix('.json')}: {exc}") from exc
     dims = config.layer_dims
-    want = {k: shape for i in range(config.num_layers) for k, shape in (
-        (f"weight_{i}", dims[i:i + 2]), (f"retention_logits_{i}", dims[i:i + 1]))}
+    want = {f"weight_{i}": dims[i:i + 2] for i in range(config.num_layers)}
+    if config.strategy == "flexidrop":
+        want.update({f"retention_logits_{i}": dims[i:i + 1] for i in range(config.num_layers)})
     npz = path.with_suffix(".npz")
     try:
         # np.load leaks a handle it opens itself when zipfile rejects the file
@@ -395,5 +395,5 @@ def load_checkpoint(path: str | Path) -> tuple[list[LayerParams], ModelConfig, d
     if shapes != want:
         raise ValueError(f"{npz}: holds array shapes {shapes}, but layer_dims "
                          f"{list(dims)} need exactly {want}")
-    return ([LayerParams(arrays[f"weight_{i}"], arrays[f"retention_logits_{i}"])
+    return ([LayerParams(arrays[f"weight_{i}"], arrays.get(f"retention_logits_{i}"))
              for i in range(config.num_layers)], config, manifest)

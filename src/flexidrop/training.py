@@ -143,11 +143,12 @@ def _epoch_seed(base_seed: int, epoch: int, stream: int) -> int:
                .generate_state(1)[0])
 
 
-def _record_columns(num_layers: int) -> list[str]:
+def _record_columns(config: ModelConfig) -> list[str]:
     cols = ["epoch", "train_loss", "objective", "regularizer",
             "train_accuracy", "val_accuracy", "test_accuracy"]
-    for i in range(1, num_layers + 1):
-        cols += [f"retention_min_l{i}", f"retention_mean_l{i}", f"retention_max_l{i}"]
+    if config.strategy == "flexidrop":   # the one strategy with retention logits
+        for i in range(1, config.num_layers + 1):
+            cols += [f"retention_min_l{i}", f"retention_mean_l{i}", f"retention_max_l{i}"]
     cols.append("wall_clock_s")
     return cols
 
@@ -191,7 +192,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     flexi = model_config.strategy == "flexidrop"
     link_task = model_config.task == "link_prediction"
     reuse = train_forward_is_eval(model_config)
-    params = init_params(model_config.layer_dims, cfg.seed)
+    params = init_params(model_config, cfg.seed)
     ctx = BoundContext.from_graph(graph, model_config.num_layers)
 
     if link_task:
@@ -206,17 +207,18 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     prop = build_propagation(replace(graph, edges=train_pos) if link_task else graph,
                              model_config.propagation_mode)
 
-    # one vector for all parameters, laid out [W_1, z_1, W_2, z_2, ...], stepped
-    # in place by one Adam update per epoch; params are views of it
-    arrays = [a for p in params for a in (p.weight, p.retention_logits)]
-    flat = np.concatenate([a.ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays])
-    parts = np.split(flat, ends[:-1])
-    params = [LayerParams(w.reshape(p.weight.shape), z)
-              for p, w, z in zip(params, parts[0::2], parts[1::2])]
+    # one vector [W_1, (z_1), W_2, (z_2), ...] (z under flexidrop alone) for all parameters,
+    # stepped in place by one Adam update per epoch; params are views of its named segments
+    segments = {f"layer {i} {name}": a for i, p in enumerate(params, start=1) for name, a in
+                (("weight", p.weight), ("retention logits", p.retention_logits)) if a is not None}
+    flat = np.concatenate([a.ravel() for a in segments.values()])
+    ends = np.cumsum([a.size for a in segments.values()])
+    parts = iter(np.split(flat, ends[:-1]))
+    params = [LayerParams(next(parts).reshape(p.weight.shape), next(parts) if flexi else None)
+              for p in params]
     adam = AdamState.zeros_like(flat)
 
-    record = RunRecord(columns=_record_columns(model_config.num_layers))
+    record = RunRecord(columns=_record_columns(model_config))
     start = time.perf_counter()
 
     def score(logits: np.ndarray) -> dict:
@@ -281,25 +283,22 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 # flexidrop's p = logistic(z) of params_t is on this tape already
                 log_row(pending, score(out.data),
                         multilayer_bound(ctx, params) if reg is None else reg.item(),
-                        [layer.retention.data.ravel() for layer in layers] if flexi
-                        else retention_probabilities(params))
+                        [layer.retention.data.ravel() for layer in layers] if flexi else [])
                 pending = None
             if not np.isfinite(objective.item()):
                 raise NumericsError("non-finite loss")
         except NumericsError as exc:
             raise TrainingAborted(epoch, params, record, reason=str(exc)) from exc
 
-        # z off the loss path (every strategy but flexidrop) gets a zero gradient,
-        # and Adam's step from zero moments leaves it exactly as it was
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             grad = np.concatenate([g.ravel() for g in tape.backward(objective, [
-                v for layer in layers for v in (layer.weight, layer.retention_logits)])])
+                v for layer in layers for v in (layer.weight, layer.retention_logits)
+                if v is not None])])
         # a backward can overflow under a finite objective; Adam would spread it
         if not np.isfinite(grad).all():
             j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
             raise TrainingAborted(epoch, params, record,
-                                  reason=f"non-finite gradient of layer {j // 2 + 1} "
-                                         f"{('weight', 'retention logits')[j % 2]}")
+                                  reason=f"non-finite gradient of {list(segments)[j]}")
         adam_step(flat, grad, adam, cfg.learning_rate)
 
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:

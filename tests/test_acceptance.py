@@ -151,6 +151,7 @@ def test_acceptance_3_bound_dominance():
     rng = np.random.default_rng(33)
     single_margin = np.inf
     multi_margin = np.inf
+    ones_margin = np.inf   # the p = 1 model, which every strategy but flexidrop scores
     for seed, n in zip(range(5), (8, 10, 12, 8, 12)):
         graph = generate_sbm(n, 2, 0.9, 0.4, 4, 0.3, seed=seed)
         prop = build_propagation(graph, "row_stochastic")
@@ -170,13 +171,16 @@ def test_acceptance_3_bound_dominance():
         caps = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
         zs = [rng.uniform(-1.0, 2.5, 4), rng.uniform(-1.0, 2.5, 3)]
         probs = [sigmoid(z) for z in zs]
-        rows = []
+        rows, ones_rows = [], []
         hyp_params = None
         for _ in range(8):
             ws = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2))]
             ws = [w * (cap / np.linalg.norm(w, axis=0).max()) for w, cap in zip(ws, caps)]
             outs = _two_layer_expected_outputs(graph, prop, ws, probs)
             rows.extend(outs.T)          # one hypothesis row per class output
+            # at p = 1 every mask but the all-ones one has probability 0
+            ones = _two_layer_expected_outputs(graph, prop, ws, [np.ones(4), np.ones(3)])
+            ones_rows.extend(ones.T)
             hyp_params = [LayerParams(w, z) for w, z in zip(ws, zs)]
         outputs = np.asarray(rows)
         est_multi = empirical_rademacher_exact(outputs)
@@ -184,15 +188,22 @@ def test_acceptance_3_bound_dominance():
         bound_multi = multilayer_bound(ctx, hyp_params)
         multi_margin = min(multi_margin, bound_multi - est_multi)
         assert est_multi <= bound_multi + 1e-12
+        # the same weights without retention logits: the p = 1 bound
+        est_ones = empirical_rademacher_exact(np.asarray(ones_rows))
+        bound_ones = multilayer_bound(ctx, [LayerParams(p.weight) for p in hyp_params])
+        ones_margin = min(ones_margin, bound_ones - est_ones)
+        assert est_ones <= bound_ones + 1e-12
 
         # Monte-Carlo mode must agree within its own error bars
         mc, stderr = empirical_rademacher_mc(outputs, num_draws=2000, seed=seed)
         assert mc - 3.0 * stderr <= bound_multi
 
     elapsed = time.perf_counter() - start
-    ok = single_margin >= -1e-12 and multi_margin >= -1e-12 and elapsed < 300.0
+    ok = (single_margin >= -1e-12 and multi_margin >= -1e-12 and ones_margin >= -1e-12
+          and elapsed < 300.0)
     verdict(3, ok, f"5 graphs (N<=12), exhaustive-eps estimates below both bounds "
-                   f"(min margins {single_margin:.3f} / {multi_margin:.3f}), {elapsed:.1f}s")
+                   f"(min margins {single_margin:.3f} / {multi_margin:.3f}, two layers at "
+                   f"p = 1 {ones_margin:.3f}), {elapsed:.1f}s")
 
 
 # ---- 4. mean-field exactness -------------------------------------------------------
@@ -204,7 +215,7 @@ def test_acceptance_4_mean_field_exactness():
         graph = generate_sbm(10, 2, 0.6, 0.2, 8, 0.4, seed=seed)
         prop = build_propagation(graph, "row_stochastic")
         cfg = ModelConfig(layer_dims=(8, 3), strategy="flexidrop")
-        params = init_params(cfg.layer_dims, seed=seed)
+        params = init_params(cfg, seed=seed)
         params[0].retention_logits[:] = np.random.default_rng(seed).uniform(-2, 2, 8)
         probs = sigmoid(params[0].retention_logits)
 
@@ -244,7 +255,8 @@ def test_acceptance_5_training_sanity():
         probs = np.concatenate([sigmoid(p.retention_logits) for p in res.params])
         deviations.append(np.abs(probs - RETENTION_INIT_P).mean())
     ok = all(reached) and min(deviations) >= 0.01 and slowest < 120.0
-    verdict(5, ok, f"block-model sanity run: {sum(reached)}/5 seeds reach 0.90 within "
+    verdict(5, ok, f"block-model sanity run at reg_lambda {tc.reg_lambda}: "
+                   f"{sum(reached)}/5 seeds reach 0.90 within "
                    f"256 epochs (final/best test accuracy on seeds 0-4: "
                    f"{', '.join(accuracies)}), retention moved by >= {min(deviations):.3f} "
                    f"in mean, slowest run {slowest:.1f}s")
@@ -316,7 +328,8 @@ def test_acceptance_7_oversmoothing_direction():
         wins += win
         details.append(f"seed {seed}: {'+' if win else '-'}")
     ok = wins >= 4
-    verdict(7, ok, f"depth-8: retention keeps higher final-layer energy at matched "
+    verdict(7, ok, f"depth-8 at reg_lambda {tc.reg_lambda}: retention keeps higher "
+                   f"final-layer energy at matched "
                    f"accuracy on {wins}/5 seeds ({', '.join(details)})")
 
 
@@ -337,7 +350,8 @@ def test_acceptance_8_robustness_direction():
     drop_plain = mean_acc("none", 0.0) - mean_acc("none", 0.5)
     drop_flexi = mean_acc("flexidrop", 0.0) - mean_acc("flexidrop", 0.5)
     ok = drop_flexi <= drop_plain
-    verdict(8, ok, f"+50% injected edges, mean over 5 seeds: accuracy drop "
+    verdict(8, ok, f"+50% injected edges at reg_lambda {tc.reg_lambda}, mean over 5 seeds: "
+                   f"accuracy drop "
                    f"{drop_flexi:.4f} (trainable retention) vs {drop_plain:.4f} "
                    f"(no dropout); reference direction 72.86 vs 71.05")
 

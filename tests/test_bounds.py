@@ -187,7 +187,7 @@ def test_generalization_validates_delta():
 
 def two_layer_params(seed=0, dims=(3, 4, 2)):
     cfg = ModelConfig(layer_dims=dims, strategy="flexidrop")
-    return init_params(cfg.layer_dims, seed=seed), cfg
+    return init_params(cfg, seed=seed), cfg
 
 
 def test_multilayer_worked_example_modulo_prefactor():
@@ -214,6 +214,24 @@ def test_multilayer_random_inputs_against_oracle():
                            feature_inf_max=float(rng.uniform(0.1, 5.0)))
         got = multilayer_bound(ctx, params)
         assert rel_err(got, oracle_multilayer(ctx, params)) < 1e-10
+
+
+def test_a_layer_without_retention_logits_is_bounded_at_p_one_to_the_bit():
+    # every strategy but flexidrop scores the p = 1 model: its bound is the one
+    # flexidrop's saturated logits give (logistic(1000) is exactly 1.0), and the
+    # reported retention norm is sqrt(k_in)
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        dims = tuple(int(d) for d in rng.integers(1, 300, size=int(rng.integers(2, 6))))
+        plain = [LayerParams(rng.normal(size=(a, b))) for a, b in zip(dims, dims[1:])]
+        saturated = [LayerParams(p.weight, np.full(p.weight.shape[0], 1000.0)) for p in plain]
+        ctx = BoundContext(num_layers=len(plain), num_classes=int(rng.integers(2, 8)),
+                           feature_dim=dims[0], num_nodes=int(rng.integers(2, 3000)),
+                           feature_inf_max=float(rng.uniform(0.1, 5.0)))
+        assert multilayer_bound(ctx, plain) == multilayer_bound(ctx, saturated)
+        report = bound_report(ctx, plain, "row_stochastic")
+        assert report == bound_report(ctx, saturated, "row_stochastic")
+        assert report["layer_retention_norm"] == [float(np.sqrt(k)) for k in dims[:-1]]
 
 
 def test_regularizer_forward_equals_multilayer_bound_exactly():

@@ -432,7 +432,7 @@ def test_train_abort_writes_the_last_finite_checkpoint(tmp_path):
     params, config, manifest = load_checkpoint(out / "last_finite")
     assert manifest["extra"] == {"aborted_epoch": 1}
     assert config.strategy == "flexidrop"
-    for got, want in zip(params, init_params(config.layer_dims, 0), strict=True):
+    for got, want in zip(params, init_params(config, 0), strict=True):
         assert np.array_equal(got.weight, want.weight)
         assert np.array_equal(got.retention_logits, want.retention_logits)
     assert not (out / "model.npz").exists()

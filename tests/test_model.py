@@ -1,6 +1,7 @@
 """Model forward passes, dropout strategies, and checkpointing."""
 import itertools
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from flexidrop import model
 from flexidrop.autodiff import Tape, grad_check, sigmoid
-from flexidrop.bounds import BoundContext, complexity_regularizer
+from flexidrop.bounds import BoundContext, bound_report, complexity_regularizer, multilayer_bound
 from flexidrop.graphs import (Graph, PropagationOperator, ValidationError, build_propagation,
                               generate_sbm)
 from flexidrop.model import (CHECKPOINT_FORMAT, FIXED_STRATEGIES, STRATEGIES, BoundLayer,
@@ -111,19 +112,28 @@ def test_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, key):
 
 
 def test_init_params_deterministic_and_glorot_bounded():
-    a = init_params((5, 7, 2), seed=3)
-    b = init_params((5, 7, 2), seed=3)
+    cfg = ModelConfig(layer_dims=(5, 7, 2), strategy="flexidrop")
+    a = init_params(cfg, seed=3)
+    b = init_params(cfg, seed=3)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.weight, pb.weight)
         assert np.array_equal(pa.retention_logits, pb.retention_logits)
     assert np.abs(a[0].weight).max() <= np.sqrt(6.0 / 12.0)
     assert np.abs(a[1].weight).max() <= np.sqrt(6.0 / 9.0)
-    c = init_params((5, 7, 2), seed=4)
+    c = init_params(cfg, seed=4)
     assert not np.array_equal(a[0].weight, c[0].weight)
+    # only flexidrop gets retention logits; every strategy draws the same weights
+    for strategy, rate in (("none", 0.0), ("fixed_dropout", 0.5), ("dropnode", 0.3),
+                           ("dropedge", 0.5)):
+        other = init_params(replace(cfg, strategy=strategy, rate=rate), seed=3)
+        assert all(p.retention_logits is None for p in other)
+        assert retention_probabilities(other) == []
+        for pa, po in zip(a, other, strict=True):
+            assert np.array_equal(pa.weight, po.weight)
 
 
 def test_initial_retention_probability_frozen():
-    params = init_params((4, 2), seed=0)
+    params = init_params(ModelConfig(layer_dims=(4, 2), strategy="flexidrop"), seed=0)
     (p,) = retention_probabilities(params)
     # logistic(2) to full double precision
     assert np.all(p == 0.8807970779778823)
@@ -131,9 +141,10 @@ def test_initial_retention_probability_frozen():
 
 
 def test_retention_goes_on_the_tape_on_its_first_read():
-    # strategies that never scale by p must not record a sigmoid node per layer and epoch
+    # binding records no node; p = logistic(z) is recorded once, when first read
     tape = Tape()
-    (layer,) = bind_layers(tape, init_params((3, 2), seed=0), trainable=True)
+    cfg = ModelConfig(layer_dims=(3, 2), strategy="flexidrop")
+    (layer,) = bind_layers(tape, init_params(cfg, seed=0), trainable=True)
     assert len(tape) == 0
     p = layer.retention
     assert len(tape) == 1 and p.op == "sigmoid" and layer.retention is p
@@ -166,7 +177,7 @@ def test_edgeless_single_layer_is_plain_linear_map():
     # with no edges both operators reduce to the identity, so logits = X @ W
     g = isolated_graph()
     cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
-    params = init_params(cfg.layer_dims, seed=1)
+    params = init_params(cfg, seed=1)
     res = run_forward(g, params, cfg)
     assert np.allclose(res.data, g.features @ params[0].weight, atol=1e-14)
 
@@ -177,7 +188,7 @@ def test_constant_features_stay_constant_under_row_stochastic():
                   g.train_mask, g.val_mask, g.test_mask)
     cfg = ModelConfig(layer_dims=(3, 4), strategy="none",
                       propagation_mode="row_stochastic")
-    params = init_params(cfg.layer_dims, seed=0)
+    params = init_params(cfg, seed=0)
     res = run_forward(const, params, cfg)
     rows = res.data
     assert np.abs(rows - rows[0]).max() <= 1e-12
@@ -187,7 +198,7 @@ def test_forward_rejects_wrong_feature_dim():
     g = sbm(seed=0, d=3)
     cfg = ModelConfig(layer_dims=(5, 2), strategy="none")
     with pytest.raises(ValueError, match="feature"):
-        run_forward(g, init_params(cfg.layer_dims, seed=0), cfg)
+        run_forward(g, init_params(cfg, seed=0), cfg)
 
 
 @pytest.mark.parametrize("n, mode, message", (
@@ -199,13 +210,13 @@ def test_forward_rejects_an_operator_that_does_not_match(n, mode, message):
     cfg = ModelConfig(layer_dims=(3, 2), strategy="dropedge", rate=0.3)
     for run_mode in ("train", "eval"):
         with pytest.raises(ValueError, match=message):
-            forward(Tape(), prop, init_params(cfg.layer_dims, seed=0), cfg, mode=run_mode)
+            forward(Tape(), prop, init_params(cfg, seed=0), cfg, mode=run_mode)
 
 
 def test_forward_nan_raises_numerics_error():
     g = sbm(seed=0, d=3)
     cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
-    params = init_params(cfg.layer_dims, seed=0)
+    params = init_params(cfg, seed=0)
     params[0].weight[0, 0] = np.nan
     with pytest.raises(NumericsError, match="layer 1"):
         run_forward(g, params, cfg)
@@ -215,7 +226,7 @@ def test_forward_inf_weight_raises_numerics_error():
     # an inf weight without a NaN next to it used to pass the forward unnoticed
     g = sbm(seed=0, d=3)
     cfg = ModelConfig(layer_dims=(3, 4, 2), strategy="none")
-    params = init_params(cfg.layer_dims, seed=0)
+    params = init_params(cfg, seed=0)
     params[1].weight[0, 0] = np.inf
     with pytest.raises(NumericsError, match="non-finite value at layer 2"):
         run_forward(g, params, cfg)
@@ -239,7 +250,7 @@ def exhaustive_dropout_mean(graph, prop, weight, probs):
 def test_flexidrop_forward_equals_exhaustive_expectation():
     g = sbm(seed=4, n=12, d=3)
     cfg = ModelConfig(layer_dims=(3, 2), strategy="flexidrop")
-    params = init_params(cfg.layer_dims, seed=7)
+    params = init_params(cfg, seed=7)
     params[0].retention_logits[:] = np.array([0.3, -1.2, 2.0])
     prop = build_propagation(g, cfg.propagation_mode)
     expected = exhaustive_dropout_mean(g, prop, params[0].weight,
@@ -252,14 +263,14 @@ def test_forward_refuses_an_unknown_mode():
     g = sbm(seed=5, d=4)
     cfg = ModelConfig(layer_dims=(4, 2), strategy="flexidrop")
     with pytest.raises(ValueError, match="unknown mode 'sample'"):
-        run_forward(g, init_params(cfg.layer_dims, seed=8), cfg, mode="sample")
+        run_forward(g, init_params(cfg, seed=8), cfg, mode="sample")
 
 
 def test_flexidrop_eval_equals_train_mode():
     # mean-field scaling is deterministic, so train and eval forwards coincide
     g = sbm(seed=5, d=4)
     cfg = ModelConfig(layer_dims=(4, 6, 2), strategy="flexidrop")
-    params = init_params(cfg.layer_dims, seed=8)
+    params = init_params(cfg, seed=8)
     a = run_forward(g, params, cfg, mode="train", seed=1)
     b = run_forward(g, params, cfg, mode="eval", seed=99)
     assert np.array_equal(a.data, b.data)
@@ -272,7 +283,7 @@ def test_a_forward_of_plain_params_records_no_node(strategy, rate):
     # binds them as constants; its logits are those of trainable bound layers
     g = sbm(seed=6, n=20, d=4)
     cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate)
-    params = init_params(cfg.layer_dims, seed=3)
+    params = init_params(cfg, seed=3)
     prop = build_propagation(g, cfg.propagation_mode)
     plain_tape, bound_tape = Tape(), Tape()
     plain = forward(plain_tape, prop, params, cfg, mode="train", seed=2)
@@ -288,9 +299,9 @@ def test_train_forward_is_eval_exactly_where_the_predicate_holds():
     # the predicate holds, so there the two modes must agree bit for bit; elsewhere a
     # mask is drawn and they differ
     g = sbm(seed=14, n=30, d=4)
-    params = init_params((4, 6, 2), seed=15)
+    flexi_params = init_params(ModelConfig(layer_dims=(4, 6, 2), strategy="flexidrop"), seed=15)
     rng = np.random.default_rng(16)
-    for p in params:
+    for p in flexi_params:
         p.retention_logits[:] = rng.normal(size=p.retention_logits.shape)
     for strategy, rate, propagation in itertools.product(
             STRATEGIES, (0.0, 0.3), ("row_stochastic", "symmetric")):
@@ -298,6 +309,8 @@ def test_train_forward_is_eval_exactly_where_the_predicate_holds():
             continue
         cfg = ModelConfig(layer_dims=(4, 6, 2), strategy=strategy, rate=rate,
                           propagation_mode=propagation)
+        params = (flexi_params if strategy == "flexidrop"
+                  else [LayerParams(p.weight) for p in flexi_params])
         same = np.array_equal(run_forward(g, params, cfg, mode="train", seed=17).data,
                               run_forward(g, params, cfg, mode="eval").data)
         assert same == train_forward_is_eval(cfg), (strategy, rate, propagation)
@@ -307,12 +320,19 @@ def test_flexidrop_saturated_retention_matches_no_dropout_bitwise():
     g = sbm(seed=6, d=3)
     flexi = ModelConfig(layer_dims=(3, 5, 2), strategy="flexidrop")
     plain = ModelConfig(layer_dims=(3, 5, 2), strategy="none")
-    params = init_params(flexi.layer_dims, seed=9)
+    params = init_params(flexi, seed=9)
     for p in params:
         p.retention_logits[:] = 1000.0   # logistic saturates to exactly 1.0
+    plain_params = init_params(plain, seed=9)   # the same weights, no z
     a = run_forward(g, params, flexi)
-    b = run_forward(g, params, plain)
+    b = run_forward(g, plain_params, plain)
     assert np.array_equal(a.data, b.data)
+    # the bound of params without z is the p = 1 bound, to the last bit
+    ctx = BoundContext.from_graph(g, flexi.num_layers)
+    assert multilayer_bound(ctx, plain_params) == multilayer_bound(ctx, params)
+    report = bound_report(ctx, plain_params, plain.propagation_mode)
+    assert report["layer_retention_norm"] == [math.sqrt(k_in) for k_in in plain.layer_dims[:-1]]
+    assert report == bound_report(ctx, params, flexi.propagation_mode)
 
 
 # ---- fixed baselines ---------------------------------------------------------------
@@ -322,7 +342,7 @@ def test_fixed_dropout_rate_zero_is_identity_strategy():
     g = sbm(seed=8, d=3)
     fixed = ModelConfig(layer_dims=(3, 4, 2), strategy="fixed_dropout", rate=0.0)
     plain = ModelConfig(layer_dims=(3, 4, 2), strategy="none")
-    params = init_params(fixed.layer_dims, seed=11)
+    params = init_params(fixed, seed=11)
     a = run_forward(g, params, fixed, mode="train", seed=3)
     b = run_forward(g, params, plain, mode="train", seed=3)
     assert np.array_equal(a.data, b.data)
@@ -332,7 +352,7 @@ def test_fixed_dropout_eval_mode_applies_no_mask():
     g = sbm(seed=9, d=3)
     fixed = ModelConfig(layer_dims=(3, 2), strategy="fixed_dropout", rate=0.6)
     plain = ModelConfig(layer_dims=(3, 2), strategy="none")
-    params = init_params(fixed.layer_dims, seed=12)
+    params = init_params(fixed, seed=12)
     a = run_forward(g, params, fixed, mode="eval")
     b = run_forward(g, params, plain, mode="eval")
     assert np.array_equal(a.data, b.data)
@@ -341,7 +361,7 @@ def test_fixed_dropout_eval_mode_applies_no_mask():
 def test_fixed_dropout_train_seeded_and_inverted_scaling():
     g = sbm(seed=10, n=30, d=6)
     cfg = ModelConfig(layer_dims=(6, 2), strategy="fixed_dropout", rate=0.5)
-    params = [LayerParams(np.eye(6, 2), np.zeros(6))]
+    params = [LayerParams(np.eye(6, 2))]
     a = run_forward(g, params, cfg, mode="train", seed=5)
     b = run_forward(g, params, cfg, mode="train", seed=5)
     c = run_forward(g, params, cfg, mode="train", seed=6)
@@ -358,7 +378,7 @@ def test_fixed_dropout_train_seeded_and_inverted_scaling():
 def test_dropnode_zeroes_whole_rows():
     g = sbm(seed=11, n=40, d=4)
     cfg = ModelConfig(layer_dims=(4, 3), strategy="dropnode", rate=0.5)
-    params = [LayerParams(np.ones((4, 3)), np.zeros(4))]
+    params = [LayerParams(np.ones((4, 3)))]
     res = run_forward(g, params, cfg, mode="train", seed=7)
     pmat = build_propagation(g, cfg.propagation_mode).matrix.toarray()
     pre = np.linalg.lstsq(pmat, res.data, rcond=None)[0]
@@ -374,7 +394,7 @@ def test_rate_zero_dropedge_propagates_with_the_operator_itself(monkeypatch):
     g = generate_sbm(30, 2, 0.3, 0.05, 3, 0.1, seed=4)
     cfg = ModelConfig(layer_dims=(3, 4, 2), strategy="dropedge", rate=0.0)
     prop = build_propagation(g, cfg.propagation_mode)
-    params = init_params(cfg.layer_dims, seed=2)
+    params = init_params(cfg, seed=2)
     built = spy_operators(monkeypatch)
     spmm_operators = []
     real_spmm = Tape.spmm
@@ -394,7 +414,7 @@ def test_dropedge_eval_mode_is_identity_and_train_removes_edges(monkeypatch):
     g = sbm(seed=12, n=30, d=3)
     cfg = ModelConfig(layer_dims=(3, 2), strategy="dropedge", rate=0.5)
     plain = ModelConfig(layer_dims=(3, 2), strategy="none")
-    params = init_params(cfg.layer_dims, seed=13)
+    params = init_params(cfg, seed=13)
     a = run_forward(g, params, cfg, mode="eval")
     b = run_forward(g, params, plain, mode="eval")
     assert np.array_equal(a.data, b.data)
@@ -462,7 +482,7 @@ def logits_and_grads(run, graph, params, config):
     logits = run(tape, layers)
     return [logits.data] + tape.backward(
         tape.softmax_cross_entropy(logits, graph.labels, graph.train_mask),
-        [v for layer in layers for v in (layer.weight, layer.retention_logits)])
+        [v for layer in layers for v in (layer.weight, layer.retention_logits) if v is not None])
 
 
 @settings(max_examples=80, deadline=None)
@@ -486,9 +506,11 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
     config = ModelConfig(layer_dims=tuple(dims), strategy=strategy,
                          rate=rate if strategy in FIXED_STRATEGIES else 0.0,
                          propagation_mode=propagation)
-    params = init_params(config.layer_dims, seed=seed % 1000)
-    for p in params:
+    flexi_params = init_params(replace(config, strategy="flexidrop", rate=0.0), seed=seed % 1000)
+    for p in flexi_params:
         p.retention_logits[:] = rng.normal(size=p.retention_logits.shape)
+    params = (flexi_params if strategy == "flexidrop"
+              else [LayerParams(p.weight) for p in flexi_params])
     prop = build_propagation(g, propagation)
 
     got = logits_and_grads(
@@ -504,12 +526,12 @@ def test_forward_matches_the_propagate_first_reference(dims, n, density, strateg
     # preactivation is the logits of the model cut after layer l
     pmat = prop.matrix.toarray()
     h = g.features
-    for li, p in enumerate(params):
+    for li, p in enumerate(flexi_params):
         a = h if li == 0 else np.maximum(h, 0.0)
         h = (pmat @ (a * sigmoid(p.retention_logits)[None, :])) @ p.weight
         prefix = replace(config, layer_dims=config.layer_dims[:li + 2], strategy="flexidrop",
                          rate=0.0)
-        pre = forward(Tape(), prop, params[:li + 1], prefix, mode=mode)
+        pre = forward(Tape(), prop, flexi_params[:li + 1], prefix, mode=mode)
         assert np.abs(pre.data - h).max() <= 1e-12 * np.abs(h).max()
 
 
@@ -520,7 +542,7 @@ def test_a_masked_layer_1_matches_the_reference(strategy, dims):
     # reference computes it, and P ((X m) W) where it narrows
     g = sbm(seed=3, n=16, d=dims[0])
     config = ModelConfig(layer_dims=dims, strategy=strategy, rate=0.3)
-    params = init_params(dims, seed=5)
+    params = init_params(config, seed=5)
     prop = build_propagation(g, config.propagation_mode)
     for seed in (0, 1, 2):
         got = logits_and_grads(
@@ -551,7 +573,7 @@ def test_a_mask_on_a_column_major_input_is_the_row_major_draw(monkeypatch, strat
     dims = (64, 64, 3)
     g = sbm(seed=4, n=300, d=dims[0])
     config = ModelConfig(layer_dims=dims, strategy=strategy, rate=0.3)
-    params = init_params(dims, seed=2)
+    params = init_params(config, seed=2)
     prop = build_propagation(g, config.propagation_mode)
     key = "got"
     got = logits_and_grads(
@@ -586,7 +608,7 @@ def test_a_train_forward_makes_one_spmm_per_layer_after_the_first(monkeypatch, d
     monkeypatch.setattr(Tape, "spmm", counted)
     g = sbm(seed=2, n=12, d=dims[0])
     config = ModelConfig(layer_dims=dims, strategy=strategy, rate=rate)
-    run_forward(g, init_params(dims, seed=1), config, mode="train", seed=4)
+    run_forward(g, init_params(config, seed=1), config, mode="train", seed=4)
     masked = strategy in ("fixed_dropout", "dropnode")
     assert widths == [min(k_in, k_out) for li, (k_in, k_out) in enumerate(zip(dims, dims[1:]))
                       if li > 0 or masked]
@@ -596,7 +618,7 @@ def test_grad_check_flexidrop_with_regularizer_through_a_reordered_layer():
     # layer 2 narrows 6 -> 2 and so multiplies by W before propagating
     g = sbm(seed=11, n=10, d=3)
     config = ModelConfig(layer_dims=(3, 6, 2), strategy="flexidrop")
-    params = init_params(config.layer_dims, seed=4)
+    params = init_params(config, seed=4)
     prop = build_propagation(g, config.propagation_mode)
     ctx = BoundContext.from_graph(g, config.num_layers)
     k = config.num_layers
@@ -617,7 +639,7 @@ def test_grad_check_the_link_prediction_path():
     # weights and retention logits -> forward -> link_scores -> link_loss
     g = generate_sbm(12, 2, 0.6, 0.2, 3, 0.1, seed=5)
     config = ModelConfig(layer_dims=(3, 4, 2), strategy="flexidrop", task="link_prediction")
-    params = init_params(config.layer_dims, seed=6)
+    params = init_params(config, seed=6)
     prop = build_propagation(g, config.propagation_mode)
     negs = sample_negative_edges(g, g.num_edges, seed=7)
     k = config.num_layers
@@ -722,7 +744,7 @@ def test_sample_negative_edges_avoids_existing():
 def test_checkpoint_roundtrip(tmp_path):
     cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="flexidrop",
                       propagation_mode="symmetric")
-    params = init_params(cfg.layer_dims, seed=14)
+    params = init_params(cfg, seed=14)
     path = str(tmp_path / "model")
     save_checkpoint(path, params, cfg, extra={"epoch": 12})
     loaded, loaded_cfg, manifest = load_checkpoint(path)
@@ -741,12 +763,14 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_of_another_format_fails_naming_it(tmp_path):
     cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
     path = str(tmp_path / "model")
-    save_checkpoint(path, init_params(cfg.layer_dims, seed=15), cfg)
+    save_checkpoint(path, init_params(cfg, seed=15), cfg)
     meta = json.loads((tmp_path / "model.json").read_text())
     # format 1 wrote the model config with an activation field, format 2 a
-    # list of layer shapes beside the config
+    # list of layer shapes beside the config, format 3 retention logits under
+    # every strategy
     for version, changes in ((1, {"config": {**meta["config"], "activation": "relu"}}),
-                             (2, {"layers": [{"weight_shape": [3, 2], "retention_len": 3}]})):
+                             (2, {"layers": [{"weight_shape": [3, 2], "retention_len": 3}]}),
+                             (3, {})):
         (tmp_path / "model.json").write_text(json.dumps({**meta, **changes,
                                                          "format_version": version}))
         with pytest.raises(ValueError, match=re.escape(
@@ -757,12 +781,12 @@ def test_checkpoint_of_another_format_fails_naming_it(tmp_path):
 @pytest.mark.parametrize("params", (
     lambda ps: ps[:1],
     lambda ps: ps + ps[-1:],
-    lambda ps: [ps[0], LayerParams(np.zeros((6, 3)), np.zeros(6))],
+    lambda ps: [ps[0], LayerParams(np.zeros((6, 3)))],
 ), ids=("one-layer-missing", "one-layer-extra", "wrong-shape"))
 def test_save_checkpoint_refuses_params_that_do_not_fit_the_config(tmp_path, params):
     cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="none")
     with pytest.raises(ValueError):
-        save_checkpoint(tmp_path / "model", params(init_params(cfg.layer_dims, seed=15)), cfg)
+        save_checkpoint(tmp_path / "model", params(init_params(cfg, seed=15)), cfg)
     assert not list(tmp_path.iterdir())
 
 
@@ -771,7 +795,7 @@ def test_save_checkpoint_refuses_params_that_do_not_fit_the_config(tmp_path, par
 def test_checkpoint_rejects_a_manifest_without_a_config_naming_it(tmp_path, manifest):
     # these raised TypeError or KeyError, which the command line does not catch
     cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
-    save_checkpoint(tmp_path / "model", init_params(cfg.layer_dims, seed=15), cfg)
+    save_checkpoint(tmp_path / "model", init_params(cfg, seed=15), cfg)
     (tmp_path / "model.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=re.escape(
             f"{tmp_path / 'model.json'}: expected a mapping with a 'config' key")):
@@ -788,8 +812,8 @@ def test_checkpoint_rejects_a_manifest_without_a_config_naming_it(tmp_path, mani
         "transposed-weight"))
 def test_checkpoint_rejects_an_archive_without_exactly_the_configs_arrays(tmp_path, arrays):
     # a missing array raised KeyError from the archive, and an extra one was ignored
-    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="none")
-    save_checkpoint(tmp_path / "model", init_params(cfg.layer_dims, seed=15), cfg)
+    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="flexidrop")
+    save_checkpoint(tmp_path / "model", init_params(cfg, seed=15), cfg)
     with np.load(tmp_path / "model.npz") as data:
         held = {k: data[k] for k in data.files}
     np.savez(tmp_path / "model.npz", **arrays(held))
@@ -799,9 +823,58 @@ def test_checkpoint_rejects_an_archive_without_exactly_the_configs_arrays(tmp_pa
     assert "layer_dims [3, 6, 2] need exactly" in str(exc.value)
 
 
+def test_a_checkpoint_without_flexidrop_holds_only_weights(tmp_path):
+    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy="dropedge", rate=0.5)
+    params = init_params(cfg, seed=14)
+    save_checkpoint(tmp_path / "model", params, cfg)
+    with np.load(tmp_path / "model.npz") as data:
+        assert data.files == ["weight_0", "weight_1"]
+    loaded, _, _ = load_checkpoint(tmp_path / "model")
+    for a, b in zip(params, loaded, strict=True):
+        assert np.array_equal(a.weight, b.weight) and b.retention_logits is None
+
+
+def _with_z(params):
+    return [LayerParams(p.weight, np.zeros(p.weight.shape[0])) for p in params]
+
+
+def _without_z(params):
+    return [LayerParams(p.weight) for p in params]
+
+
+@pytest.mark.parametrize("strategy, change, message", (
+    ("none", _with_z, "layer 0: strategy 'none' takes no retention logits"),
+    ("flexidrop", _without_z, "layer 0: strategy 'flexidrop' needs retention logits"),
+), ids=("z-under-none", "flexidrop-without-z"))
+def test_params_whose_retention_logits_do_not_fit_the_strategy_are_refused(tmp_path, strategy,
+                                                                           change, message):
+    cfg = ModelConfig(layer_dims=(3, 6, 2), strategy=strategy)
+    params = change(init_params(cfg, seed=15))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_forward(sbm(seed=1), params, cfg)
+    tape = Tape()   # layers bound to a tape are checked alike
+    with pytest.raises(ValueError, match=re.escape(message)):
+        forward(tape, build_propagation(sbm(seed=1), cfg.propagation_mode),
+                bind_layers(tape, params, trainable=True), cfg, mode="train")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_checkpoint(tmp_path / "model", params, cfg)
+    assert not list(tmp_path.iterdir())
+    # an archive written for the other rule: the loader names the file and the arrays
+    np.savez(tmp_path / "model.npz", **{k: a for i, p in enumerate(params) for k, a in (
+        (f"weight_{i}", p.weight), (f"retention_logits_{i}", p.retention_logits))
+        if a is not None})
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"format_version": CHECKPOINT_FORMAT, "config": cfg.to_dict()}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 'model.npz'}: holds array shapes ")) as exc:
+        load_checkpoint(tmp_path / "model")
+    assert ("retention_logits_0" in str(exc.value).split("need exactly")[1]) == (
+        strategy == "flexidrop")
+
+
 def test_checkpoint_rejects_tampered_manifest(tmp_path):
     cfg = ModelConfig(layer_dims=(3, 2), strategy="none")
-    params = init_params(cfg.layer_dims, seed=15)
+    params = init_params(cfg, seed=15)
     path = str(tmp_path / "model")
     save_checkpoint(path, params, cfg, extra={})
     meta = json.loads((tmp_path / "model.json").read_text())

@@ -14,8 +14,8 @@ from flexidrop.bounds import BoundContext, multilayer_bound
 from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
                               inject_random_edges)
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy
-from flexidrop.model import (ModelConfig, NumericsError, forward, init_params, link_scores,
-                             retention_probabilities, sample_negative_edges)
+from flexidrop.model import (LayerParams, ModelConfig, NumericsError, forward, init_params,
+                             link_scores, retention_probabilities, sample_negative_edges)
 from flexidrop.training import (AdamState, GRID_COLUMNS, RunRecord, TrainConfig,
                                 TrainingAborted, _epoch_seed, _split_edges, adam_step,
                                 grid_search, run_cell, train)
@@ -349,7 +349,7 @@ def test_zero_epochs_returns_initial_params_and_empty_record():
     g = sanity_graph()
     cfg = ModelConfig(layer_dims=(4, 8, 2), strategy="flexidrop")
     res = train(g, cfg, quick(0))
-    init = init_params(cfg.layer_dims, seed=0)
+    init = init_params(cfg, seed=0)
     for a, b in zip(res.params, init):
         assert np.array_equal(a.weight, b.weight)
     assert res.record.rows == []
@@ -392,12 +392,46 @@ def test_logged_regularizer_matches_bound_recomputation():
 
 
 def test_nonflexi_strategies_do_not_move_retention():
+    # they carry no retention logits, so no output reports a retention; their
+    # bound is that of the p = 1 model they score
     g = sanity_graph(seed=4)
     for strategy, rate in (("none", 0.0), ("fixed_dropout", 0.4), ("dropedge", 0.3)):
         cfg = ModelConfig(layer_dims=(4, 5, 2), strategy=strategy, rate=rate)
         res = train(g, cfg, quick(5))
-        for p in res.params:
-            assert np.all(p.retention_logits == 2.0)
+        assert all(p.retention_logits is None for p in res.params)
+        assert res.record.summary["retention_mean"] == []
+        assert not [c for c in res.record.columns if c.startswith("retention")]
+        ctx = BoundContext.from_graph(g, cfg.num_layers)
+        saturated = [LayerParams(p.weight, np.full(p.weight.shape[0], 1000.0))
+                     for p in res.params]
+        assert res.record.summary["final_regularizer"] == multilayer_bound(ctx, saturated)
+
+
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("fixed_dropout", 0.4),
+                                            ("dropnode", 0.3), ("dropedge", 0.3)))
+@pytest.mark.parametrize("task", ("node_classification", "link_prediction"))
+def test_a_non_flexidrop_run_trains_only_its_weights(monkeypatch, strategy, rate, task):
+    # no tape holds a retention leaf, and the Adam vector is the weights alone
+    trainable, steps = [], []
+    real_leaf, real_step = Tape.leaf, training.adam_step
+
+    def leaf(self, data, requires_grad=False):
+        out = real_leaf(self, data, requires_grad)
+        if requires_grad:
+            trainable.append(out.shape)
+        return out
+
+    def step(param, grad, state, lr):
+        steps.append(param.shape)
+        real_step(param, grad, state, lr)
+
+    monkeypatch.setattr(Tape, "leaf", leaf)
+    monkeypatch.setattr(training, "adam_step", step)
+    dims = (4, 5, 3)
+    cfg = ModelConfig(layer_dims=dims, strategy=strategy, rate=rate, task=task)
+    train(sanity_graph(seed=4), cfg, quick(3))
+    assert trainable == [(4, 5), (5, 3)] * 3
+    assert steps == [(sum(k_in * k_out for k_in, k_out in zip(dims, dims[1:])),)] * 3
 
 
 def test_flexidrop_moves_retention_probabilities():
@@ -471,7 +505,7 @@ def test_nan_aborts_with_last_finite_params():
     # the abort names the layer the forward named, and chains the forward's error
     assert str(exc.value) == "training aborted at epoch 1: non-finite value at layer 1"
     assert isinstance(exc.value.__cause__, NumericsError)
-    init = init_params(cfg.layer_dims, seed=3)
+    init = init_params(cfg, seed=3)
     assert np.array_equal(exc.value.params[0].weight, init[0].weight)
     # untrained, the evaluation of the same parameters fails the same way
     with pytest.raises(TrainingAborted) as untrained:
@@ -553,11 +587,13 @@ def test_nonfinite_evaluation_aborts_at_the_next_epoch(monkeypatch, strategy, ra
     # run, in the last row's evaluation), fixed_dropout in row 2's evaluation apart; all
     # abort as epoch 3 with params_2, row 1 and the forward's error as the cause
     real = training.adam_step
-    # the weight entries of the flat vector [W_1 (4x8), z_1 (4), W_2 (8x2), z_2 (8)]
-    weights = np.r_[0:32, 36:52]
+    # the weight entries of the flat vector: [W_1 (4x8), z_1 (4), W_2 (8x2), z_2 (8)]
+    # under flexidrop, and [W_1, W_2], 48 entries, without retention logits
+    flexi = strategy == "flexidrop"
+    weights = np.r_[0:32, 36:52] if flexi else np.r_[0:48]
 
     def blown_up(param, grad, state, *args):
-        assert param.shape == (60,)
+        assert param.shape == ((60,) if flexi else (48,))
         real(param, grad, state, *args)
         if state.t == 2:
             param[weights] *= 1e306
@@ -672,7 +708,9 @@ def test_nonfinite_gradient_aborts_before_the_step(monkeypatch, op, strategy, pe
     assert [row["epoch"] for row in exc.value.record.rows] == [1, 2]
     for a, b in zip(exc.value.params, two.params):
         assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.retention_logits, b.retention_logits)
+        assert (a.retention_logits is None) == (b.retention_logits is None)
+        if a.retention_logits is not None:
+            assert np.array_equal(a.retention_logits, b.retention_logits)
 
 
 @pytest.mark.parametrize("strategy, rate, draws", (
