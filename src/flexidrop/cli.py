@@ -63,7 +63,7 @@ def load_dataset(spec: dict) -> Graph:
     """The graph a config's dataset spec describes.
 
     An unknown key, a missing path or a value of the wrong JSON type
-    raises ValidationError naming the key; values are never coerced.
+    raises ValidationError naming the key; strings are never parsed.
     """
     kind = spec.get("kind", "sbm") if isinstance(spec, dict) else "sbm"
     if kind not in ("sbm", "files"):

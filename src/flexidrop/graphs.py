@@ -376,8 +376,8 @@ def sample_absent_pairs(graph: Graph, count: int, rng: np.random.Generator) -> n
     """Sample ``count`` distinct node pairs that are not edges of ``graph``.
 
     Pairs are canonical (u < v), never self-loops, drawn uniformly without
-    replacement. Raises ValidationError when fewer than ``count`` absent
-    pairs exist.
+    replacement. Raises ValidationError when ``count`` is not a
+    non-negative integer or fewer than ``count`` absent pairs exist.
 
     A sparse request (at most half the absent pairs) returns exactly the
     pairs of drawing ``u = rng.integers(n)``, ``v = rng.integers(n)`` one
@@ -389,6 +389,8 @@ def sample_absent_pairs(graph: Graph, count: int, rng: np.random.Generator) -> n
     tested against those seen so far, and the accepted first draws are put
     back in draw order. No code is multiplied by a draw index to do this.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValidationError(f"count must be a non-negative integer, got {count!r}")
     n = graph.num_nodes
     if count == 0:
         return np.zeros((0, 2), dtype=np.int64)

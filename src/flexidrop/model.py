@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 import zipfile
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
@@ -99,8 +100,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = checked_fields(cls, d)
-        return cls(**{**d, "rate": float(d.get("rate", 0.0))})
+        return cls(**checked_fields(cls, d))
 
 
 def _layer_dim(i: int, k) -> int:
@@ -117,8 +117,8 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+def _is_number(v) -> bool:   # an int too large for a float is refused, not made inf
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _is_list_of(check, length=None):
@@ -140,21 +140,22 @@ _FIELD_TYPES = {
 
 
 def checked_fields(cls, d: dict) -> dict:
-    """``d`` after checking it against the fields of config dataclass ``cls``.
+    """A copy of ``d`` checked against the fields of config dataclass ``cls``.
 
     Raises ValidationError naming the key for an unknown key, a missing
     required key, or a value of the wrong JSON type (strings are not
-    parsed, and true/false are not integers).
+    parsed, and true/false are not integers). A float field's integer
+    value comes back as a float, so 0 and 0.0 give the same config.
     """
     return checked_keys(cls.__name__, d, {f.name: f.type for f in fields(cls)},
                         [f.name for f in fields(cls) if f.default is MISSING])
 
 
 def checked_keys(name: str, d: dict, types: dict[str, str], required=()) -> dict:
-    """``d`` after checking it against ``types``, a map from key to JSON type name.
+    """A copy of ``d`` checked against ``types``, a map from key to JSON type name.
 
-    The type names are those of ``_FIELD_TYPES``. Raises ValidationError
-    as ``checked_fields`` does, with ``name`` in place of the class name.
+    The type names are those of ``_FIELD_TYPES``. Checks and converts as
+    ``checked_fields`` does, with ``name`` in place of the class name.
     """
     if not isinstance(d, dict):
         raise ValidationError(f"{name}: expected a mapping, got {type(d).__name__}")
@@ -168,7 +169,7 @@ def checked_keys(name: str, d: dict, types: dict[str, str], required=()) -> dict
     for key in required:
         if key not in d:
             raise ValidationError(f"{name}: missing key {key!r}")
-    return d
+    return {key: float(value) if types[key] == "float" else value for key, value in d.items()}
 
 
 RETENTION_LOGIT_INIT = 2.0   # logistic(2) ~ 0.88, a gentle initial dropout

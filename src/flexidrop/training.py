@@ -190,22 +190,43 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     """
     cfg = train_config
     flexi = model_config.strategy == "flexidrop"
-    link_task = model_config.task == "link_prediction"
     reuse = train_forward_is_eval(model_config)
     params = init_params(model_config, cfg.seed)
     ctx = BoundContext.from_graph(graph, model_config.num_layers)
 
-    if link_task:
-        train_pos, val_pos, test_pos = _split_edges(graph, _epoch_seed(cfg.seed, 0, 3))
-        if min(len(train_pos), len(val_pos), len(test_pos)) == 0:
+    # the task fixes the operator, the loss of a train forward and the scores of an eval one
+    if model_config.task == "link_prediction":
+        positives = dict(zip(("train", "val", "test"),
+                             _split_edges(graph, _epoch_seed(cfg.seed, 0, 3))))
+        if min(map(len, positives.values())) == 0:
             raise ValueError("link_prediction needs enough edges for a train/val/test split")
-        eval_negs = {name: sample_negative_edges(graph, len(pos), _epoch_seed(cfg.seed, 0, 4 + i))
-                     for i, (name, pos) in enumerate(
-                         (("train", train_pos), ("val", val_pos), ("test", test_pos)))}
-        eval_pos = {"train": train_pos, "val": val_pos, "test": test_pos}
-    # messages may only pass over training edges
-    prop = build_propagation(replace(graph, edges=train_pos) if link_task else graph,
-                             model_config.propagation_mode)
+        negatives = {name: sample_negative_edges(graph, len(pos), _epoch_seed(cfg.seed, 0, 4 + i))
+                     for i, (name, pos) in enumerate(positives.items())}
+        train_pos = positives["train"]
+        # messages may only pass over training edges
+        prop = build_propagation(replace(graph, edges=train_pos), model_config.propagation_mode)
+
+        def task_loss(tape, out, epoch):
+            negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
+            return link_loss(tape, *link_scores(tape, out, train_pos, negs))
+
+        def score(logits):
+            tape = Tape()
+            embeddings = tape.leaf(logits)
+            scored = {name: link_scores(tape, embeddings, pos, negatives[name])
+                      for name, pos in positives.items()}
+            probs, labels = scored["test"]
+            return {**{name: link_accuracy(p.data, y) for name, (p, y) in scored.items()},
+                    "auc": auc_score(probs.data, labels)}
+    else:
+        prop = build_propagation(graph, model_config.propagation_mode)
+
+        def task_loss(tape, out, epoch):
+            return tape.softmax_cross_entropy(out, graph.labels, graph.train_mask)
+
+        def score(logits):
+            return {name: accuracy(logits, graph.labels, getattr(graph, f"{name}_mask"))
+                    for name in ("train", "val", "test")}
 
     # one vector [W_1, (z_1), W_2, (z_2), ...] (z under flexidrop alone) for all parameters,
     # stepped in place by one Adam update per epoch; params are views of its named segments
@@ -220,22 +241,6 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
     record = RunRecord(columns=_record_columns(model_config))
     start = time.perf_counter()
-
-    def score(logits: np.ndarray) -> dict:
-        """Per-split accuracy of eval-mode ``logits``, plus the test "auc" for links."""
-        if not link_task:
-            return {name: accuracy(logits, graph.labels, mask)
-                    for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
-                                       ("test", graph.test_mask))}
-        tape = Tape()
-        embeddings = tape.leaf(logits)
-        scored = {name: link_scores(tape, embeddings, eval_pos[name], eval_negs[name])
-                  for name in ("train", "val", "test")}
-        scores = {name: link_accuracy(probs.data, labels)
-                  for name, (probs, labels) in scored.items()}
-        probs, labels = scored["test"]
-        scores["auc"] = auc_score(probs.data, labels)
-        return scores
 
     def log_row(row: dict, scores: dict, regularizer: float, retention: list) -> None:
         """Complete ``row`` with the scores, bound and retention of ``params`` and append it."""
@@ -268,12 +273,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
                 # a forward that draws no mask takes no seed
                 out = forward(tape, prop, layers, model_config, mode="train",
                               seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
-            if link_task:
-                negs = sample_negative_edges(graph, len(train_pos), _epoch_seed(cfg.seed, epoch, 2))
-                probs, labels = link_scores(tape, out, train_pos, negs)
-                loss = link_loss(tape, probs, labels)
-            else:
-                loss = tape.softmax_cross_entropy(out, graph.labels, graph.train_mask)
+            loss = task_loss(tape, out, epoch)
             objective, reg = loss, None
             if flexi and cfg.reg_lambda > 0.0:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -305,8 +305,6 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
             pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}
         # nothing this epoch made outlives it into the next epoch's forward
         del tape, layers, out, loss, objective, reg, grad
-        if link_task:
-            del negs, probs, labels
 
     last = record.rows[-1] if record.rows else {}
     # reversed: a tie in validation accuracy goes to the later epoch
@@ -327,7 +325,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "test_accuracy_at_best_val": best.get("test_accuracy"),
         "retention_mean": [float(p.mean()) for p in retention_probabilities(params)],
     }
-    if link_task and record.rows:
+    if record.rows and "auc" in scores:
         record.summary["final_test_auc"] = scores["auc"]
     return TrainResult(params, record, logits, scores)
 
@@ -345,7 +343,7 @@ def run_cell(graph: Graph, model_config: ModelConfig, train_config: TrainConfig,
 
     The accuracies and the final-layer Dirichlet energy come from
     train()'s final eval-mode evaluation (of the initial parameters when
-    no epoch runs). A run that aborts or rejects its configuration
+    no epoch runs). A run that aborts, or whose data train() rejects,
     becomes a row with status "failed: <reason>" and empty results, so
     the sweep around it goes on.
     """
@@ -366,26 +364,24 @@ def grid_search(graph: Graph, base_model: ModelConfig, strategies, rates, seeds,
     For the fixed strategies the swept value is the dropout rate; the
     trainable-retention strategy has no rate, so the same values sweep
     the regularization weight instead, and "none" collapses to a single
-    parameter-free cell. Failed runs are recorded and skipped in the
-    aggregates.
+    parameter-free cell. A config that cannot be built raises before any
+    cell trains; a failed run is a failed row, skipped in the aggregates.
     """
+    groups = [(strategy, value, _cell_model(base_model, strategy, value),
+               replace(train_config, reg_lambda=float(value)) if strategy == "flexidrop"
+               else train_config)
+              for strategy in strategies for value in ([0.0] if strategy == "none" else rates)]
     rows = []
-    for strategy in strategies:
-        for value in [0.0] if strategy == "none" else list(rates):
-            tc = (replace(train_config, reg_lambda=float(value)) if strategy == "flexidrop"
-                  else train_config)
-            cells = [run_cell(graph, _cell_model(base_model, strategy, value),
-                              replace(tc, seed=int(seed)),
-                              strategy=strategy, param=value, seed=int(seed))
-                     for seed in seeds]
-            ok = [c["test_accuracy"] for c in cells if c["status"] == "ok"]
-            agg = {"strategy": strategy, "param": value, "seed": "aggregate",
-                   "test_accuracy": None, "test_std": None,
-                   "status": f"{len(ok)}/{len(seeds)} ok"}
-            if ok:
-                agg["test_accuracy"] = float(np.mean(ok))
-                agg["test_std"] = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
-            rows += cells + [agg]
+    for strategy, value, model, tc in groups:
+        cells = [run_cell(graph, model, replace(tc, seed=int(seed)),
+                          strategy=strategy, param=value, seed=int(seed)) for seed in seeds]
+        ok = [c["test_accuracy"] for c in cells if c["status"] == "ok"]
+        agg = {"strategy": strategy, "param": value, "seed": "aggregate",
+               "test_accuracy": None, "test_std": None, "status": f"{len(ok)}/{len(cells)} ok"}
+        if ok:
+            agg["test_accuracy"] = float(np.mean(ok))
+            agg["test_std"] = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
+        rows += cells + [agg]
     return rows
 
 
@@ -414,16 +410,14 @@ def oversmoothing_profile(graph: Graph, base_model: ModelConfig, layer_dims, str
     ``depth_dims``); its depth is that entry's layer count. The energy is
     the Dirichlet energy of the final layer's eval-mode embeddings, so
     the randomized strategies are inactive and retention scaling is
-    applied. ``rate`` is the dropout rate of the fixed strategies.
-    Returns one row per (depth, strategy).
+    applied. ``rate`` is the dropout rate of the fixed strategies. One row
+    per (depth, strategy); a config that cannot be built raises before
+    any cell trains, and a failed run is a failed row.
     """
-    rows = []
-    for dims in layer_dims:
-        for strategy in strategies:
-            config = _cell_model(base_model, strategy, rate, layer_dims=dims)
-            rows.append(run_cell(graph, config, train_config, depth=len(dims) - 1,
-                                 strategy=strategy))
-    return rows
+    cells = [(_cell_model(base_model, strategy, rate, layer_dims=dims), strategy)
+             for dims in layer_dims for strategy in strategies]
+    return [run_cell(graph, config, train_config, depth=config.num_layers, strategy=strategy)
+            for config, strategy in cells]
 
 
 def robustness_sweep(graph: Graph, base_model: ModelConfig, fractions, strategies, seeds,
@@ -433,18 +427,16 @@ def robustness_sweep(graph: Graph, base_model: ModelConfig, fractions, strategie
     Fraction 0 rows give each strategy's clean baseline. The test mask is
     never touched by the perturbation (only edges change), so accuracies
     are comparable across fractions. The injected edges are seeded from
-    (seed, fraction), so rows do not depend on execution order. ``rate``
-    is the dropout rate of the fixed strategies. Returns one row per
-    (fraction, strategy, seed).
+    (seed, fraction), so rows do not depend on execution order; strategies
+    share each graph. ``rate`` is the dropout rate of the fixed strategies.
+    One row per (fraction, strategy, seed); a config or graph that cannot be
+    built raises before any cell trains, and a failed run is a failed row.
     """
-    rows = []
-    for fraction in fractions:
-        for strategy in strategies:
-            config = _cell_model(base_model, strategy, rate)
-            for seed in seeds:
-                inject_seed = int(np.random.SeedSequence([int(seed), int(round(fraction * 1000))])
-                                  .generate_state(1)[0])
-                perturbed = inject_random_edges(graph, fraction, inject_seed)
-                rows.append(run_cell(perturbed, config, replace(train_config, seed=int(seed)),
-                                     fraction=fraction, strategy=strategy, seed=int(seed)))
-    return rows
+    seeds = [int(seed) for seed in seeds]
+    configs = {strategy: _cell_model(base_model, strategy, rate) for strategy in strategies}
+    graphs = {(fraction, seed): inject_random_edges(graph, fraction, int(np.random.SeedSequence(
+        [seed, int(round(fraction * 1000))]).generate_state(1)[0]))
+        for fraction in fractions for seed in seeds}
+    return [run_cell(graphs[fraction, seed], configs[strategy], replace(train_config, seed=seed),
+                     fraction=fraction, strategy=strategy, seed=seed)
+            for fraction in fractions for strategy in strategies for seed in seeds]

@@ -391,6 +391,21 @@ def test_train_rerun_is_byte_identical_modulo_wall_clock(tmp_path):
         (out2 / "bound_report.json").read_bytes()
 
 
+@pytest.mark.parametrize("spelled, flags", (
+    ({"reg_lambda": 0}, ["--lambda", "0"]),
+    ({"learning_rate": 1}, ["--learning-rate", "1"])), ids=("lambda", "learning-rate"))
+def test_a_float_spelled_as_an_int_writes_the_same_bytes(tmp_path, spelled, flags):
+    # a JSON 0 once reached manifest.json and summary.json as 0, the flag's as 0.0
+    body = {"train": {"epochs": 2, **spelled}}
+    outs = tmp_path / "config", tmp_path / "flag"
+    assert run(["train", "--config", write_config(tmp_path, body), "--out", str(outs[0])]) == 0
+    body["train"] = {"epochs": 2}
+    assert run(["train", "--config", write_config(tmp_path, body), "--out", str(outs[1])]
+               + flags) == 0
+    for name in ("manifest.json", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_train_rerun_writes_a_run_csv_of_the_same_size(tmp_path):
     # wall_clock_s has six decimals, so its text is as long on every run under 10 s
     cfg = small_config(tmp_path)
@@ -576,6 +591,28 @@ def test_sweep_records_a_failed_cell_and_goes_on(tmp_path, command, axis, csv_na
     assert [(r["strategy"], r["status"]) for r in rows] == [
         ("flexidrop", "failed: training aborted at epoch 1: non-finite loss"), ("none", "ok")]
     assert rows[0]["test_accuracy"] == "" and 0.0 <= float(rows[1]["test_accuracy"]) <= 1.0
+
+
+@pytest.mark.parametrize("command, axes, message, csv_name", (
+    ("grid", ["--strategies", "none,fixed_dropout", "--rates", "0.1,1.0", "--seeds", "0"],
+     "rate must lie in [0, 1), got 1.0", "grid.csv"),
+    ("grid", ["--strategies", "none,flexdrop", "--seeds", "0"], "unknown strategy 'flexdrop'",
+     "grid.csv"),
+    ("oversmooth", ["--depths", "1,2", "--hidden-dim", "0", "--strategies", "none"],
+     "layer_dims needs >= 2 positive entries", "oversmoothing.csv"),
+    ("attack", ["--fractions", "0,2.5", "--seeds", "0", "--strategies", "none"],
+     "fraction must lie in [0, 2]", "robustness.csv")),
+    ids=("grid-rate", "grid-strategy", "oversmooth-width", "attack-fraction"))
+def test_a_sweep_cell_that_cannot_be_built_exits_one_before_any_cell_trains(
+        tmp_path, monkeypatch, command, axes, message, csv_name):
+    # each sweep once trained the valid cells before it, then exited 1 without its CSV
+    trained = record_trained_configs(monkeypatch)
+    out = tmp_path / "o"
+    assert run([command, "--config", sweep_config(tmp_path, command), "--out", str(out),
+                "--epochs", "2"] + axes) == 1
+    assert trained == []
+    assert message in json.loads((out / "error.json").read_text())["error"]
+    assert (out / "manifest.json").exists() and not (out / csv_name).exists()
 
 
 def test_attack_command(tmp_path):

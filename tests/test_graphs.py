@@ -515,6 +515,19 @@ def test_sample_absent_pairs_never_collides():
     assert (pairs[:, 0] < pairs[:, 1]).all()
 
 
+@pytest.mark.parametrize("count", (-1, 2.5, True, "3"))
+def test_sample_absent_pairs_refuses_a_count_that_is_not_a_non_negative_integer(count):
+    # -1 once returned 10 pairs (a slice [:-1]), and 2.5 raised a bare TypeError
+    with pytest.raises(ValidationError, match="count must be a non-negative integer"):
+        sample_absent_pairs(path_graph(20), count, np.random.default_rng(0))
+
+
+def test_sample_absent_pairs_takes_a_numpy_integer_count():
+    g = path_graph(20)
+    assert_same_array(sample_absent_pairs(g, np.int64(5), np.random.default_rng(0)),
+                      sample_absent_pairs(g, 5, np.random.default_rng(0)))
+
+
 def reference_sample_absent_pairs(graph, count, rng):
     """The sampler as one Python rejection loop over a set, one pair per draw."""
     n = graph.num_nodes

@@ -1,5 +1,6 @@
 """Adam optimizer, the training loop, and grid sweeps."""
 import gc
+import re
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -18,7 +19,8 @@ from flexidrop.model import (LayerParams, ModelConfig, NumericsError, forward, i
                              link_scores, retention_probabilities, sample_negative_edges)
 from flexidrop.training import (AdamState, GRID_COLUMNS, RunRecord, TrainConfig,
                                 TrainingAborted, _epoch_seed, _split_edges, adam_step,
-                                grid_search, run_cell, train)
+                                depth_dims, grid_search, oversmoothing_profile, robustness_sweep,
+                                run_cell, train)
 
 
 def sanity_graph(seed=0, n=60):
@@ -56,10 +58,20 @@ def test_to_dict_has_a_key_for_every_field(config):
     ({"beta1": 0.9}, "beta1"),                  # Adam's moment and epsilon settings are fixed
     ({"beta2": 0.999}, "beta2"),
     ({"eps": 1e-8}, "eps"),
+    ({"reg_lambda": 10 ** 400}, "reg_lambda"),  # an int no float holds
 ))
 def test_train_config_from_dict_rejects_unknown_keys_and_wrong_types(entries, key):
     with pytest.raises(ValidationError, match=f"TrainConfig: .*'{key}'"):
         TrainConfig.from_dict(entries)
+
+
+def test_from_dict_returns_int_spelled_floats_as_floats_and_leaves_its_input_alone():
+    # an int-spelled float once reached summary.json and the manifests as an int
+    given = {"learning_rate": 1, "reg_lambda": 0}
+    config = TrainConfig.from_dict(given)
+    assert given == {"learning_rate": 1, "reg_lambda": 0} and type(given["reg_lambda"]) is int
+    assert type(config.learning_rate) is type(config.reg_lambda) is float
+    assert type(ModelConfig.from_dict({"layer_dims": [3, 2], "rate": 0}).rate) is float
 
 
 @pytest.mark.parametrize("key", ("learning_rate", "reg_lambda"))
@@ -799,6 +811,30 @@ def test_link_prediction_needs_enough_edges():
         train(g, cfg, quick(2))
 
 
+@pytest.mark.parametrize("task, dims, want", (
+    ("node_classification", (4, 8, 2), []),
+    # the three splits' evaluation negatives, then one training draw per epoch
+    ("link_prediction", (4, 8, 6), [(0, 4), (0, 5), (0, 6), (1, 2), (2, 2), (3, 2)])))
+def test_negatives_are_drawn_for_links_alone_from_their_streams(monkeypatch, task, dims, want):
+    real_seed, real_negatives = training._epoch_seed, training.sample_negative_edges
+    streams, drawn = {}, []   # seed -> its (epoch, stream); the streams negatives are drawn from
+
+    def epoch_seed(base_seed, epoch, stream):
+        seed = real_seed(base_seed, epoch, stream)
+        streams[seed] = (epoch, stream)
+        return seed
+
+    def negatives(graph, count, seed):
+        drawn.append(streams[seed])
+        return real_negatives(graph, count, seed)
+
+    monkeypatch.setattr(training, "_epoch_seed", epoch_seed)
+    monkeypatch.setattr(training, "sample_negative_edges", negatives)
+    g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=13)
+    train(g, ModelConfig(layer_dims=dims, task=task), quick(3))
+    assert drawn == want
+
+
 # ---- grid search -------------------------------------------------------------------
 
 
@@ -861,6 +897,75 @@ def test_write_grid_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].split(",") == GRID_COLUMNS
     assert [line.split(",")[2] for line in lines[1:]] == ["0", "aggregate"]
+
+
+# ---- every sweep builds its cells before the first one trains ---------------------
+
+
+def count_trains(monkeypatch) -> list:
+    """Replace training.train with a wrapper that records the graph of each call."""
+    graphs, real = [], training.train
+
+    def counted(graph, model_config, train_config):
+        graphs.append(graph)
+        return real(graph, model_config, train_config)
+
+    monkeypatch.setattr(training, "train", counted)
+    return graphs
+
+
+@pytest.mark.parametrize("strategies, rates, message", (
+    (("none", "fixed_dropout"), (0.1, 1.0), "rate must lie in [0, 1), got 1.0"),
+    (("none", "flexidrop"), (0.1, -0.1), "reg_lambda must be finite and >= 0, got -0.1"),
+    (("none", "flexdrop"), (0.1,), "unknown strategy 'flexdrop'")),
+    ids=("rate-1", "negative-lambda", "unknown-strategy"))
+def test_a_grid_cell_that_cannot_be_built_raises_before_any_cell_trains(monkeypatch, strategies,
+                                                                        rates, message):
+    trained = count_trains(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grid_search(sanity_graph(seed=14, n=40), ModelConfig(layer_dims=(4, 6, 2)), strategies,
+                    rates, seeds=(0,), train_config=quick(2))
+    assert trained == []
+
+
+def test_an_oversmoothing_cell_that_cannot_be_built_raises_before_any_cell_trains(monkeypatch):
+    g, base = sanity_graph(seed=14, n=40), ModelConfig(layer_dims=(4, 2))
+    trained = count_trains(monkeypatch)
+    dims = [depth_dims(g, base, depth, 0) for depth in (1, 2)]   # (4, 2), then (4, 0, 2)
+    with pytest.raises(ValueError, match="layer_dims needs >= 2 positive entries"):
+        oversmoothing_profile(g, base, dims, ("none",), quick(2))
+    assert trained == []
+
+
+def test_a_robustness_cell_that_cannot_be_built_raises_before_any_cell_trains(monkeypatch):
+    trained = count_trains(monkeypatch)
+    with pytest.raises(ValidationError, match=re.escape("fraction must lie in [0, 2]")):
+        robustness_sweep(sanity_graph(seed=14, n=40), ModelConfig(layer_dims=(4, 2)),
+                         fractions=(0.0, 2.5), strategies=("none",), seeds=(0,),
+                         train_config=quick(2))
+    assert trained == []
+
+
+def test_the_strategies_of_a_robustness_sweep_share_each_graph_and_its_arrays(monkeypatch):
+    g = sanity_graph(seed=19, n=40)
+    trained, injected = count_trains(monkeypatch), []
+    real = training.inject_random_edges
+
+    def inject(graph, fraction, seed):
+        injected.append(real(graph, fraction, seed))
+        return injected[-1]
+
+    monkeypatch.setattr(training, "inject_random_edges", inject)
+    robustness_sweep(g, ModelConfig(layer_dims=(4, 6, 2)), fractions=(0.0, 0.5),
+                     strategies=("none", "flexidrop"), seeds=(0, 1), train_config=quick(1))
+    assert len(injected) == 4 and injected[0] is g   # one per (fraction, seed)
+    # rows run fraction by fraction, strategy by strategy, seed by seed
+    want = [injected[i] for i in (0, 1, 0, 1, 2, 3, 2, 3)]
+    assert len(trained) == len(want) and all(h is w for h, w in zip(trained, want))
+    for h in injected[2:]:
+        assert h.num_edges > g.num_edges
+        for name in ("features", "labels", "train_mask", "val_mask", "test_mask"):
+            assert np.shares_memory(getattr(h, name), getattr(g, name)), name
 
 
 # ---- sweep cells against a fresh eval forward ----------------------------------------
