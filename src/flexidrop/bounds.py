@@ -35,8 +35,8 @@ class BoundContext:
     def __post_init__(self):
         if self.num_layers < 1 or self.num_classes < 1 or self.feature_dim < 1 or self.num_nodes < 1:
             raise ValueError("bound context dimensions must be positive")
-        if self.feature_inf_max < 0:
-            raise ValueError("feature_inf_max must be >= 0")
+        if not 0.0 <= self.feature_inf_max < math.inf:
+            raise ValueError(f"feature_inf_max must be finite and >= 0, got {self.feature_inf_max}")
 
     @classmethod
     def from_graph(cls, graph: Graph, num_layers: int) -> "BoundContext":

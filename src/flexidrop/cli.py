@@ -59,21 +59,27 @@ SPLIT_KEYS = {"index_files": "tuple[str, str, str]", "fractions": "tuple[float, 
               "seed": "int"}
 
 
-def load_dataset(spec: dict) -> Graph:
-    """The graph a config's dataset spec describes.
-
-    An unknown key, a missing path or a value of the wrong JSON type
-    raises ValidationError naming the key; strings are never parsed.
-    """
+def checked_dataset(spec: dict) -> dict:
+    """A checked copy of a config's dataset spec, its ``split`` mapping included: an unknown
+    key, a missing path or a value of the wrong JSON type raises ValidationError naming the
+    key, strings are never parsed, and a float key's integer value comes back a float."""
     kind = spec.get("kind", "sbm") if isinstance(spec, dict) else "sbm"
     if kind not in ("sbm", "files"):
         raise ValidationError(f"unknown dataset kind {kind!r}")
     spec = checked_keys("dataset", spec, DATASET_KEYS[kind],
                         ("edges", "features", "labels") if kind == "files" else ())
-    if kind == "sbm":
+    if "split" in spec:
+        spec["split"] = checked_keys("dataset split", spec["split"], SPLIT_KEYS)
+    return spec
+
+
+def load_dataset(spec: dict) -> Graph:
+    """The graph a config's dataset spec describes, once ``checked_dataset`` passes it."""
+    spec = checked_dataset(spec)
+    if spec.get("kind", "sbm") == "sbm":
         return generate_sbm(**{k: v for k, v in {**DEFAULT_DATASET, **spec}.items()
                                if k != "kind"})
-    split_spec = checked_keys("dataset split", spec.get("split", {}), SPLIT_KEYS)
+    split_spec = spec.get("split", {})
     if "index_files" in split_spec:
         if len(split_spec) > 1:
             raise ValidationError("dataset split: 'index_files' takes no 'fractions' or 'seed'")
@@ -108,7 +114,7 @@ def _resolve(args, command: str) -> tuple[Graph, ModelConfig, TrainConfig, Path,
         section, name = key.split(".")
         if name in config.get(section, {}):
             raise ValidationError(f"{command}: config key {key!r} is set per cell by the sweep")
-    dataset = config.get("dataset", DEFAULT_DATASET)
+    dataset = checked_dataset(config.get("dataset", DEFAULT_DATASET))
     graph = load_dataset(dataset)
     model = dict(config.get("model", {}))
     for key in ("strategy", "rate", "propagation_mode", "task"):   # train has all four flags

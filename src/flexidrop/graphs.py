@@ -206,8 +206,8 @@ class SplitSpec:
             fr = self.fractions
             if len(fr) != 3:
                 raise ValidationError(f"split needs 3 fractions, got {len(fr)}")
-            if any(f < 0 for f in fr) or sum(fr) > 1.0 + 1e-12:
-                raise ValidationError("split fractions must be non-negative and sum to <= 1")
+            if not (all(0.0 <= f <= 1.0 for f in fr) and sum(fr) <= 1.0 + 1e-12):
+                raise ValidationError(f"split fractions {list(fr)} must be >= 0 and sum to <= 1")
             if self.seed is None:
                 raise ValidationError("fraction split requires a shuffle seed")
             order = np.random.default_rng(self.seed).permutation(num_nodes)
@@ -338,8 +338,8 @@ def generate_sbm(num_nodes: int, num_blocks: int, p_in: float, p_out: float,
         raise ValidationError("num_blocks must divide num_nodes")
     if feature_dim < num_blocks:
         raise ValidationError("feature_dim must be >= num_blocks to embed the block indicator")
-    if noise_scale < 0:
-        raise ValidationError("noise_scale must be >= 0")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValidationError(f"noise_scale must be finite and >= 0, got {noise_scale}")
 
     rng = np.random.default_rng(seed)
     block_size = num_nodes // num_blocks

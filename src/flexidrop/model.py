@@ -144,8 +144,8 @@ def checked_fields(cls, d: dict) -> dict:
 
     Raises ValidationError naming the key for an unknown key, a missing
     required key, or a value of the wrong JSON type (strings are not
-    parsed, and true/false are not integers). A float field's integer
-    value comes back as a float, so 0 and 0.0 give the same config.
+    parsed, and true/false are not integers). An integer in a float field
+    or list comes back as a float, so 0 and 0.0 give the same config.
     """
     return checked_keys(cls.__name__, d, {f.name: f.type for f in fields(cls)},
                         [f.name for f in fields(cls) if f.default is MISSING])
@@ -169,7 +169,8 @@ def checked_keys(name: str, d: dict, types: dict[str, str], required=()) -> dict
     for key in required:
         if key not in d:
             raise ValidationError(f"{name}: missing key {key!r}")
-    return {key: float(value) if types[key] == "float" else value for key, value in d.items()}
+    return {key: float(value) if types[key] == "float" else [float(v) for v in value]
+            if types[key] == "tuple[float, float, float]" else value for key, value in d.items()}
 
 
 RETENTION_LOGIT_INIT = 2.0   # logistic(2) ~ 0.88, a gentle initial dropout

@@ -171,18 +171,18 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
     retention logits against loss + reg_lambda * regularizer; every other
     strategy optimizes the weights alone against the plain loss.
 
-    Row t of the record holds epoch t's loss and objective and the
-    eval-mode scores and bound of params_t, the parameters after epoch
-    t's step. When the train forward draws no mask
-    (``train_forward_is_eval``), epoch t+1's train forward is the eval
-    forward of params_t, so row t is completed from epoch t+1's tape: its
-    logits, and its regularizer Value when that is on the objective. The
-    last row, the 0-epoch state and the strategies that draw a mask are
-    evaluated apart.
+    The loop walks params_0 ... params_E, the parameters after t steps:
+    it scores params_t, logs row t, then takes epoch t+1's step. Row t
+    holds epoch t's loss and objective and params_t's eval-mode scores,
+    bound and retention. A strategy whose train forward draws no mask
+    (``train_forward_is_eval``) scores params_t from epoch t+1's train
+    tape: its logits, and its regularizer Value when that is on the
+    objective. Other states are scored apart, by an eval forward before
+    the train one; params_E always is, and the summary describes it.
 
     A non-finite layer output, objective or gradient aborts with
     TrainingAborted, which carries the parameters that failed and the rows
-    logged before them. The message names the layer whose output failed,
+    logged so far. The message names the layer whose output failed,
     or the layer and parameter whose gradient failed; the gradients are
     checked before the epoch's Adam step. The forward of params_t
     fails as epoch t+1, whether it ran as epoch t+1's train forward or as
@@ -241,55 +241,48 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
 
     record = RunRecord(columns=_record_columns(model_config))
     start = time.perf_counter()
-
-    def log_row(row: dict, scores: dict, regularizer: float, retention: list) -> None:
-        """Complete ``row`` with the scores, bound and retention of ``params`` and append it."""
-        row.update(regularizer=regularizer, train_accuracy=scores["train"],
-                   val_accuracy=scores["val"], test_accuracy=scores["test"])
-        for i, p in enumerate(retention, start=1):
-            row[f"retention_min_l{i}"] = float(p.min())
-            row[f"retention_mean_l{i}"] = float(p.mean())
-            row[f"retention_max_l{i}"] = float(p.max())
-        row["wall_clock_s"] = time.perf_counter() - start
-        record.rows.append(row)
-
-    pending = None   # row t before its scores and bound, which come from params_t
-    # the pass after the last epoch only evaluates the returned parameters
-    for epoch in range(1, cfg.epochs + 2):
+    for t in range(cfg.epochs + 1):   # scores params_t, then takes epoch t+1's step
+        trains = t < cfg.epochs
+        logs = t > 0 and (t % cfg.eval_every == 0 or not trains)
+        scored = None   # params_t's scores, regularizer and retention probabilities
         try:
-            if epoch > cfg.epochs or (pending and not reuse):
+            if not trains or (logs and not reuse):   # scored apart
                 logits = forward(Tape(), prop, params, model_config, mode="eval").data
-                scores = score(logits)
-                bound = multilayer_bound(ctx, params)
-                if pending:
-                    log_row(pending, scores, bound, retention_probabilities(params))
-                    pending = None
-            if epoch > cfg.epochs:
-                break
-            tape = Tape()
-            layers = bind_layers(tape, params, trainable=True)
-            # numpy need not warn of what forward and the objective check abort on
-            with np.errstate(over="ignore", invalid="ignore"):
-                # a forward that draws no mask takes no seed
-                out = forward(tape, prop, layers, model_config, mode="train",
-                              seed=0 if reuse else _epoch_seed(cfg.seed, epoch, 1))
-            loss = task_loss(tape, out, epoch)
-            objective, reg = loss, None
-            if flexi and cfg.reg_lambda > 0.0:
+                scored = (score(logits), multilayer_bound(ctx, params),
+                          retention_probabilities(params))
+            if trains:
+                tape = Tape()
+                layers = bind_layers(tape, params, trainable=True)
+                # numpy need not warn of what forward and the objective check abort on
                 with np.errstate(over="ignore", invalid="ignore"):
-                    reg = complexity_regularizer(tape, ctx, layers)
-                    objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
-            if pending:
-                # flexidrop's p = logistic(z) of params_t is on this tape already
-                log_row(pending, score(out.data),
-                        multilayer_bound(ctx, params) if reg is None else reg.item(),
-                        [layer.retention.data.ravel() for layer in layers] if flexi else [])
-                pending = None
-            if not np.isfinite(objective.item()):
-                raise NumericsError("non-finite loss")
+                    # a forward that draws no mask takes no seed
+                    out = forward(tape, prop, layers, model_config, mode="train",
+                                  seed=0 if reuse else _epoch_seed(cfg.seed, t + 1, 1))
+                loss = task_loss(tape, out, t + 1)
+                objective, reg = loss, None
+                if flexi and cfg.reg_lambda > 0.0:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        reg = complexity_regularizer(tape, ctx, layers)
+                        objective = tape.add(loss, tape.scalar_mul(cfg.reg_lambda, reg))
+                if logs and reuse:   # scored from the tape; flexidrop's p = logistic(z) is on it
+                    scored = (score(out.data),
+                              multilayer_bound(ctx, params) if reg is None else reg.item(),
+                              [layer.retention.data.ravel() for layer in layers] if flexi else [])
+                if not np.isfinite(objective.item()):
+                    raise NumericsError("non-finite loss")
         except NumericsError as exc:
-            raise TrainingAborted(epoch, params, record, reason=str(exc)) from exc
-
+            raise TrainingAborted(t + 1, params, record, reason=str(exc)) from exc
+        finally:   # an abort of epoch t+1 still carries row t, if params_t was scored
+            if logs and scored:
+                record.rows.append({
+                    "epoch": t, "train_loss": losses[0], "objective": losses[1],
+                    "regularizer": scored[1],
+                    **{f"{name}_accuracy": scored[0][name] for name in ("train", "val", "test")},
+                    **{f"retention_{stat}_l{i}": float(getattr(p, stat)()) for i, p in
+                       enumerate(scored[2], start=1) for stat in ("min", "mean", "max")},
+                    "wall_clock_s": time.perf_counter() - start})
+        if not trains:
+            break
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             grad = np.concatenate([g.ravel() for g in tape.backward(objective, [
                 v for layer in layers for v in (layer.weight, layer.retention_logits)
@@ -297,15 +290,14 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         # a backward can overflow under a finite objective; Adam would spread it
         if not np.isfinite(grad).all():
             j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right"))
-            raise TrainingAborted(epoch, params, record,
+            raise TrainingAborted(t + 1, params, record,
                                   reason=f"non-finite gradient of {list(segments)[j]}")
         adam_step(flat, grad, adam, cfg.learning_rate)
-
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            pending = {"epoch": epoch, "train_loss": loss.item(), "objective": objective.item()}
+        losses = loss.item(), objective.item()   # for row t+1
         # nothing this epoch made outlives it into the next epoch's forward
         del tape, layers, out, loss, objective, reg, grad
 
+    scores, bound, retention = scored   # params_E's, from the last pass
     last = record.rows[-1] if record.rows else {}
     # reversed: a tie in validation accuracy goes to the later epoch
     best = max(reversed(record.rows), key=lambda row: row["val_accuracy"], default={})
@@ -323,7 +315,7 @@ def train(graph: Graph, model_config: ModelConfig, train_config: TrainConfig) ->
         "best_val_epoch": best.get("epoch"),
         "best_val_accuracy": best.get("val_accuracy"),
         "test_accuracy_at_best_val": best.get("test_accuracy"),
-        "retention_mean": [float(p.mean()) for p in retention_probabilities(params)],
+        "retention_mean": [float(p.mean()) for p in retention],
     }
     if record.rows and "auc" in scores:
         record.summary["final_test_auc"] = scores["auc"]

@@ -114,6 +114,14 @@ def test_context_validation():
                      feature_inf_max=1.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_context_refuses_a_non_finite_feature_inf_max_naming_it(bad):
+    # both once gave a prefactor of the same value, and `flexidrop bound` exited 0
+    with pytest.raises(ValueError, match=f"feature_inf_max must be finite and >= 0, got {bad}"):
+        BoundContext(num_layers=2, num_classes=2, feature_dim=16, num_nodes=200,
+                     feature_inf_max=bad)
+
+
 # ---- single layer bound ------------------------------------------------------------
 
 

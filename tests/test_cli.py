@@ -406,6 +406,30 @@ def test_a_float_spelled_as_an_int_writes_the_same_bytes(tmp_path, spelled, flag
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind", ("sbm", "files"))
+def test_a_dataset_float_spelled_as_an_int_writes_the_same_manifest(tmp_path, kind):
+    # the manifest once recorded the dataset spec as spelled: "p_in": 1 against 1.0
+    data = tmp_path / "data"
+    assert run(["sbm", "--num-nodes", "40", "--feature-dim", "4", "--out", str(data)]) == 0
+    outs = []
+    for spelled in ((1, 0), (1.0, 0.0)):
+        if kind == "sbm":
+            dataset, task = {"num_nodes": 40, "feature_dim": 4, "p_in": spelled[0],
+                             "p_out": spelled[1], "noise_scale": spelled[1]}, []
+        else:   # node masks go unread by a link model, so the split may leave two empty
+            dataset = {"kind": "files", "edges": str(data / "edges.txt"),
+                       "features": str(data / "features.csv"),
+                       "labels": str(data / "labels.csv"),
+                       "split": {"fractions": [spelled[0], spelled[1], spelled[1]], "seed": 0}}
+            task = ["--task", "link_prediction"]
+        outs.append(tmp_path / f"run{len(outs)}")
+        cfg = write_config(tmp_path, {"dataset": dataset, "model": {"hidden_dims": [8]}})
+        assert run(["train", "--config", cfg, "--epochs", "1", "--out", str(outs[-1])]
+                   + task) == 0
+    for name in ("manifest.json", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_train_rerun_writes_a_run_csv_of_the_same_size(tmp_path):
     # wall_clock_s has six decimals, so its text is as long on every run under 10 s
     cfg = small_config(tmp_path)

@@ -348,6 +348,13 @@ def test_split_fractions_validation():
         SplitSpec(fractions=(0.8, 0.3, 0.3), seed=0).resolve(10)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_split_fractions_refuse_a_non_finite_fraction_naming_it(bad):
+    # NaN passed both comparisons, and int(NaN * N) raised a bare "cannot convert"
+    with pytest.raises(ValidationError, match=rf"split fractions \[{bad}, 0.2, 0.2\] must be"):
+        SplitSpec(fractions=(bad, 0.2, 0.2), seed=0).resolve(10)
+
+
 def test_split_needs_three_fractions():
     with pytest.raises(ValidationError, match="3 fractions, got 2"):
         SplitSpec(fractions=(0.5, 0.5), seed=0).resolve(10)
@@ -362,6 +369,13 @@ def test_split_fraction_masks_disjoint_and_sized():
 
 
 # ---- SBM generator ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_sbm_refuses_a_non_finite_noise_scale_naming_it(bad):
+    # it once passed the check and failed later, naming a feature entry, not the key
+    with pytest.raises(ValidationError, match=f"noise_scale must be finite and >= 0, got {bad}"):
+        generate_sbm(8, 2, 0.5, 0.1, 2, bad, seed=0)
 
 
 def test_sbm_reproducible_and_valid():

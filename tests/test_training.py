@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from flexidrop import training
 from flexidrop.autodiff import Tape
-from flexidrop.bounds import BoundContext, multilayer_bound
+from flexidrop.bounds import BoundContext, bound_report, multilayer_bound
 from flexidrop.graphs import (Graph, ValidationError, build_propagation, generate_sbm,
                               inject_random_edges)
 from flexidrop.metrics import accuracy, auc_score, dirichlet_energy
@@ -542,9 +542,9 @@ def test_best_validation_tie_goes_to_the_last_logged_epoch():
 @pytest.mark.parametrize("task, epochs", (("node_classification", 7), ("link_prediction", 7),
                                           ("node_classification", 0), ("link_prediction", 0)))
 def test_one_eval_forward_per_logged_row(monkeypatch, task, epochs):
-    # a strategy that draws no mask completes rows 3 and 6 from the train forwards of
-    # epochs 4 and 7, so only the last row is evaluated apart; the others evaluate
-    # every row apart; an untrained model is evaluated once
+    # a strategy that draws no mask scores rows 3 and 6 from the train forwards of
+    # epochs 4 and 7, so only the last row is scored apart; the others score every
+    # row apart; an untrained model is scored once
     calls = []
     real_forward, real_bind = training.forward, training.bind_layers
 
@@ -576,7 +576,7 @@ def test_one_eval_forward_per_logged_row(monkeypatch, task, epochs):
                                             ("fixed_dropout", 0.0), ("dropnode", 0.0),
                                             ("dropedge", 0.0), ("dropedge", 0.3)))
 def test_row_t_equals_the_last_row_of_a_t_epoch_run(strategy, rate):
-    # the last row of a t-epoch run is always evaluated apart, so a row completed from
+    # the last row of a t-epoch run is always scored apart, so a row scored from
     # the next epoch's train tape must match it key for key
     g = generate_sbm(60, 2, 0.4, 0.05, 4, 0.2, seed=14)
     for task in ("node_classification", "link_prediction"):
@@ -589,6 +589,63 @@ def test_row_t_equals_the_last_row_of_a_t_epoch_run(strategy, rate):
                 want = dict(alone.rows[-1], wall_clock_s=row["wall_clock_s"])
                 assert row == want, (task, reg_lambda, t)
                 assert alone.summary["final_regularizer"] == row["regularizer"]
+
+
+@pytest.mark.parametrize("strategy, rate", (("none", 0.0), ("flexidrop", 0.0),
+                                            ("fixed_dropout", 0.3), ("dropedge", 0.3)))
+@pytest.mark.parametrize("task", ("node_classification", "link_prediction"))
+def test_the_summary_describes_the_last_state_scored(monkeypatch, strategy, rate, task):
+    g = sanity_graph(seed=6)
+    cfg = ModelConfig(layer_dims=(4, 8, 2 if task == "node_classification" else 6),
+                      strategy=strategy, rate=rate, task=task)
+    ctx = BoundContext.from_graph(g, cfg.num_layers)
+    flexi = strategy == "flexidrop"
+    res = train(g, cfg, quick(4, eval_every=3))
+    summary, last = res.record.summary, res.record.rows[-1]
+    assert summary["retention_mean"] == ([last["retention_mean_l1"], last["retention_mean_l2"]]
+                                         if flexi else [])
+    assert summary["final_regularizer"] == last["regularizer"] == \
+        bound_report(ctx, res.params, cfg.propagation_mode)["complexity_bound"]
+    # untrained, the summary describes the initial parameters
+    untrained = train(g, cfg, quick(0)).record.summary
+    assert untrained["retention_mean"] == (pytest.approx([1 / (1 + np.exp(-2.0))] * 2)
+                                           if flexi else [])
+    assert untrained["final_regularizer"] == multilayer_bound(ctx, init_params(cfg, seed=0))
+    # eval_every past the last epoch: row `epochs` alone, from the one eval forward
+    modes, real = [], training.forward
+
+    def spy(*args, **kwargs):
+        modes.append(kwargs["mode"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", spy)
+    assert [row["epoch"] for row in train(g, cfg, quick(3, eval_every=5)).record.rows] == [3]
+    assert modes.count("eval") == 1
+
+
+@pytest.mark.parametrize("strategy, rate, logged", (("none", 0.0, []), ("flexidrop", 0.0, []),
+                                                    ("fixed_dropout", 0.3, [1])),
+                         ids=("none", "flexidrop", "fixed_dropout"))
+def test_a_failed_train_forward_keeps_the_row_of_the_parameters_scored_apart(
+        monkeypatch, strategy, rate, logged):
+    # epoch 2's train forward fails on params_1. A strategy that draws a mask scored
+    # params_1 apart before it, so row 1 is logged; one that draws none scores params_1
+    # from that very forward, so no row 1 exists
+    trains, real = [], training.forward
+
+    def failing(*args, **kwargs):
+        if kwargs["mode"] == "train":
+            trains.append(1)
+            if len(trains) == 2:
+                raise NumericsError("non-finite value at layer 1")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", failing)
+    cfg = ModelConfig(layer_dims=(4, 8, 2), strategy=strategy, rate=rate)
+    with pytest.raises(TrainingAborted) as exc:
+        train(sanity_graph(), cfg, quick(3))
+    assert str(exc.value) == "training aborted at epoch 2: non-finite value at layer 1"
+    assert [row["epoch"] for row in exc.value.record.rows] == logged
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
